@@ -8,139 +8,7 @@ for the projective line, and positivity audits of the supporting bound
 functions keep the fast paths honest.
 """
 
-from .criterion import (
-    DEFAULT_ORACLE_LIMIT,
-    GcdWitness,
-    OracleSizeError,
-    PreconditionError,
-    SlopeData,
-    SplittingType,
-    StabilityCertificate,
-    Verdict,
-    brute_force_check,
-    check_family,
-    is_m_primary,
-    is_semistable_p1,
-    scan_witnesses,
-    splitting_type_p1,
-    strategy_x0_holds,
-)
-from .constructions import (
-    CaseDecomposition,
-    InternalConsistencyError,
-    NoFamilyExists,
-    Route,
-    RoutingError,
-    SearchExhausted,
-    admissible_bounds,
-    classify_route,
-    decompose_faces_case,
-    dispatch,
-    expected_verdict,
-    gen_225_semistable,
-    gen_brenner,
-    gen_case326,
-    gen_face_vertex,
-    gen_faces_and_dots,
-    gen_full,
-    gen_n2_search,
-    gen_p1,
-    gen_prop_faces,
-    survey_225_candidates,
-)
-from .inequalities import (
-    FUNCTIONS,
-    InequalityTrace,
-    SweepSummary,
-    audit,
-    audit_grid,
-    brenner2_gap,
-    eval_P,
-    eval_Q,
-    eval_T,
-    eval_U,
-    eval_V,
-    sample_P,
-    sweep,
-)
-from .monomials import (
-    DimensionMismatch,
-    Face,
-    FamilyFormatError,
-    Monomial,
-    MonomialFamily,
-    binomial,
-    enumerate_monomials,
-    enumerate_monomials_without,
-    faces_family,
-    full_family,
-    monomial_gcd,
-    multiples_in_family,
-)
+from .constructions import dispatch
+from .criterion import brute_force_check, check_family
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_ORACLE_LIMIT",
-    "CaseDecomposition",
-    "DimensionMismatch",
-    "FUNCTIONS",
-    "Face",
-    "FamilyFormatError",
-    "GcdWitness",
-    "InequalityTrace",
-    "InternalConsistencyError",
-    "Monomial",
-    "MonomialFamily",
-    "NoFamilyExists",
-    "OracleSizeError",
-    "PreconditionError",
-    "Route",
-    "RoutingError",
-    "SearchExhausted",
-    "SlopeData",
-    "SplittingType",
-    "StabilityCertificate",
-    "SweepSummary",
-    "Verdict",
-    "admissible_bounds",
-    "audit",
-    "audit_grid",
-    "binomial",
-    "brenner2_gap",
-    "brute_force_check",
-    "check_family",
-    "classify_route",
-    "decompose_faces_case",
-    "dispatch",
-    "enumerate_monomials",
-    "enumerate_monomials_without",
-    "eval_P",
-    "eval_Q",
-    "eval_T",
-    "eval_U",
-    "eval_V",
-    "expected_verdict",
-    "faces_family",
-    "full_family",
-    "gen_225_semistable",
-    "gen_brenner",
-    "gen_case326",
-    "gen_face_vertex",
-    "gen_faces_and_dots",
-    "gen_full",
-    "gen_n2_search",
-    "gen_p1",
-    "gen_prop_faces",
-    "is_m_primary",
-    "is_semistable_p1",
-    "monomial_gcd",
-    "multiples_in_family",
-    "sample_P",
-    "scan_witnesses",
-    "splitting_type_p1",
-    "strategy_x0_holds",
-    "survey_225_candidates",
-    "sweep",
-    "__version__",
-]

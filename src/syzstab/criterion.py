@@ -75,16 +75,6 @@ class SlopeData:
     def slope(self) -> Fraction:
         return Fraction(self.c1, self.rank)
 
-    def subfamily_slope(self, j: int) -> Fraction:
-        """Slope -j*d/(j-1) of the syzygy bundle on j generators with coprime gcd.
-
-        Strictly increasing in j, which is why subsets with trivial gcd can
-        never destabilize.
-        """
-        if j < 2:
-            raise ValueError("a rank needs at least two generators")
-        return Fraction(-j * self.d, j - 1)
-
 
 @dataclass(frozen=True)
 class GcdWitness:
@@ -126,10 +116,6 @@ class StabilityCertificate:
         if self.verdict is Verdict.CRITERION_VIOLATED:
             return self.N == 1
         return True
-
-    @property
-    def min_margin(self) -> int | None:
-        return None if self.worst is None else self.worst.margin
 
     def with_route(self, route: str) -> "StabilityCertificate":
         return replace(self, route=route)
@@ -298,10 +284,6 @@ class SplittingType:
 
     twists: tuple[int, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(self.twists)
-
     def all_equal(self) -> bool:
         return len(set(self.twists)) <= 1
 
@@ -335,21 +317,3 @@ def is_semistable_p1(fam: MonomialFamily) -> Verdict:
         return Verdict.NOT_SEMISTABLE
     return Verdict.STABLE if len(fam) == 2 else Verdict.SEMISTABLE
 
-
-def strategy_x0_holds(fam: MonomialFamily) -> bool:
-    """Whether pure powers of X0 dominate every gcd candidate of each degree.
-
-    True when, for every degree e in 1..d-1, no degree-e monomial divides
-    more members than X0^e does.  Families built face-first in the canonical
-    variable order tend to satisfy this, which collapses the criterion check
-    to the X0^e candidates; the property is reported, never assumed.
-    """
-    exps = [m.exponents for m in fam.members]
-    for e in range(1, fam.d):
-        x0_count = sum(1 for m in exps if m[0] >= e)
-        for g in enumerate_monomials(fam.N, e):
-            gexp = g.exponents
-            count = sum(1 for m in exps if all(a <= b for a, b in zip(gexp, m)))
-            if count > x0_count:
-                return False
-    return True

@@ -177,12 +177,6 @@ class InequalityTrace:
     value: Fraction
     in_range: bool
 
-    @property
-    def sign(self) -> str:
-        if self.value < 0:
-            return "negative"
-        return "zero" if self.value == 0 else "positive"
-
 
 @dataclass(frozen=True)
 class SweepSummary:

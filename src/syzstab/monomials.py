@@ -57,10 +57,6 @@ class Monomial:
                 raise ValueError(f"exponents must be non-negative integers, got {exps!r}")
 
     @classmethod
-    def one(cls, num_vars: int) -> "Monomial":
-        return cls((0,) * num_vars)
-
-    @classmethod
     def variable_power(cls, num_vars: int, index: int, exponent: int) -> "Monomial":
         """The pure power X_index^exponent in a ring with num_vars variables."""
         if not 0 <= index < num_vars:
@@ -82,17 +78,9 @@ class Monomial:
                 f"monomials in {len(self.exponents)} and {len(other.exponents)} variables"
             )
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check_dims(other)
-        return Monomial(tuple(map(min, self.exponents, other.exponents)))
-
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_dims(other)
         return Monomial(tuple(map(max, self.exponents, other.exponents)))
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check_dims(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_dims(other)
@@ -161,18 +149,6 @@ def enumerate_monomials_without(N: int, e: int, excluded: Iterable[int]) -> tupl
             exps[idx] = val
         out.append(Monomial(tuple(exps)))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Face:
-    """The i-th face of the degree-d hypertetrahedron: monomials not divisible by X_index."""
-
-    index: int
-
-    def members(self, N: int, d: int) -> tuple[Monomial, ...]:
-        if not 0 <= self.index <= N:
-            raise ValueError(f"face index {self.index} out of range for N={N}")
-        return tuple(m for m in enumerate_monomials(N, d) if m.exponents[self.index] == 0)
 
 
 @dataclass(frozen=True)
@@ -276,22 +252,7 @@ class MonomialFamily:
             if sum(exps) != d:
                 raise FamilyFormatError(f"row {ln!r} has degree {sum(exps)}, expected {d}")
             monomials.append(Monomial(exps))
-        fam = cls.from_monomials(monomials)
-        if fam.N != N:
-            raise FamilyFormatError("inconsistent variable count")
-        return fam
-
-
-def monomial_gcd(monomials: Iterable[Monomial]) -> Monomial:
-    """Componentwise-minimum gcd of a non-empty collection."""
-    it = iter(monomials)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("gcd of an empty collection") from None
-    for m in it:
-        acc = acc.gcd(m)
-    return acc
+        return cls.from_monomials(monomials)
 
 
 def full_family(N: int, d: int) -> MonomialFamily:
@@ -307,12 +268,3 @@ def faces_family(N: int, d: int) -> MonomialFamily:
     """
     members = tuple(m for m in enumerate_monomials(N, d) if 0 in m.exponents)
     return MonomialFamily(N, d, members)
-
-
-def multiples_in_family(g: Monomial, fam: MonomialFamily) -> MonomialFamily:
-    """The sub-family of members divisible by g (order preserved)."""
-    if g.num_vars != fam.N + 1:
-        raise DimensionMismatch(
-            f"divisor has {g.num_vars} variables, family expects {fam.N + 1}"
-        )
-    return MonomialFamily(fam.N, fam.d, tuple(m for m in fam.members if g.divides(m)))

@@ -120,6 +120,18 @@ def test_check_oracle_respects_env_limit(tmp_path, capsys, monkeypatch):
     assert "oracle agrees" in stdout
 
 
+@pytest.mark.parametrize("limit", ["1", "21", "1000"])
+def test_check_oracle_env_limit_outside_2_to_20_is_ignored(limit, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "fam.txt"
+    run(["generate", "-N", "2", "-d", "5", "-n", "17", "-o", str(out)], capsys)
+    monkeypatch.setenv("SYZ_ORACLE_MAX", limit)
+    code, _, stderr = run(["check", str(out), "--oracle"], capsys)
+    # the override is ignored, and the default limit of 16 refuses 17 members
+    assert code == EX_FAIL
+    assert f"ignoring SYZ_ORACLE_MAX='{limit}'" in stderr
+    assert "limit is 16" in stderr
+
+
 def test_sweep_row_count_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, stdout, _ = run(
@@ -148,6 +160,32 @@ def test_sweep_jobs_do_not_change_rows(tmp_path, capsys):
     assert strip(json.loads(a.read_text())["rows"]) == strip(json.loads(b.read_text())["rows"])
 
 
+@pytest.mark.parametrize("cpus,workers", [(2, [2]), (None, [])])
+def test_sweep_caps_jobs_at_cpu_count(cpus, workers, capsys, monkeypatch):
+    # a pool that records its size and maps in this process, so nothing forks
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("syzstab.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    code, stdout, _ = run(["sweep", "--Nmax", "1", "--dmax", "2", "--jobs", "1000000"], capsys)
+    assert code == EX_OK
+    assert "0 failures" in stdout
+    assert sizes == workers
+
+
 def test_sweep_rejects_degenerate_grid(capsys):
     code, _, _ = run(["sweep", "--Nmax", "0"], capsys)
     assert code == EX_USAGE
@@ -174,6 +212,21 @@ def test_audit_p_samples(capsys):
     code, stdout, _ = run(["audit", "P", "--samples", "300", "--seed", "5", "--json"], capsys)
     assert code == EX_OK
     assert json.loads(stdout)["count"] == 300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "Q", "--d", "2..4"],
+        ["audit", "P", "--samples", "0"],
+        ["audit", "T", "--N", "5..3"],
+    ],
+)
+def test_audit_without_in_range_points_is_usage_error(argv, capsys):
+    code, stdout, stderr = run(argv, capsys)
+    assert code == EX_USAGE
+    assert "no in-range points" in stderr
+    assert "violations" not in stdout
 
 
 def test_audit_unknown_function_is_usage_error(capsys):

@@ -22,8 +22,31 @@ from syzstab.constructions import (
     gen_prop_faces,
     survey_225_candidates,
 )
-from syzstab.criterion import Verdict, check_family, is_m_primary, strategy_x0_holds
-from syzstab.monomials import Monomial, binomial, faces_family, full_family
+from syzstab.criterion import Verdict, check_family, is_m_primary
+from syzstab.monomials import (
+    Monomial,
+    MonomialFamily,
+    binomial,
+    enumerate_monomials,
+    faces_family,
+    full_family,
+)
+
+
+def x0_dominates(fam):
+    """Whether, in every degree e in 1..d-1, no monomial divides more members than X0^e.
+
+    Families built face-first in the canonical variable order have this
+    property, which collapses the criterion to the X0^e candidates.
+    """
+    exps = [m.exponents for m in fam.members]
+    for e in range(1, fam.d):
+        x0_count = sum(1 for m in exps if m[0] >= e)
+        for g in enumerate_monomials(fam.N, e):
+            count = sum(1 for m in exps if all(a <= b for a, b in zip(g.exponents, m)))
+            if count > x0_count:
+                return False
+    return True
 
 
 def test_admissible_bounds():
@@ -286,7 +309,10 @@ class TestDispatch:
         for cell in [(3, 4, 17), (3, 4, 20), (3, 4, 26), (3, 5, 53), (4, 3, 30)]:
             route, fam = dispatch(*cell)
             assert route in (Route.PROP_FACES, Route.FACES_AND_DOTS)
-            assert strategy_x0_holds(fam)
+            assert x0_dominates(fam)
+        # X1 divides three members here, X0 only two
+        skewed = MonomialFamily.from_exponents([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)])
+        assert not x0_dominates(skewed)
 
 
 def test_case_decomposition_is_plain_data():

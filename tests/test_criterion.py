@@ -19,7 +19,6 @@ from syzstab.criterion import (
     is_semistable_p1,
     scan_witnesses,
     splitting_type_p1,
-    strategy_x0_holds,
 )
 from syzstab.monomials import (
     DimensionMismatch,
@@ -40,13 +39,6 @@ class TestSlopeData:
         assert s.rank == 5
         assert s.c1 == -12
         assert s.slope == Fraction(-12, 5)
-
-    def test_subfamily_slope(self):
-        assert SlopeData(6, 2).subfamily_slope(3) == Fraction(-3)
-
-    def test_subfamily_slope_needs_two_members(self):
-        with pytest.raises(ValueError):
-            SlopeData(6, 2).subfamily_slope(1)
 
 
 def test_is_m_primary():
@@ -183,7 +175,7 @@ class TestSplittingType:
         f = fam((4, 0), (2, 2), (0, 4))
         split = splitting_type_p1(f)
         assert split.twists == (-6, -6)
-        assert split.total == -12
+        assert sum(split.twists) == -12
         assert split.all_equal()
         assert is_semistable_p1(f) is Verdict.SEMISTABLE
 
@@ -200,7 +192,7 @@ class TestSplittingType:
     def test_total_equals_full_degree(self):
         # the twists always sum to -dn
         f = fam((6, 0), (5, 1), (3, 3), (0, 6))
-        assert splitting_type_p1(f).total == -6 * 4
+        assert sum(splitting_type_p1(f).twists) == -6 * 4
 
     def test_requires_line(self):
         with pytest.raises(DimensionMismatch):
@@ -212,4 +204,11 @@ class TestSplittingType:
 
 
 def test_strategy_x0_on_full_family():
-    assert strategy_x0_holds(full_family(3, 3))
+    # in every degree e, no monomial divides more members than X0^e does
+    fam = full_family(3, 3)
+    exps = [m.exponents for m in fam.members]
+    for e in range(1, fam.d):
+        x0_count = sum(1 for m in exps if m[0] >= e)
+        for g in enumerate_monomials(fam.N, e):
+            count = sum(1 for m in exps if all(a <= b for a, b in zip(g.exponents, m)))
+            assert count <= x0_count

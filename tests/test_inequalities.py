@@ -13,7 +13,6 @@ from syzstab.constructions import Route, classify_route, dispatch
 from syzstab.criterion import scan_witnesses
 from syzstab.inequalities import (
     FUNCTIONS,
-    InequalityTrace,
     audit,
     audit_grid,
     brenner2_gap,
@@ -173,12 +172,6 @@ class TestSweepPlumbing:
         assert summary.flagged == 1
         assert summary.violations == 0
         assert not traces[0].in_range
-
-    def test_trace_sign(self):
-        t = InequalityTrace("T", (0,), Fraction(-1), True)
-        assert t.sign == "negative"
-        assert InequalityTrace("T", (0,), Fraction(0), True).sign == "zero"
-        assert InequalityTrace("T", (0,), Fraction(5), True).sign == "positive"
 
     def test_summary_json(self):
         _, summary = audit("brenner2", range(1, 3), range(0, 4))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from syzstab.monomials import (
     DimensionMismatch,
-    Face,
     FamilyFormatError,
     Monomial,
     MonomialFamily,
@@ -15,8 +14,6 @@ from syzstab.monomials import (
     enumerate_monomials_without,
     faces_family,
     full_family,
-    monomial_gcd,
-    multiples_in_family,
 )
 
 
@@ -40,7 +37,7 @@ class TestMonomial:
         m = Monomial((2, 0, 1))
         assert m.degree() == 3
         assert str(m) == "X0^2*X2"
-        assert str(Monomial.one(3)) == "1"
+        assert str(Monomial((0, 0, 0))) == "1"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -54,18 +51,14 @@ class TestMonomial:
     def test_gcd_lcm_divides(self):
         a = Monomial((2, 1, 0))
         b = Monomial((1, 2, 0))
-        assert a.gcd(b) == Monomial((1, 1, 0))
         assert a.lcm(b) == Monomial((2, 2, 0))
-        assert a.gcd(b).divides(a) and a.gcd(b).divides(b)
-        assert a.divides(a.lcm(b)) and b.divides(a.lcm(b))
-        assert not a.divides(b)
 
     def test_mul(self):
         assert Monomial((1, 0)) * Monomial((2, 3)) == Monomial((3, 3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            Monomial((1, 0)).gcd(Monomial((1, 0, 0)))
+            Monomial((1, 0)).lcm(Monomial((1, 0, 0)))
 
     def test_ordering_is_graded_then_lex(self):
         # higher degree wins; within a degree, larger exponent tuple wins
@@ -85,7 +78,7 @@ def test_enumerate_monomials_count_and_order():
 
 def test_enumerate_monomials_edge_cases():
     assert enumerate_monomials(2, -1) == ()
-    assert enumerate_monomials(2, 0) == (Monomial.one(3),)
+    assert enumerate_monomials(2, 0) == (Monomial((0, 0, 0)),)
     with pytest.raises(ValueError):
         enumerate_monomials(0, 2)
 
@@ -94,14 +87,7 @@ def test_enumerate_monomials_without():
     ms = enumerate_monomials_without(2, 2, {1})
     assert all(m.exponents[1] == 0 for m in ms)
     assert len(ms) == binomial(2 + 1, 1)  # quadrics in X0, X2
-    assert enumerate_monomials_without(2, 0, {0, 1}) == (Monomial.one(3),)
-
-
-def test_face_members_avoid_their_variable():
-    face = Face(1)
-    ms = face.members(2, 3)
-    assert all(m.exponents[1] == 0 for m in ms)
-    assert len(ms) == binomial(3 + 1, 1)
+    assert enumerate_monomials_without(2, 0, {0, 1}) == (Monomial((0, 0, 0)),)
 
 
 def test_full_family_size():
@@ -166,18 +152,6 @@ class TestMonomialFamily:
     def test_from_text_rejects_malformed(self, text):
         with pytest.raises(FamilyFormatError):
             MonomialFamily.from_text(text)
-
-
-def test_monomial_gcd():
-    g = monomial_gcd([Monomial((2, 1, 1)), Monomial((1, 2, 1)), Monomial((1, 1, 2))])
-    assert g == Monomial((1, 1, 1))
-    assert monomial_gcd([Monomial((3, 0))]) == Monomial((3, 0))
-
-
-def test_multiples_in_family():
-    fam = full_family(2, 2)
-    ms = multiples_in_family(Monomial((1, 0, 0)), fam)
-    assert {m.exponents for m in ms} == {(2, 0, 0), (1, 1, 0), (1, 0, 1)}
 
 
 @st.composite
