@@ -31,7 +31,6 @@ from .monomials import (
     DimensionMismatch,
     Monomial,
     MonomialFamily,
-    enumerate_monomials,
 )
 
 DEFAULT_ORACLE_LIMIT = 16
@@ -155,30 +154,63 @@ def scan_witnesses(
 ) -> Iterator[GcdWitness]:
     """Yield the margin of every maximal multiple-set among the given members.
 
-    Candidates g run over all monomials of degree 1..d-1; a candidate counts
-    only when at least two members are divisible by g and g is exactly the
-    gcd of those members (otherwise the same subset reappears at the larger
-    true gcd, with a smaller margin).  Margins are computed as if the members
-    belonged to a family of family_size generators, which lets search
-    heuristics score partial families against their target size.
+    Candidates g run over all monomials of degree 1..d-1, degree ascending
+    and then in canonical order; a candidate counts only when at least two
+    members are divisible by g and g is exactly the gcd of those members
+    (otherwise the same subset reappears at the larger true gcd, with a
+    smaller margin).  Margins are computed as if the members belonged to a
+    family of family_size generators, which lets search heuristics score
+    partial families against their target size.
+
+    Members (all of degree d) are held as bitmasks: ge[i][t] has bit j set
+    when member j has X_i-exponent >= t, so the multiples of g are the AND of
+    ge[i][g_i] over i and their count is its popcount.  g is their exact gcd
+    iff, for every i, some multiple has X_i-exponent exactly g_i, i.e. the
+    multiples are not all inside ge[i][g_i + 1].  Candidates are walked
+    depth-first over exponent prefixes, and a prefix whose multiples number
+    fewer than two is dropped with everything below it.
     """
     if not members:
         return
-    N = members[0].num_vars - 1
-    exps = [m.exponents for m in members]
-    for e in range(1, d):
-        for g in enumerate_monomials(N, e):
-            gexp = g.exponents
-            count = 0
-            running: tuple[int, ...] | None = None
-            for mexp in exps:
-                if all(a <= b for a, b in zip(gexp, mexp)):
-                    count += 1
-                    running = mexp if running is None else tuple(map(min, running, mexp))
-            if count < 2 or running != gexp:
+    last = members[0].num_vars - 1
+    everyone = (1 << len(members)) - 1
+    ge = []
+    for i in range(last + 1):
+        at = [0] * (d + 2)
+        for j, m in enumerate(members):
+            at[m.exponents[i]] |= 1 << j
+        for t in range(d, -1, -1):
+            at[t] |= at[t + 1]
+        ge.append(at)
+
+    def walk(i: int, rest: int, mask: int, prefix: tuple[int, ...], out: list) -> None:
+        # coordinate i runs from rest down to 0: canonical (descending) order
+        row = ge[i]
+        if i + 1 < last:
+            for v in range(rest, -1, -1):
+                sub = mask & row[v]
+                if sub.bit_count() >= 2:
+                    walk(i + 1, rest - v, sub, (*prefix, v), out)
+            return
+        # the last coordinate takes what is left of the degree
+        tail = ge[last]
+        for v in range(rest, -1, -1):
+            sub = mask & row[v] & tail[rest - v]
+            if sub.bit_count() < 2:
                 continue
+            g = (*prefix, v, rest - v)
+            for j, g_j in enumerate(g):
+                if not sub & ~ge[j][g_j + 1]:
+                    break
+            else:
+                out.append((g, sub.bit_count()))
+
+    for e in range(1, d):
+        hits: list[tuple[tuple[int, ...], int]] = []
+        walk(0, e, everyone, (), hits)
+        for g, count in hits:
             margin = (d - e) * family_size + e - d * count
-            yield GcdWitness(g, e, count, margin)
+            yield GcdWitness(Monomial(g), e, count, margin)
 
 
 @lru_cache(maxsize=None)
@@ -223,13 +255,15 @@ def brute_force_check(
 ) -> StabilityCertificate:
     """Independent oracle: enumerate every subset J with |J| >= 2 directly.
 
-    Walks all 2^n - n - 1 subsets by bitmask with a dynamic-programming gcd
-    table, applies the margin inequality to each, and derives the verdict
-    from the raw quantifiers: any negative margin (any subset) refutes the
-    certificate, a zero margin on a proper subset caps it at semistable.
-    The reported worst witness is the minimal-margin proper subset with
-    nontrivial gcd, the same quantity check_family minimizes; trivial-gcd
-    subsets are provably slack and the full family sits at margin zero.
+    Walks all 2^n - n - 1 subsets depth-first over index sets, carrying the
+    running gcd and member count down one path at a time, so memory stays
+    O(n).  Applies the margin inequality to each subset and derives the
+    verdict from the raw quantifiers: any negative margin (any subset)
+    refutes the certificate, a zero margin on a proper subset caps it at
+    semistable.  The reported worst witness is a minimal-margin proper subset
+    with nontrivial gcd, the same quantity check_family minimizes;
+    trivial-gcd subsets are provably slack and the full family sits at
+    margin zero.
     """
     n = len(fam)
     if n > limit:
@@ -243,31 +277,30 @@ def brute_force_check(
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     d = fam.d
     exps = [m.exponents for m in fam.members]
-    size = 1 << n
-    full = size - 1
-    gcds: list[tuple[int, ...] | None] = [None] * size
-    for i in range(n):
-        gcds[1 << i] = exps[i]
     worst: GcdWitness | None = None
     negative = False
     zero_proper = False
-    for mask in range(3, size):
-        low = mask & (-mask)
-        rest = mask ^ low
-        if rest == 0:
-            continue
-        g = tuple(map(min, gcds[rest], gcds[low]))
-        gcds[mask] = g
-        k = mask.bit_count()
-        e = sum(g)
-        margin = (d - e) * n + e - d * k
-        if margin < 0:
-            negative = True
-        if mask != full:
-            if margin == 0:
-                zero_proper = True
-            if e >= 1 and (worst is None or margin < worst.margin):
-                worst = GcdWitness(Monomial(g), e, k, margin)
+
+    def extend(start: int, g: tuple[int, ...], k: int) -> None:
+        # every extension of the current path (gcd g, k members) by indices >= start
+        nonlocal worst, negative, zero_proper
+        k += 1
+        for j in range(start, n):
+            h = tuple(map(min, g, exps[j]))
+            e = sum(h)
+            margin = (d - e) * n + e - d * k
+            if margin < 0:
+                negative = True
+            if k < n:
+                if margin == 0:
+                    zero_proper = True
+                if e >= 1 and (worst is None or margin < worst.margin):
+                    worst = GcdWitness(Monomial(h), e, k, margin)
+            if j + 1 < n:
+                extend(j + 1, h, k)
+
+    for i in range(n - 1):
+        extend(i + 1, exps[i], 1)
     if negative:
         verdict = Verdict.CRITERION_VIOLATED
     elif zero_proper:

@@ -1,6 +1,7 @@
 """Tests for the subset-margin checker, the brute-force oracle, and the
 splitting-type checker on the projective line."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from syzstab.criterion import (
     DEFAULT_ORACLE_LIMIT,
+    GcdWitness,
     OracleSizeError,
     PreconditionError,
     SlopeData,
@@ -83,6 +85,56 @@ def test_scan_witnesses_skips_non_maximal_gcds():
     assert Monomial((1, 0)) not in gcds
 
 
+def reference_scan(members, d, family_size):
+    """The candidate x member divisibility loop the bitmask kernel replaced."""
+    if not members:
+        return
+    N = members[0].num_vars - 1
+    exps = [m.exponents for m in members]
+    for e in range(1, d):
+        for g in enumerate_monomials(N, e):
+            gexp = g.exponents
+            count = 0
+            running: tuple[int, ...] | None = None
+            for mexp in exps:
+                if all(a <= b for a, b in zip(gexp, mexp)):
+                    count += 1
+                    running = mexp if running is None else tuple(map(min, running, mexp))
+            if count < 2 or running != gexp:
+                continue
+            margin = (d - e) * family_size + e - d * count
+            yield GcdWitness(g, e, count, margin)
+
+
+@st.composite
+def member_sets(draw):
+    # any non-empty set in any order: the plane search scans partial,
+    # non-m-primary families scored against a larger target size
+    N = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=7))
+    pool = enumerate_monomials(N, d)
+    members = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    family_size = len(members) + draw(st.integers(min_value=0, max_value=20))
+    return members, d, family_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_sets())
+def test_scan_matches_reference_loop(case):
+    members, d, family_size = case
+    assert list(scan_witnesses(members, d, family_size)) == list(
+        reference_scan(members, d, family_size)
+    )
+
+
+def test_scan_matches_reference_loop_on_full_families():
+    for N, d in ((1, 9), (2, 8), (3, 6), (4, 5)):
+        members = full_family(N, d).members
+        got = list(scan_witnesses(members, d, len(members)))
+        assert got == list(reference_scan(members, d, len(members)))
+        assert got
+
+
 def test_witness_json_keys():
     cert = check_family(full_family(2, 2))
     blob = cert.worst.to_json()
@@ -140,6 +192,23 @@ class TestBruteForce:
         assert o.worst.margin == cert.worst.margin
         assert o.worst.gcd_degree >= 1
 
+    def test_memory_stays_linear(self):
+        # a 2^n gcd table would take megabytes at n = 16
+        pool = enumerate_monomials(3, 4)
+        pures = [Monomial.variable_power(4, i, 4) for i in range(4)]
+        f = MonomialFamily.from_monomials(pures + [m for m in pool if m not in pures][:12])
+        assert len(f) == 16
+        tracemalloc.start()
+        try:
+            oracle = brute_force_check(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        cert = check_family(f)
+        assert oracle.verdict is cert.verdict
+        assert oracle.worst.margin == cert.worst.margin
+
     def test_agrees_on_semistable(self):
         f = fam((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2))
         o = brute_force_check(f)
@@ -149,12 +218,12 @@ class TestBruteForce:
 
 @st.composite
 def primary_families(draw):
-    N = draw(st.integers(min_value=2, max_value=3))
-    d = draw(st.integers(min_value=2, max_value=3))
+    N = draw(st.integers(min_value=2, max_value=4))
+    d = draw(st.integers(min_value=2, max_value=5))
     pool = list(enumerate_monomials(N, d))
     pures = [Monomial.variable_power(N + 1, i, d) for i in range(N + 1)]
     others = [m for m in pool if m not in set(pures)]
-    extra = draw(st.integers(min_value=0, max_value=min(len(others), 10 - len(pures))))
+    extra = draw(st.integers(min_value=0, max_value=min(len(others), 14 - len(pures))))
     chosen = draw(st.permutations(others))[:extra]
     return MonomialFamily.from_monomials(pures + list(chosen))
 
