@@ -64,7 +64,7 @@ def _span(text: str) -> range:
 
 
 def _oracle_limit() -> int:
-    # the oracle's gcd table has 2^n entries, so the override has a ceiling
+    # the oracle walks all 2^n subsets, so the override has a ceiling on time
     raw = os.environ.get("SYZ_ORACLE_MAX")
     if raw is None:
         return DEFAULT_ORACLE_LIMIT
@@ -113,8 +113,12 @@ def cmd_generate(args) -> int:
     cert = check_family(fam).with_route(route.value)
     text = fam.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EX_FAIL
     else:
         print(text, end="")
     _print_certificate(cert, args.json)
@@ -125,7 +129,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             fam = MonomialFamily.from_text(fh.read())
-    except FamilyFormatError as exc:
+    except (FamilyFormatError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_DATA
     except OSError as exc:
@@ -246,8 +250,12 @@ def cmd_sweep(args) -> int:
         "failures": failures,
     }
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EX_FAIL
     generated = sum(row["verdict"] not in (None, "NoFamilyExists") for row in rows)
     skipped = sum(row["verdict"] == "NoFamilyExists" for row in rows)
     print(
@@ -270,6 +278,11 @@ _AUDIT_DEFAULTS = {
 
 
 def cmd_audit(args) -> int:
+    if args.function == "P" and (args.N is not None or args.d is not None):
+        # P draws its own (N, d) pairs; see sample_P
+        print("error: the P audit takes no --N or --d, only --samples and --seed",
+              file=sys.stderr)
+        return EX_USAGE
     N_range, d_range = _AUDIT_DEFAULTS[args.function]
     if args.N is not None:
         N_range = args.N

@@ -11,6 +11,9 @@ family.  The cells are covered by disjoint n-ranges:
   top n           the full hypertetrahedron, reached directly or by recursion
   d > N+1         all faces plus interior diagonal points, or all faces plus
                   an interior copy of a degree-(d-N-1) family (recursion in d)
+
+classify_route alone knows these ranges; each generator assumes it is called
+on a cell that classify_route assigned to it, and checks nothing itself.
 """
 
 from __future__ import annotations
@@ -102,9 +105,6 @@ def gen_p1(d: int, n: int) -> MonomialFamily:
     e = d/(n-1).  For any other n in range no semistable family exists at
     all, and NoFamilyExists is raised.
     """
-    lo, hi = admissible_bounds(1, d)
-    if not lo <= n <= hi:
-        raise RoutingError(f"n={n} outside [{lo}, {hi}] for N=1, d={d}")
     if d % (n - 1) != 0:
         raise NoFamilyExists(
             f"no semistable family of {n} degree-{d} monomials exists on the "
@@ -117,8 +117,6 @@ def gen_p1(d: int, n: int) -> MonomialFamily:
 
 def gen_full(N: int, d: int) -> MonomialFamily:
     """The full hypertetrahedron; stable for N >= 2, semistable on the line."""
-    if N < 1 or d < 1:
-        raise RoutingError(f"need N >= 1 and d >= 1, got N={N}, d={d}")
     return full_family(N, d)
 
 
@@ -192,11 +190,6 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     search over m-primary n-subsets when the greedy result is not certified
     and the combination count is small.  Output is a pure function of (d, n).
     """
-    if (d, n) == (2, 5):
-        raise RoutingError("no stable family exists at (2, 2, 5); use gen_225_semistable")
-    lo, hi = admissible_bounds(2, d)
-    if not lo <= n <= hi:
-        raise RoutingError(f"n={n} outside [{lo}, {hi}] for N=2, d={d}")
     pool = list(enumerate_monomials(2, d))
     pures = [Monomial.variable_power(3, i, d) for i in range(3)]
     chosen = list(pures)
@@ -233,12 +226,6 @@ def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
     Covers N+1 <= n <= C(d+N-1, N-1) + 1, except (3, 2, 6) whose inner cell
     (2, 2, 5) admits no stable family.
     """
-    if N < 3:
-        raise RoutingError(f"face-vertex recursion needs N >= 3, got {N}")
-    if not N + 1 <= n <= binomial(d + N - 1, N - 1) + 1:
-        raise RoutingError(f"n={n} outside the face-vertex range for (N, d) = ({N}, {d})")
-    if (N, d, n) == (3, 2, 6):
-        raise RoutingError("(3, 2, 6) is exceptional; use gen_case326")
     _, inner = dispatch(N - 1, d, n - 1)
     members = [Monomial(m.exponents + (0,)) for m in inner.members]
     members.append(Monomial.variable_power(N + 1, N, d))
@@ -259,14 +246,6 @@ def decompose_faces_case(N: int, d: int, n: int) -> CaseDecomposition:
     -1 <= l <= d-r-1.  These tile the admissible range exactly; the scan
     still verifies membership and raises InternalConsistencyError on a gap.
     """
-    low = binomial(d + N - 1, N - 1) + 1
-    top = binomial(d + N, N) - binomial(d - 1, N)
-    if N < 3:
-        raise RoutingError(f"face-layer decomposition needs N >= 3, got {N}")
-    if not low < n <= top:
-        raise RoutingError(f"n={n} outside ({low}, {top}] for (N, d) = ({N}, {d})")
-    if n == binomial(d + N, N):
-        raise RoutingError("the full hypertetrahedron is generated directly, not by layers")
     for r in range(1, min(d - 1, N) + 1):
         base = _last_faces_count(N, d, r)
         for l in range(-1, d - r):
@@ -310,17 +289,8 @@ def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
     members.extend(partial_base * f for f in enumerate_monomials_without(N, l, {N - r}))
     sub_base = layer_base(d - r - l)
     sub_pool = enumerate_monomials_without(N, l + 1, {N - r, N})
-    if i > len(sub_pool):
-        raise InternalConsistencyError(
-            f"sub-layer needs {i} monomials but only {len(sub_pool)} exist"
-        )
     members.extend(sub_base * f for f in sub_pool[:i])
-    fam = MonomialFamily.from_monomials(members)
-    if len(fam) != n:
-        raise InternalConsistencyError(
-            f"face-layer family has {len(fam)} members, expected {n}"
-        )
-    return fam
+    return MonomialFamily.from_monomials(members)
 
 
 def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
@@ -329,16 +299,9 @@ def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
     The dot sequence is X_j^(d-N) * prod(X_t, t != j) for j = 0..N; requires
     d > N + 1 so the dots are genuinely interior and distinct.
     """
-    if N < 3:
-        raise RoutingError(f"faces-and-dots needs N >= 3, got {N}")
-    if d <= N + 1:
-        raise RoutingError(f"faces-and-dots needs d > N + 1, got d={d}, N={N}")
     faces = faces_family(N, d)
-    i = n - len(faces)
-    if not 1 <= i <= N + 1:
-        raise RoutingError(f"n={n} outside the faces-and-dots range at (N, d) = ({N}, {d})")
     dots = []
-    for j in range(i):
+    for j in range(n - len(faces)):
         exps = [1] * (N + 1)
         exps[j] = d - N
         dots.append(Monomial(tuple(exps)))
@@ -353,27 +316,11 @@ def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
     d' = d - N - 1 lifts to the interior; its subset margins dominate the
     lifted subsets' margins with room to spare, and the union is stable.
     """
-    if N < 3:
-        raise RoutingError(f"interior recursion needs N >= 3, got {N}")
-    if d <= N + 1:
-        raise RoutingError(f"interior recursion needs d > N + 1, got d={d}, N={N}")
     faces = faces_family(N, d)
-    total = binomial(d + N, N)
-    if not len(faces) + N + 1 < n <= total:
-        raise RoutingError(
-            f"n={n} outside the interior-recursion range at (N, d) = ({N}, {d})"
-        )
-    inner_n = n - len(faces)
-    inner_d = d - N - 1
-    _, inner = dispatch(N, inner_d, inner_n)
+    _, inner = dispatch(N, d - N - 1, n - len(faces))
     lift = Monomial((1,) * (N + 1))
     members = list(faces.members) + [lift * f for f in inner.members]
-    fam = MonomialFamily.from_monomials(members)
-    if len(fam) != n:
-        raise InternalConsistencyError(
-            f"interior-recursion family has {len(fam)} members, expected {n}"
-        )
-    return fam
+    return MonomialFamily.from_monomials(members)
 
 
 def classify_route(N: int, d: int, n: int) -> Route:

@@ -172,9 +172,12 @@ FUNCTIONS: dict[str, FunctionSpec] = {
 
 @dataclass(frozen=True)
 class InequalityTrace:
+    """One grid point; value is None outside the proof range, where the
+    closed form is not evaluated (it may not even be defined there)."""
+
     function: str
     arguments: tuple[int, ...]
-    value: Fraction
+    value: Fraction | None
     in_range: bool
 
 
@@ -183,7 +186,7 @@ class SweepSummary:
     """Aggregate of one audit run.
 
     violations counts in-range points with the wrong sign; flagged counts
-    points evaluated outside the proof range (informative, never failing).
+    points outside the proof range (not evaluated, never failing).
     min_value and argmin are taken over in-range points only.
     """
 
@@ -208,10 +211,10 @@ class SweepSummary:
 def sweep(
     name: str, grid: Iterable[Sequence[int]]
 ) -> tuple[list[InequalityTrace], SweepSummary]:
-    """Evaluate one function on every argument tuple of the grid.
+    """Evaluate one function on every in-range argument tuple of the grid.
 
-    Returns all traces plus the violation summary; an empty grid yields an
-    empty summary with no minimum.
+    Returns a trace per tuple plus the violation summary; an empty grid
+    yields an empty summary with no minimum.
     """
     fn = FUNCTIONS[name]
     traces = []
@@ -220,12 +223,12 @@ def sweep(
     argmin: tuple[int, ...] | None = None
     for raw in grid:
         args = tuple(raw)
-        value = fn.evaluate(*args)
-        in_range = fn.in_range(args)
-        traces.append(InequalityTrace(fn.label, args, value, in_range))
-        if not in_range:
+        if not fn.in_range(args):
+            traces.append(InequalityTrace(fn.label, args, None, False))
             flagged += 1
             continue
+        value = fn.evaluate(*args)
+        traces.append(InequalityTrace(fn.label, args, value, True))
         bad = value <= 0 if fn.strict else value < 0
         violations += bad
         if min_value is None or value < min_value:

@@ -45,6 +45,14 @@ def test_generate_out_of_range_is_usage_error(capsys):
     assert code == EX_USAGE
 
 
+def test_generate_unwritable_output_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "fam.txt"
+    code, _, stderr = run(["generate", "-N", "2", "-d", "2", "-n", "4", "-o", str(out)], capsys)
+    assert code == EX_FAIL
+    assert stderr.startswith("error: ")
+    assert not out.exists()
+
+
 def test_round_trip_certificate_identical(tmp_path, capsys):
     out = tmp_path / "fam.txt"
     code, gen_out, _ = run(
@@ -81,6 +89,14 @@ def test_check_line_family_json_has_twists(tmp_path, capsys):
 def test_check_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a family\n")
+    code, _, stderr = run(["check", str(bad)], capsys)
+    assert code == EX_DATA
+    assert "parse error" in stderr
+
+
+def test_check_non_utf8_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + "2 2 4\n".encode("utf-16-le"))
     code, _, stderr = run(["check", str(bad)], capsys)
     assert code == EX_DATA
     assert "parse error" in stderr
@@ -148,6 +164,15 @@ def test_sweep_row_count_and_report(tmp_path, capsys):
         (r["N"], r["d"], r["n"]) < (s["N"], s["d"], s["n"])
         for r, s in zip(rows, rows[1:])
     )
+
+
+def test_sweep_unwritable_report_is_runtime_error(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    code, _, stderr = run(
+        ["sweep", "--Nmax", "1", "--dmax", "2", "--report", str(report)], capsys
+    )
+    assert code == EX_FAIL
+    assert stderr.startswith("error: ")
 
 
 def test_sweep_jobs_do_not_change_rows(tmp_path, capsys):
@@ -220,6 +245,7 @@ def test_audit_p_samples(capsys):
         ["audit", "Q", "--d", "2..4"],
         ["audit", "P", "--samples", "0"],
         ["audit", "T", "--N", "5..3"],
+        ["audit", "brenner2", "--N", "0..0"],
     ],
 )
 def test_audit_without_in_range_points_is_usage_error(argv, capsys):
@@ -227,6 +253,22 @@ def test_audit_without_in_range_points_is_usage_error(argv, capsys):
     assert code == EX_USAGE
     assert "no in-range points" in stderr
     assert "violations" not in stdout
+
+
+def test_audit_flags_points_where_the_function_is_undefined(capsys):
+    # brenner2_gap divides by (N - 1)!, so N = 0 must be flagged, not evaluated
+    code, stdout, _ = run(["audit", "brenner2", "--N", "0..2", "--d", "0..4", "--json"], capsys)
+    assert code == EX_OK
+    blob = json.loads(stdout)
+    assert (blob["count"], blob["flagged"], blob["violations"]) == (15, 5, 0)
+
+
+@pytest.mark.parametrize("flag", ["--N", "--d"])
+def test_audit_p_rejects_ranges(flag, capsys):
+    code, stdout, stderr = run(["audit", "P", flag, "9..9"], capsys)
+    assert code == EX_USAGE
+    assert "--N or --d" in stderr
+    assert stdout == ""
 
 
 def test_audit_unknown_function_is_usage_error(capsys):

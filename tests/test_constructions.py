@@ -79,6 +79,7 @@ def test_admissible_bounds():
         ((3, 7, 104), Route.FACES_AND_DOTS),
         ((3, 7, 105), Route.BRENNER_RECURSION),
         ((3, 7, 120), Route.BRENNER_RECURSION),
+        ((3, 4, 30), Route.PROP_FACES),
     ],
 )
 def test_classify_route(cell, route):
@@ -86,12 +87,12 @@ def test_classify_route(cell, route):
 
 
 def test_classify_route_rejects_out_of_range():
-    with pytest.raises(RoutingError):
-        classify_route(3, 4, 3)
-    with pytest.raises(RoutingError):
-        classify_route(3, 4, 36)
-    with pytest.raises(RoutingError):
-        classify_route(1, 6, 8)
+    # classify_route is the only range check; dispatch reaches no generator
+    for cell in [(3, 4, 3), (3, 4, 36), (1, 6, 8), (1, 3, 6)]:
+        with pytest.raises(RoutingError):
+            classify_route(*cell)
+        with pytest.raises(RoutingError):
+            dispatch(*cell)
 
 
 def test_routes_partition_every_admissible_cell():
@@ -110,10 +111,6 @@ class TestP1:
     def test_nonexistence(self):
         with pytest.raises(NoFamilyExists):
             gen_p1(3, 3)
-
-    def test_out_of_range(self):
-        with pytest.raises(RoutingError):
-            gen_p1(3, 6)
 
 
 def test_case326_members_and_margins():
@@ -154,10 +151,6 @@ class TestN2Search:
                 assert len(fam) == n
                 assert check_family(fam).verdict is Verdict.STABLE
 
-    def test_rejects_the_semistable_cell(self):
-        with pytest.raises(RoutingError):
-            gen_n2_search(2, 5)
-
 
 class TestFaceVertex:
     def test_vertex_is_added(self):
@@ -165,10 +158,6 @@ class TestFaceVertex:
         assert Monomial((0, 0, 0, 4)) in fam
         inner = [m for m in fam.members if m.exponents[3] == 0]
         assert len(inner) == 9
-
-    def test_exceptional_cell_rejected(self):
-        with pytest.raises(RoutingError):
-            gen_face_vertex(3, 2, 6)
 
 
 class TestDecomposeFacesCase:
@@ -203,12 +192,6 @@ class TestDecomposeFacesCase:
                     assert case.i == n - lo
                     assert 1 <= case.r <= min(d - 1, N)
                     assert -1 <= case.l <= d - case.r - 1
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(RoutingError):
-            decompose_faces_case(3, 4, 16)
-        with pytest.raises(RoutingError):
-            decompose_faces_case(3, 2, 10)
 
 
 class TestPropFaces:
@@ -246,11 +229,6 @@ def test_faces_and_dots_members():
     assert {m.exponents for m in extra} == {(2, 1, 1, 1)}
 
 
-def test_faces_and_dots_rejects_small_degree():
-    with pytest.raises(RoutingError):
-        gen_faces_and_dots(3, 4, 35)
-
-
 class TestBrennerRecursion:
     def test_interior_lift(self):
         fam = gen_brenner(3, 7, 105)
@@ -266,10 +244,6 @@ class TestBrennerRecursion:
             n = binomial(d + N, N)
             fam = gen_brenner(N, d, n)
             assert fam.exponent_set() == full_family(N, d).exponent_set()
-
-    def test_rejects_low_degree(self):
-        with pytest.raises(RoutingError):
-            gen_brenner(3, 4, 30)
 
 
 def test_expected_verdict():

@@ -172,6 +172,7 @@ class TestSweepPlumbing:
         assert summary.flagged == 1
         assert summary.violations == 0
         assert not traces[0].in_range
+        assert traces[0].value is None
 
     def test_summary_json(self):
         _, summary = audit("brenner2", range(1, 3), range(0, 4))
