@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from .constructions import (
     NoFamilyExists,
@@ -230,32 +231,45 @@ def cmd_sweep(args) -> int:
     if args.Nmax < 1 or args.dmax < 2:
         print("error: need Nmax >= 1 and dmax >= 2", file=sys.stderr)
         return EX_USAGE
+    try:
+        # C(d+N, N) grows in N and d, so the corner is the grid's largest cell
+        admissible_bounds(args.Nmax, args.dmax)
+    except RoutingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     cells = []
     for N in range(1, args.Nmax + 1):
         for d in range(2, args.dmax + 1):
             lo, hi = admissible_bounds(N, d)
             cells.extend((N, d, n) for n in range(lo, hi + 1))
-    # every worker is forked up front, so never ask for more than the CPUs
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=8))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
-    rows.sort(key=lambda row: (row["N"], row["d"], row["n"]))
-    failures = [row for row in rows if row["failure"] is not None]
-    report = {
-        "grid": {"Nmax": args.Nmax, "dmax": args.dmax},
-        "rows": rows,
-        "failures": failures,
-    }
-    if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
+    try:
+        # opened before any cell runs, so a bad path is refused at once
+        report_file = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_FAIL
+    with report_file as fh:
+        # every worker is forked up front, so never ask for more than the CPUs
+        jobs = min(args.jobs, os.cpu_count() or 1)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_sweep_cell, cells, chunksize=8))
+        else:
+            rows = [_sweep_cell(cell) for cell in cells]
+        rows.sort(key=lambda row: (row["N"], row["d"], row["n"]))
+        failures = [row for row in rows if row["failure"] is not None]
+        if fh is not None:
+            report = {
+                "grid": {"Nmax": args.Nmax, "dmax": args.dmax},
+                "rows": rows,
+                "failures": failures,
+            }
+            try:
                 json.dump(report, fh, indent=2)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_FAIL
+                fh.flush()
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EX_FAIL
     generated = sum(row["verdict"] not in (None, "NoFamilyExists") for row in rows)
     skipped = sum(row["verdict"] == "NoFamilyExists" for row in rows)
     print(
@@ -272,7 +286,6 @@ _AUDIT_DEFAULTS = {
     "U": (range(3, 6), range(2, 11)),
     "V": (range(3, 6), range(5, 13)),
     "Q": (range(3, 6), range(5, 13)),
-    "P": (range(3, 6), range(5, 13)),
     "brenner2": (range(1, 7), range(0, 21)),
 }
 
@@ -283,7 +296,8 @@ def cmd_audit(args) -> int:
         print("error: the P audit takes no --N or --d, only --samples and --seed",
               file=sys.stderr)
         return EX_USAGE
-    N_range, d_range = _AUDIT_DEFAULTS[args.function]
+    # P has no default ranges: audit_grid ignores them and calls sample_P
+    N_range, d_range = _AUDIT_DEFAULTS.get(args.function, ((), ()))
     if args.N is not None:
         N_range = args.N
     if args.d is not None:

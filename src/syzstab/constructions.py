@@ -87,12 +87,30 @@ class CaseDecomposition:
     i: int
 
 
+# Admission ceiling on C(d+N, N), the number of degree-d monomials.  Routes
+# enumerate up to all of them, and the face-vertex chain recurses once per
+# dimension: at d = 2 it overflows the default stack from N = 329
+# (C = 54,615), while N = 139 (C = 9,870) fits even under a call tracer.
+MAX_DEGREE_MONOMIALS = 10_000
+
+
 def admissible_bounds(N: int, d: int) -> tuple[int, int]:
-    """Inclusive n-range of cells the dispatcher accepts."""
+    """Inclusive n-range of cells the dispatcher accepts.
+
+    Raises RoutingError when C(d+N, N) exceeds MAX_DEGREE_MONOMIALS, before
+    anything is enumerated.
+    """
     if N < 1:
         raise RoutingError(f"N must be at least 1, got {N}")
     if d < 1:
         raise RoutingError(f"d must be at least 1, got {d}")
+    # C(d+N, N) > max(N, d), so a huge argument is refused before the
+    # binomial, which alone would take seconds to compute
+    if max(N, d) >= MAX_DEGREE_MONOMIALS or binomial(d + N, N) > MAX_DEGREE_MONOMIALS:
+        raise RoutingError(
+            f"(N, d) = ({N}, {d}) has more than {MAX_DEGREE_MONOMIALS} degree-d "
+            "monomials, the admission ceiling on C(d+N, N)"
+        )
     if N == 1:
         return 2, d + 1
     return N + 1, binomial(d + N, N)

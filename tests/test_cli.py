@@ -45,6 +45,13 @@ def test_generate_out_of_range_is_usage_error(capsys):
     assert code == EX_USAGE
 
 
+def test_generate_above_the_admission_ceiling_is_usage_error(capsys):
+    # C(602, 2) monomials: this cell used to end in a RecursionError
+    code, _, stderr = run(["generate", "-N", "600", "-d", "2", "-n", "601"], capsys)
+    assert code == EX_USAGE
+    assert "admission ceiling" in stderr
+
+
 def test_generate_unwritable_output_is_runtime_error(tmp_path, capsys):
     out = tmp_path / "missing" / "fam.txt"
     code, _, stderr = run(["generate", "-N", "2", "-d", "2", "-n", "4", "-o", str(out)], capsys)
@@ -89,6 +96,14 @@ def test_check_line_family_json_has_twists(tmp_path, capsys):
 def test_check_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a family\n")
+    code, _, stderr = run(["check", str(bad)], capsys)
+    assert code == EX_DATA
+    assert "parse error" in stderr
+
+
+def test_check_negative_exponent_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "negative.txt"
+    bad.write_text("1 2 2\n2 0\n3 -1\n")
     code, _, stderr = run(["check", str(bad)], capsys)
     assert code == EX_DATA
     assert "parse error" in stderr
@@ -166,13 +181,38 @@ def test_sweep_row_count_and_report(tmp_path, capsys):
     )
 
 
-def test_sweep_unwritable_report_is_runtime_error(tmp_path, capsys):
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The cells `sweep` runs, recorded as they run."""
+    import syzstab.cli
+
+    cells, real = [], syzstab.cli._sweep_cell
+
+    def recording(cell):
+        cells.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(syzstab.cli, "_sweep_cell", recording)
+    return cells
+
+
+def test_sweep_unwritable_report_is_runtime_error(tmp_path, capsys, dispatched):
     report = tmp_path / "missing" / "report.json"
     code, _, stderr = run(
         ["sweep", "--Nmax", "1", "--dmax", "2", "--report", str(report)], capsys
     )
     assert code == EX_FAIL
     assert stderr.startswith("error: ")
+    assert dispatched == []  # refused before any cell ran
+
+
+@pytest.mark.parametrize("grid", [["--Nmax", "140", "--dmax", "2"], ["--Nmax", "2", "--dmax", "140"]])
+def test_sweep_above_the_admission_ceiling_is_usage_error(grid, tmp_path, capsys, dispatched):
+    report = tmp_path / "report.json"
+    code, _, stderr = run(["sweep", *grid, "--report", str(report)], capsys)
+    assert code == EX_USAGE
+    assert "admission ceiling" in stderr
+    assert dispatched == [] and not report.exists()
 
 
 def test_sweep_jobs_do_not_change_rows(tmp_path, capsys):
@@ -293,13 +333,21 @@ def test_bad_span_is_usage_error(capsys):
 
 
 def test_entry_point_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import syzstab
+
+    # the child imports the same package as this process, whatever put it on the path
+    root = str(Path(syzstab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "syzstab.cli", "generate", "-N", "2", "-d", "2", "-n", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "StableCertified" in proc.stdout

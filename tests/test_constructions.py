@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from syzstab.constructions import (
+    MAX_DEGREE_MONOMIALS,
     CaseDecomposition,
     NoFamilyExists,
     Route,
@@ -88,11 +89,36 @@ def test_classify_route(cell, route):
 
 def test_classify_route_rejects_out_of_range():
     # classify_route is the only range check; dispatch reaches no generator
-    for cell in [(3, 4, 3), (3, 4, 36), (1, 6, 8), (1, 3, 6)]:
+    for cell in [(3, 4, 3), (3, 4, 36), (1, 6, 8), (1, 3, 6), (140, 2, 141)]:
         with pytest.raises(RoutingError):
             classify_route(*cell)
         with pytest.raises(RoutingError):
             dispatch(*cell)
+
+
+def test_admission_ceiling_refuses_without_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_monomials called")
+
+    monkeypatch.setattr("syzstab.monomials.enumerate_monomials", refuse)
+    monkeypatch.setattr("syzstab.constructions.enumerate_monomials", refuse)
+    assert MAX_DEGREE_MONOMIALS == 10_000
+    # C(d+N, N) is symmetric in N and d; each pair is the first refused one
+    for (N, d), top in [((139, 2), 9870), ((2, 139), 9870), ((1, 9999), 10_000)]:
+        assert admissible_bounds(N, d)[1] == top
+    for N, d in [(140, 2), (2, 140), (1, 10_000), (10**6, 10**6)]:
+        with pytest.raises(RoutingError):
+            admissible_bounds(N, d)
+        with pytest.raises(RoutingError):
+            classify_route(N, d, N + 1)
+        with pytest.raises(RoutingError):
+            dispatch(N, d, N + 1)
+
+
+def test_deepest_admitted_face_vertex_chain_fits_the_stack():
+    # (139, 2, 140) recurses once per dimension down to (2, 2, 3)
+    route, fam = dispatch(139, 2, 140)
+    assert route is Route.FACE_VERTEX and len(fam) == 140
 
 
 def test_routes_partition_every_admissible_cell():

@@ -40,10 +40,21 @@ class TestMonomial:
         assert str(Monomial((0, 0, 0))) == "1"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Monomial((3,))  # single variable is not a projective space
-        with pytest.raises(ValueError):
-            Monomial((1, -1))
+        # a Monomial is a plain value; the family constructor checks members
+        bad = [
+            [(3,)],  # a single variable is not a projective space
+            [(2, 0), (2,)],
+            [(3, -1), (0, 2)],  # negative exponent, degree still 2
+            [(2, 0), (3, -1)],
+            [(1.5, 0.5)],
+            [("1", 1)],
+            [(1, 1), ("1", 1)],
+        ]
+        for rows in bad:
+            with pytest.raises(ValueError):
+                MonomialFamily.from_exponents(rows)
+            with pytest.raises(ValueError):
+                MonomialFamily.from_monomials(Monomial(r) for r in rows)
 
     def test_variable_power(self):
         assert Monomial.variable_power(4, 2, 5) == Monomial((0, 0, 5, 0))
@@ -110,6 +121,14 @@ class TestMonomialFamily:
         assert [m.exponents for m in fam.members] == [(2, 0), (1, 1), (0, 2)]
         assert fam.N == 1 and fam.d == 2 and len(fam) == 3
 
+    def test_constructor_canonicalizes(self):
+        unsorted = (Monomial((0, 2)), Monomial((2, 0)), Monomial((1, 1)))
+        fam = MonomialFamily(1, 2, unsorted)
+        assert [m.exponents for m in fam.members] == [(2, 0), (1, 1), (0, 2)]
+        assert fam == MonomialFamily.from_monomials(unsorted)
+        with pytest.raises(FamilyFormatError):
+            MonomialFamily(1, 2, unsorted + (Monomial((1, 1)),))
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             MonomialFamily.from_exponents([(2, 0), (2, 0)])
@@ -147,6 +166,10 @@ class TestMonomialFamily:
             "2 2 2\n2 0\n0 2\n",  # dimension mismatch
             "1 2 2\n2 0\n2 0\n",  # duplicate row
             "1 2 2\n2 0\nx y\n",
+            "1 2 2\n2 0\n3 -1\n",  # negative exponent, degree still 2
+            "0 2 1\n2\n",  # N below 1
+            "1 0 1\n0 0\n",  # d below 1
+            "1 2 0\n",  # no members
         ],
     )
     def test_from_text_rejects_malformed(self, text):
