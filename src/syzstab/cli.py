@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from fractions import Fraction
 
 from .constructions import (
     NoFamilyExists,
@@ -26,7 +27,6 @@ from .criterion import (
     DEFAULT_ORACLE_LIMIT,
     OracleSizeError,
     PreconditionError,
-    SlopeData,
     Verdict,
     brute_force_check,
     check_family,
@@ -43,6 +43,8 @@ EX_USAGE = 64
 EX_DATA = 65
 
 ORACLE_LIMIT_MAX = 20
+# cells one sweep may run; the default grid has 716 and N <= 5, d <= 8 has 4865
+SWEEP_CELL_LIMIT = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,18 +84,21 @@ def _oracle_limit() -> int:
     return limit
 
 
-def _print_certificate(cert, as_json: bool) -> None:
+def _print_certificate(cert, as_json: bool, route: str | None = None) -> None:
     if as_json:
-        print(json.dumps(cert.to_json(), indent=2))
+        data = cert.to_json()
+        if route is not None:
+            data["route"] = route
+        print(json.dumps(data, indent=2))
         return
-    slopes = SlopeData(cert.n, cert.d)
+    rank, c1 = cert.n - 1, -cert.d * cert.n
     print(f"verdict: {cert.verdict.value}")
     print(f"family: N={cert.N} d={cert.d} n={cert.n}")
-    print(f"bundle: rank {slopes.rank}, c1 {slopes.c1}, slope {slopes.slope}")
+    print(f"bundle: rank {rank}, c1 {c1}, slope {Fraction(c1, rank)}")
     print(f"m-primary: {'yes' if cert.primary else 'no'}")
-    if cert.route is not None:
-        print(f"route: {cert.route}")
-    print(f"witnesses: {len(cert.witnesses)}")
+    if route is not None:
+        print(f"route: {route}")
+    print(f"witnesses: {cert.witness_count}")
     if cert.worst is not None:
         w = cert.worst
         print(f"worst: gcd {w.gcd} (degree {w.gcd_degree}), k {w.multiple_count}, margin {w.margin}")
@@ -111,7 +116,7 @@ def cmd_generate(args) -> int:
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
-    cert = check_family(fam).with_route(route.value)
+    cert = check_family(fam)
     text = fam.to_text()
     if args.output:
         try:
@@ -122,7 +127,7 @@ def cmd_generate(args) -> int:
             return EX_FAIL
     else:
         print(text, end="")
-    _print_certificate(cert, args.json)
+    _print_certificate(cert, args.json, route.value)
     return EX_OK
 
 
@@ -140,7 +145,7 @@ def cmd_check(args) -> int:
     if fam.N == 1:
         # bundles on the line split; the splitting type decides exactly
         try:
-            split = splitting_type_p1(fam)
+            twists = splitting_type_p1(fam)
             verdict = is_semistable_p1(fam)
         except PreconditionError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -151,12 +156,12 @@ def cmd_check(args) -> int:
                 "N": fam.N,
                 "d": fam.d,
                 "n": len(fam),
-                "twists": list(split.twists),
+                "twists": list(twists),
             }, indent=2))
         else:
             print(f"verdict: {verdict.value}")
             print(f"family: N=1 d={fam.d} n={len(fam)}")
-            print(f"splitting type: {', '.join(f'O({t})' for t in split.twists)}")
+            print(f"splitting type: {', '.join(f'O({t})' for t in twists)}")
         if args.oracle:
             print("error: --oracle applies to N >= 2 families", file=sys.stderr)
             return EX_FAIL
@@ -237,11 +242,21 @@ def cmd_sweep(args) -> int:
     except RoutingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    cells = []
-    for N in range(1, args.Nmax + 1):
-        for d in range(2, args.dmax + 1):
-            lo, hi = admissible_bounds(N, d)
-            cells.extend((N, d, n) for n in range(lo, hi + 1))
+    bounds = [
+        (N, d, *admissible_bounds(N, d))
+        for N in range(1, args.Nmax + 1)
+        for d in range(2, args.dmax + 1)
+    ]
+    # counted before any cell is listed: a long thin grid passes the corner
+    # ceiling yet holds tens of millions of cells
+    total = sum(hi - lo + 1 for _, _, lo, hi in bounds)
+    if total > SWEEP_CELL_LIMIT:
+        print(
+            f"error: the grid has {total} cells, above the sweep budget of {SWEEP_CELL_LIMIT}",
+            file=sys.stderr,
+        )
+        return EX_USAGE
+    cells = [(N, d, n) for N, d, lo, hi in bounds for n in range(lo, hi + 1)]
     try:
         # opened before any cell runs, so a bad path is refused at once
         report_file = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()

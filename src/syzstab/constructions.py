@@ -194,7 +194,7 @@ def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
     first, then the larger second-worst, and so on; the sentinel makes a
     family with fewer binding witnesses win over an extension of it.
     """
-    margins = sorted(w.margin for w in scan_witnesses(members, d, target_n))
+    margins = sorted(margin for *_, margin in scan_witnesses(members, d, target_n))
     margins.append(inf)
     return margins
 

@@ -22,8 +22,7 @@ decides exactly, and both the criterion and the splitting decider agree.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -52,30 +51,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SlopeData:
-    """Slope bookkeeping for a bundle presented by n degree-d generators.
-
-    Used for reporting only; the checker itself works with cleared-denominator
-    integer margins.
-    """
-
-    n: int
-    d: int
-
-    @property
-    def rank(self) -> int:
-        return self.n - 1
-
-    @property
-    def c1(self) -> int:
-        return -self.d * self.n
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.c1, self.rank)
-
-
-@dataclass(frozen=True)
 class GcdWitness:
     """One evaluated subset: a gcd, its degree, its multiple count and margin."""
 
@@ -93,16 +68,24 @@ class GcdWitness:
         }
 
 
+def _gcd_witness(witness: tuple | None) -> GcdWitness | None:
+    # the one object a certificate keeps of the (g, e, k, margin) tuples
+    return None if witness is None else GcdWitness(Monomial(witness[0]), *witness[1:])
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     verdict: Verdict
     N: int
     d: int
     n: int
-    primary: bool
-    witnesses: tuple[GcdWitness, ...]
+    witness_count: int
     worst: GcdWitness | None
-    route: str | None = None
+
+    @property
+    def primary(self) -> bool:
+        """Always true: both checkers refuse a family that is not m-primary."""
+        return True
 
     @property
     def conclusive(self) -> bool:
@@ -116,23 +99,17 @@ class StabilityCertificate:
             return self.N == 1
         return True
 
-    def with_route(self, route: str) -> "StabilityCertificate":
-        return replace(self, route=route)
-
     def to_json(self) -> dict:
-        data = {
+        return {
             "verdict": self.verdict.value,
             "N": self.N,
             "d": self.d,
             "n": self.n,
             "primary": self.primary,
             "conclusive": self.conclusive,
-            "witness_count": len(self.witnesses),
+            "witness_count": self.witness_count,
             "worst": None if self.worst is None else self.worst.to_json(),
         }
-        if self.route is not None:
-            data["route"] = self.route
-        return data
 
 
 def is_m_primary(fam: MonomialFamily) -> bool:
@@ -151,8 +128,11 @@ def is_m_primary(fam: MonomialFamily) -> bool:
 
 def scan_witnesses(
     members: Sequence[Monomial], d: int, family_size: int
-) -> Iterator[GcdWitness]:
-    """Yield the margin of every maximal multiple-set among the given members.
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Yield (g, e, k, margin) for every maximal multiple-set among the members.
+
+    g is the gcd's exponent tuple, e its degree and k the number of members
+    it divides.
 
     Candidates g run over all monomials of degree 1..d-1, degree ascending
     and then in canonical order; a candidate counts only when at least two
@@ -210,7 +190,7 @@ def scan_witnesses(
         walk(0, e, everyone, (), hits)
         for g, count in hits:
             margin = (d - e) * family_size + e - d * count
-            yield GcdWitness(Monomial(g), e, count, margin)
+            yield g, e, count, margin
 
 
 @lru_cache(maxsize=None)
@@ -233,21 +213,20 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     if n == 2:
-        return StabilityCertificate(Verdict.STABLE, fam.N, fam.d, n, True, (), None)
-    witnesses = tuple(scan_witnesses(fam.members, fam.d, n))
+        return StabilityCertificate(Verdict.STABLE, fam.N, fam.d, n, 0, None)
+    count = 0
     worst = None
-    for w in witnesses:
-        if worst is None or w.margin < worst.margin:
+    for w in scan_witnesses(fam.members, fam.d, n):
+        count += 1
+        if worst is None or w[3] < worst[3]:
             worst = w
-    if worst is None:
+    if worst is None or worst[3] > 0:
         verdict = Verdict.STABLE
-    elif worst.margin < 0:
-        verdict = Verdict.CRITERION_VIOLATED
-    elif worst.margin == 0:
+    elif worst[3] == 0:
         verdict = Verdict.SEMISTABLE
     else:
-        verdict = Verdict.STABLE
-    return StabilityCertificate(verdict, fam.N, fam.d, n, True, witnesses, worst)
+        verdict = Verdict.CRITERION_VIOLATED
+    return StabilityCertificate(verdict, fam.N, fam.d, n, count, _gcd_witness(worst))
 
 
 def brute_force_check(
@@ -277,7 +256,7 @@ def brute_force_check(
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     d = fam.d
     exps = [m.exponents for m in fam.members]
-    worst: GcdWitness | None = None
+    worst: tuple | None = None  # (g, e, k, margin), as scan_witnesses yields
     negative = False
     zero_proper = False
 
@@ -294,8 +273,8 @@ def brute_force_check(
             if k < n:
                 if margin == 0:
                     zero_proper = True
-                if e >= 1 and (worst is None or margin < worst.margin):
-                    worst = GcdWitness(Monomial(h), e, k, margin)
+                if e >= 1 and (worst is None or margin < worst[3]):
+                    worst = h, e, k, margin
             if j + 1 < n:
                 extend(j + 1, h, k)
 
@@ -307,36 +286,25 @@ def brute_force_check(
         verdict = Verdict.SEMISTABLE
     else:
         verdict = Verdict.STABLE
-    witnesses = () if worst is None else (worst,)
-    return StabilityCertificate(verdict, fam.N, fam.d, n, True, witnesses, worst)
+    return StabilityCertificate(
+        verdict, fam.N, fam.d, n, 0 if worst is None else 1, _gcd_witness(worst)
+    )
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    """Twists of the direct-sum decomposition on the projective line."""
-
-    twists: tuple[int, ...]
-
-    def all_equal(self) -> bool:
-        return len(set(self.twists)) <= 1
-
-
-def splitting_type_p1(fam: MonomialFamily) -> SplittingType:
+def splitting_type_p1(fam: MonomialFamily) -> tuple[int, ...]:
     """Exact splitting type of the syzygy bundle on the projective line.
 
     With members sorted by decreasing X0-exponent, the syzygy module is free
     on the n-1 consecutive-pair relations, so the bundle is a direct sum of
-    line bundles O(-deg lcm(m_i, m_{i+1})).  The twists sum to -d*n.
+    line bundles O(-deg lcm(m_i, m_{i+1})); returns those n-1 twists, which
+    sum to -d*n.
     """
     if fam.N != 1:
         raise DimensionMismatch(f"splitting type needs N = 1, got N = {fam.N}")
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: needs X0^d and X1^d")
     ordered = sorted(fam.members, key=lambda m: -m.exponents[0])
-    twists = tuple(
-        -a.lcm(b).degree() for a, b in zip(ordered, ordered[1:])
-    )
-    return SplittingType(twists)
+    return tuple(-a.lcm(b).degree() for a, b in zip(ordered, ordered[1:]))
 
 
 def is_semistable_p1(fam: MonomialFamily) -> Verdict:
@@ -345,8 +313,7 @@ def is_semistable_p1(fam: MonomialFamily) -> Verdict:
     Stable only in the rank-1 case n = 2; a decomposable bundle of rank >= 2
     with equal twists is strictly semistable.
     """
-    st = splitting_type_p1(fam)
-    if not st.all_equal():
+    if len(set(splitting_type_p1(fam))) > 1:
         return Verdict.NOT_SEMISTABLE
     return Verdict.STABLE if len(fam) == 2 else Verdict.SEMISTABLE
 

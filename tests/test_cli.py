@@ -27,6 +27,26 @@ def test_generate_writes_family_and_certificate(tmp_path, capsys):
     assert header == "3 2 6"
 
 
+def test_text_certificate_lines(tmp_path, capsys):
+    out = tmp_path / "fam.txt"
+    code, stdout, _ = run(["generate", "-N", "3", "-d", "2", "-n", "6", "-o", str(out)], capsys)
+    assert code == EX_OK
+    # rank n - 1 = 5, c1 = -d * n = -12, slope c1 / rank
+    certificate = [
+        "verdict: StableCertified",
+        "family: N=3 d=2 n=6",
+        "bundle: rank 5, c1 -12, slope -12/5",
+        "m-primary: yes",
+        "route: Case326",
+        "witnesses: 4",
+        "worst: gcd X0 (degree 1), k 2, margin 3",
+    ]
+    assert stdout.splitlines() == certificate
+    code, stdout, _ = run(["check", str(out)], capsys)
+    assert code == EX_OK
+    assert stdout.splitlines() == [line for line in certificate if not line.startswith("route:")]
+
+
 def test_generate_to_stdout(capsys):
     code, stdout, _ = run(["generate", "-N", "2", "-d", "2", "-n", "4"], capsys)
     assert code == EX_OK
@@ -213,6 +233,32 @@ def test_sweep_above_the_admission_ceiling_is_usage_error(grid, tmp_path, capsys
     assert code == EX_USAGE
     assert "admission ceiling" in stderr
     assert dispatched == [] and not report.exists()
+
+
+@pytest.mark.parametrize(
+    "grid,cells",
+    # both pass the corner ceiling: C(10000, 1) and C(141, 2) are at most 10,000
+    [(["--Nmax", "1", "--dmax", "9999"], 49_994_999), (["--Nmax", "2", "--dmax", "139"], 476_629)],
+)
+def test_sweep_above_the_cell_budget_is_usage_error(grid, cells, tmp_path, capsys, dispatched):
+    report = tmp_path / "report.json"
+    code, _, stderr = run(["sweep", *grid, "--report", str(report)], capsys)
+    assert code == EX_USAGE
+    assert f"the grid has {cells} cells, above the sweep budget" in stderr
+    assert dispatched == [] and not report.exists()
+
+
+def test_sweep_cell_budget_admits_the_wider_grid(capsys, monkeypatch):
+    # the cells are listed and handed out, but none is constructed
+    def stub(cell):
+        N, d, n = cell
+        return {"N": N, "d": d, "n": n, "route": None, "verdict": "StableCertified",
+                "worst_margin": None, "wall_time": 0.0, "failure": None}
+
+    monkeypatch.setattr("syzstab.cli._sweep_cell", stub)
+    code, stdout, _ = run(["sweep", "--Nmax", "5", "--dmax", "8"], capsys)
+    assert code == EX_OK
+    assert stdout.startswith("sweep: 4865 cells, 4865 families certified")
 
 
 def test_sweep_jobs_do_not_change_rows(tmp_path, capsys):

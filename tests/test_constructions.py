@@ -25,7 +25,7 @@ from syzstab.constructions import (
     gen_prop_faces,
     survey_225_candidates,
 )
-from syzstab.criterion import Verdict, check_family, is_m_primary
+from syzstab.criterion import Verdict, check_family, is_m_primary, scan_witnesses
 from syzstab.monomials import (
     Monomial,
     MonomialFamily,
@@ -147,7 +147,8 @@ def test_case326_members_and_margins():
     }
     cert = check_family(fam)
     assert cert.verdict is Verdict.STABLE
-    assert [w.margin for w in cert.witnesses] == [3, 3, 3, 3]
+    assert cert.witness_count == 4
+    assert [margin for *_, margin in scan_witnesses(fam.members, 2, 6)] == [3, 3, 3, 3]
 
 
 class TestSearch225:

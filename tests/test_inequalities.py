@@ -130,12 +130,11 @@ def margin_decomposition_holds(N, d, n):
     n_faces = len(faces_family(N, d))
     n_prime = n - n_faces
     d_prime = d - N - 1
-    for w in scan_witnesses(list(fam.members), d, n):
-        e = w.gcd_degree
-        i = sum(1 for x in w.gcd.exponents if x == 0)
-        k_prime = w.multiple_count - (binomial(d - e + N, N) - binomial(d - e + N - i, N))
+    for g, e, k, _ in scan_witnesses(list(fam.members), d, n):
+        i = sum(1 for x in g if x == 0)
+        k_prime = k - (binomial(d - e + N, N) - binomial(d - e + N - i, N))
         delta = e - N - 1 + i
-        margin = (d - e) * n + e - d * w.multiple_count
+        margin = (d - e) * n + e - d * k
         inner_part = (d_prime - delta) * n_prime + delta - d_prime * k_prime
         decomposed = inner_part + eval_P(n_prime, k_prime, N, d, e, i) + eval_Q(N, d, e, i)
         if margin != decomposed:
