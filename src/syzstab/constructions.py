@@ -22,7 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf
+from typing import Iterator
 
 from .criterion import (
     StabilityCertificate,
@@ -30,7 +30,6 @@ from .criterion import (
     check_family,
     is_m_primary,
     is_semistable_p1,
-    scan_witnesses,
 )
 from .monomials import (
     Monomial,
@@ -93,12 +92,21 @@ class CaseDecomposition:
 # (C = 54,615), while N = 139 (C = 9,870) fits even under a call tracer.
 MAX_DEGREE_MONOMIALS = 10_000
 
+# Work bound on a plane cell (2, d, n): the greedy takes n - 3 steps, and each
+# step visits every divisor of every degree-d monomial in three variables,
+# C(d+5, 5) (divisor, monomial) pairs.  Its time follows this count at about
+# 1 microsecond per pair from d = 10 to d = 25, so the bound admits every
+# plane cell with d <= 12 (at most 544,544) and takes about 2 s at the top.
+MAX_PLANE_SEARCH_WORK = 2_000_000
+
 
 def admissible_bounds(N: int, d: int) -> tuple[int, int]:
     """Inclusive n-range of cells the dispatcher accepts.
 
     Raises RoutingError when C(d+N, N) exceeds MAX_DEGREE_MONOMIALS, before
-    anything is enumerated.
+    anything is enumerated.  For N = 2 the top is also capped so that
+    (n - 3) * C(d+5, 5) stays within MAX_PLANE_SEARCH_WORK; n = 3, the pure
+    powers alone, is always admitted.
     """
     if N < 1:
         raise RoutingError(f"N must be at least 1, got {N}")
@@ -113,6 +121,8 @@ def admissible_bounds(N: int, d: int) -> tuple[int, int]:
         )
     if N == 1:
         return 2, d + 1
+    if N == 2:
+        return 3, min(binomial(d + 2, 2), 3 + MAX_PLANE_SEARCH_WORK // binomial(d + 5, 5))
     return N + 1, binomial(d + N, N)
 
 
@@ -184,56 +194,82 @@ def gen_225_semistable() -> MonomialFamily:
     raise InternalConsistencyError("no semistable 5-subset found at (2, 2, 5)")
 
 
-_EXHAUSTIVE_LIMIT = 200_000
+def _delta_rank(delta: dict[int, int]) -> list[tuple[int, ...]]:
+    """Sort key on which the best plane-search candidate is the smallest.
 
-
-def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
-    """Sorted witness margins, padded with one +inf sentinel.
-
-    Lexicographic comparison of profiles prefers the larger worst margin
-    first, then the larger second-worst, and so on; the sentinel makes a
-    family with fewer binding witnesses win over an extension of it.
+    A margin profile (a family's sorted witness margins, then +inf) is larger
+    when, at the smallest margin where two profiles' counts differ, it has
+    fewer entries.  Candidates extend the same chosen members, so only their
+    deltas matter (margin -> net change in its count): walking the nonzero
+    deltas by ascending margin, a net loss at v beats every candidate that
+    agrees below v and keeps more there, and a net gain loses.  So a loss maps
+    to (0, v, net), a gain to (2, -v, net), and the end of the walk to (1,).
     """
-    margins = sorted(margin for *_, margin in scan_witnesses(members, d, target_n))
-    margins.append(inf)
-    return margins
+    key = [(0, v, net) if net < 0 else (2, -v, net) for v, net in sorted(delta.items()) if net]
+    key.append((1,))
+    return key
 
 
 def gen_n2_search(d: int, n: int) -> MonomialFamily:
-    """Deterministic search for a stable family of n degree-d monomials, N = 2.
+    """Deterministic greedy search for a stable family of n degree-d monomials, N = 2.
 
-    Seeds with the three pure powers, then greedily adds the monomial whose
-    margin profile (evaluated at the target size n) is lexicographically
-    largest, breaking ties by canonical order.  Falls back to exhaustive
-    search over m-primary n-subsets when the greedy result is not certified
-    and the combination count is small.  Output is a pure function of (d, n).
+    Seeds with the three pure powers, then adds one monomial at a time: the
+    one whose family has the lexicographically largest margin profile (its
+    sorted witness margins at the target size n, then +inf), ties going to
+    the first in canonical order.  No profile is built.  Each gcd g of degree
+    1..d-1 keeps the number k of chosen members it divides and their
+    componentwise minimum low[g]; g is a witness iff k >= 2 and low[g] == g.
+    Adding c changes only c's own divisors: an old witness leaves its margin
+    at k and every g with min(low[g], c) == g enters at k + 1, and
+    _delta_rank orders the candidates on these deltas.  Raises
+    SearchExhausted when the greedy family is not certified stable; that
+    certificate is the search's only witness scan.  Output is a pure function
+    of (d, n).
     """
-    pool = list(enumerate_monomials(2, d))
-    pures = [Monomial.variable_power(3, i, d) for i in range(3)]
-    chosen = list(pures)
-    chosen_set = set(chosen)
-    while len(chosen) < n:
-        best: Monomial | None = None
-        best_profile: list | None = None
-        for cand in pool:
-            if cand in chosen_set:
+    count: dict[tuple[int, ...], int] = {}
+    low: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def divisors(c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*(range(x + 1) for x in c))
+
+    def add(c: tuple[int, ...]) -> None:
+        for g in divisors(c):
+            if 0 < sum(g) < d:
+                k = count.get(g, 0)
+                count[g] = k + 1
+                low[g] = tuple(map(min, low[g], c)) if k else c
+
+    def delta(c: tuple[int, ...]) -> dict[int, int]:
+        # net change per margin value when c joins the chosen members
+        out: dict[int, int] = {}
+        for g in divisors(c):
+            k = count.get(g)
+            if k is None:
                 continue
-            profile = _margin_profile(chosen + [cand], d, n)
-            if best_profile is None or profile > best_profile:
-                best, best_profile = cand, profile
-        assert best is not None
+            lo = low[g]
+            if lo != g and tuple(map(min, lo, c)) != g:
+                continue
+            e = sum(g)
+            margin = (d - e) * n + e - d * k
+            if lo == g:
+                # already a witness: k >= 2, as a lone member is its own minimum
+                out[margin] = out.get(margin, 0) - 1
+            out[margin - d] = out.get(margin - d, 0) + 1
+        return out
+
+    chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
+    left = [m.exponents for m in enumerate_monomials(2, d) if d not in m.exponents]
+    for c in chosen:
+        add(c)
+    while len(chosen) < n:
+        best = min(left, key=lambda c: _delta_rank(delta(c)))
+        left.remove(best)
         chosen.append(best)
-        chosen_set.add(best)
-    fam = MonomialFamily.from_monomials(chosen)
-    if check_family(fam).verdict is Verdict.STABLE:
-        return fam
-    others = [m for m in pool if m not in set(pures)]
-    if comb(len(others), n - 3) <= _EXHAUSTIVE_LIMIT:
-        for combo in itertools.combinations(others, n - 3):
-            candidate = MonomialFamily.from_monomials(pures + list(combo))
-            if check_family(candidate).verdict is Verdict.STABLE:
-                return candidate
-    raise SearchExhausted(f"no stable family found for (N, d, n) = (2, {d}, {n})")
+        add(best)
+    fam = MonomialFamily.from_exponents(chosen)
+    if check_family(fam).verdict is not Verdict.STABLE:
+        raise SearchExhausted(f"no stable family found for (N, d, n) = (2, {d}, {n})")
+    return fam
 
 
 def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
@@ -350,7 +386,8 @@ def classify_route(N: int, d: int, n: int) -> Route:
     """
     lo, hi = admissible_bounds(N, d)
     if not lo <= n <= hi:
-        raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d})")
+        why = " (the plane search work bound)" if N == 2 and hi < n <= binomial(d + 2, 2) else ""
+        raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d}){why}")
     if N == 1:
         return Route.P1_FAMILY
     if N == 2:

@@ -236,13 +236,16 @@ def brute_force_check(
 
     Walks all 2^n - n - 1 subsets depth-first over index sets, carrying the
     running gcd and member count down one path at a time, so memory stays
-    O(n).  Applies the margin inequality to each subset and derives the
-    verdict from the raw quantifiers: any negative margin (any subset)
-    refutes the certificate, a zero margin on a proper subset caps it at
-    semistable.  The reported worst witness is a minimal-margin proper subset
-    with nontrivial gcd, the same quantity check_family minimizes;
-    trivial-gcd subsets are provably slack and the full family sits at
-    margin zero.
+    O(n) plus one entry per distinct gcd.  Applies the margin inequality to
+    each subset and derives the verdict from the raw quantifiers: any
+    negative margin (any subset) refutes the certificate, a zero margin on a
+    proper subset caps it at semistable.  The reported worst witness is a
+    minimal-margin proper subset with nontrivial gcd, the same quantity
+    check_family minimizes; trivial-gcd subsets are provably slack and the
+    full family sits at margin zero.  witness_count is the number of distinct
+    nontrivial gcds of proper subsets: each such g = gcd(J) is also the gcd of
+    all multiples of g, so these are exactly the witnesses check_family
+    counts.
     """
     n = len(fam)
     if n > limit:
@@ -257,6 +260,7 @@ def brute_force_check(
     d = fam.d
     exps = [m.exponents for m in fam.members]
     worst: tuple | None = None  # (g, e, k, margin), as scan_witnesses yields
+    gcds: set[tuple[int, ...]] = set()
     negative = False
     zero_proper = False
 
@@ -273,8 +277,10 @@ def brute_force_check(
             if k < n:
                 if margin == 0:
                     zero_proper = True
-                if e >= 1 and (worst is None or margin < worst[3]):
-                    worst = h, e, k, margin
+                if e >= 1:
+                    gcds.add(h)
+                    if worst is None or margin < worst[3]:
+                        worst = h, e, k, margin
             if j + 1 < n:
                 extend(j + 1, h, k)
 
@@ -286,9 +292,7 @@ def brute_force_check(
         verdict = Verdict.SEMISTABLE
     else:
         verdict = Verdict.STABLE
-    return StabilityCertificate(
-        verdict, fam.N, fam.d, n, 0 if worst is None else 1, _gcd_witness(worst)
-    )
+    return StabilityCertificate(verdict, fam.N, fam.d, n, len(gcds), _gcd_witness(worst))
 
 
 def splitting_type_p1(fam: MonomialFamily) -> tuple[int, ...]:

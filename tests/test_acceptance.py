@@ -138,7 +138,8 @@ def test_criterion_5_oracle_equivalence():
         oracle = brute_force_check(fam)
         a = None if cert.worst is None else cert.worst.margin
         b = None if oracle.worst is None else oracle.worst.margin
-        return cert.verdict is oracle.verdict and a == b
+        same_count = cert.witness_count == oracle.witness_count
+        return cert.verdict is oracle.verdict and a == b and same_count
 
     disagreements = generated = 0
     for N in (1, 2, 3, 4):

@@ -72,6 +72,19 @@ def test_generate_above_the_admission_ceiling_is_usage_error(capsys):
     assert "admission ceiling" in stderr
 
 
+@pytest.mark.parametrize("cell", [("2", "100", "4000"), ("2", "16", "102"), ("3", "16", "103")])
+def test_generate_above_the_plane_work_bound_is_usage_error(cell, capsys, monkeypatch):
+    # (3, 16, 103) is a face-vertex cell whose inner plane cell is refused
+    def search(d, n):
+        raise AssertionError("gen_n2_search called")
+
+    monkeypatch.setattr("syzstab.constructions.gen_n2_search", search)
+    N, d, n = cell
+    code, _, stderr = run(["generate", "-N", N, "-d", d, "-n", n], capsys)
+    assert code == EX_USAGE
+    assert "plane search work bound" in stderr
+
+
 def test_generate_unwritable_output_is_runtime_error(tmp_path, capsys):
     out = tmp_path / "missing" / "fam.txt"
     code, _, stderr = run(["generate", "-N", "2", "-d", "2", "-n", "4", "-o", str(out)], capsys)
@@ -237,8 +250,8 @@ def test_sweep_above_the_admission_ceiling_is_usage_error(grid, tmp_path, capsys
 
 @pytest.mark.parametrize(
     "grid,cells",
-    # both pass the corner ceiling: C(10000, 1) and C(141, 2) are at most 10,000
-    [(["--Nmax", "1", "--dmax", "9999"], 49_994_999), (["--Nmax", "2", "--dmax", "139"], 476_629)],
+    # both pass the corner ceiling: C(10000, 1) and C(40, 3) are at most 10,000
+    [(["--Nmax", "1", "--dmax", "9999"], 49_994_999), (["--Nmax", "3", "--dmax", "37"], 103_143)],
 )
 def test_sweep_above_the_cell_budget_is_usage_error(grid, cells, tmp_path, capsys, dispatched):
     report = tmp_path / "report.json"

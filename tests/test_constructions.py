@@ -4,8 +4,11 @@ import hashlib
 
 import pytest
 
+from math import inf
+
 from syzstab.constructions import (
     MAX_DEGREE_MONOMIALS,
+    MAX_PLANE_SEARCH_WORK,
     CaseDecomposition,
     NoFamilyExists,
     Route,
@@ -25,7 +28,13 @@ from syzstab.constructions import (
     gen_prop_faces,
     survey_225_candidates,
 )
-from syzstab.criterion import Verdict, check_family, is_m_primary, scan_witnesses
+from syzstab.criterion import (
+    Verdict,
+    brute_force_check,
+    check_family,
+    is_m_primary,
+    scan_witnesses,
+)
 from syzstab.monomials import (
     Monomial,
     MonomialFamily,
@@ -103,8 +112,9 @@ def test_admission_ceiling_refuses_without_enumerating(monkeypatch):
     monkeypatch.setattr("syzstab.monomials.enumerate_monomials", refuse)
     monkeypatch.setattr("syzstab.constructions.enumerate_monomials", refuse)
     assert MAX_DEGREE_MONOMIALS == 10_000
-    # C(d+N, N) is symmetric in N and d; each pair is the first refused one
-    for (N, d), top in [((139, 2), 9870), ((2, 139), 9870), ((1, 9999), 10_000)]:
+    # C(d+N, N) is symmetric in N and d; each pair is the last admitted one.
+    # At N = 2 the plane search work bound leaves only the pure powers.
+    for (N, d), top in [((139, 2), 9870), ((2, 139), 3), ((1, 9999), 10_000)]:
         assert admissible_bounds(N, d)[1] == top
     for N, d in [(140, 2), (2, 140), (1, 10_000), (10**6, 10**6)]:
         with pytest.raises(RoutingError):
@@ -113,6 +123,36 @@ def test_admission_ceiling_refuses_without_enumerating(monkeypatch):
             classify_route(N, d, N + 1)
         with pytest.raises(RoutingError):
             dispatch(N, d, N + 1)
+
+
+def test_plane_work_bound_refuses_without_searching(monkeypatch):
+    class Searched(Exception):
+        pass
+
+    def search(d, n):
+        raise Searched((d, n))
+
+    monkeypatch.setattr("syzstab.constructions.gen_n2_search", search)
+    assert MAX_PLANE_SEARCH_WORK == 2_000_000
+    for d in range(2, 13):
+        assert admissible_bounds(2, d) == (3, binomial(d + 2, 2))
+    for d in (15, 16, 20, 30, 40, 139):
+        top = admissible_bounds(2, d)[1]
+        steps = binomial(d + 5, 5)
+        assert top == 3 or (top - 3) * steps <= MAX_PLANE_SEARCH_WORK
+        assert (top - 2) * steps > MAX_PLANE_SEARCH_WORK
+        assert top < binomial(d + 2, 2)
+        with pytest.raises(Searched):
+            dispatch(2, d, top)
+        with pytest.raises(RoutingError, match="plane search work bound"):
+            dispatch(2, d, top + 1)
+        if d <= 37:
+            # a face-vertex chain is refused by its inner plane cell
+            assert classify_route(3, d, top + 2) is Route.FACE_VERTEX
+            with pytest.raises(Searched):
+                dispatch(3, d, top + 1)
+            with pytest.raises(RoutingError, match="plane search work bound"):
+                dispatch(3, d, top + 2)
 
 
 def test_deepest_admitted_face_vertex_chain_fits_the_stack():
@@ -148,6 +188,7 @@ def test_case326_members_and_margins():
     cert = check_family(fam)
     assert cert.verdict is Verdict.STABLE
     assert cert.witness_count == 4
+    assert brute_force_check(fam).witness_count == 4
     assert [margin for *_, margin in scan_witnesses(fam.members, 2, 6)] == [3, 3, 3, 3]
 
 
@@ -167,7 +208,54 @@ class TestSearch225:
         assert check_family(fam).worst.margin == 0
 
 
+def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
+    """Sorted witness margins, padded with one +inf sentinel.
+
+    Lexicographic comparison of profiles prefers the larger worst margin
+    first, then the larger second-worst, and so on; the sentinel makes a
+    family with fewer binding witnesses win over an extension of it.
+    """
+    margins = sorted(margin for *_, margin in scan_witnesses(members, d, target_n))
+    margins.append(inf)
+    return margins
+
+
+def reference_greedy(d: int, n: int) -> MonomialFamily:
+    """The plane search's greedy as it was before witness deltas.
+
+    Every step rescans the witnesses of each candidate extension of the
+    chosen family and keeps the first candidate with the largest profile.
+    """
+    pool = list(enumerate_monomials(2, d))
+    pures = [Monomial.variable_power(3, i, d) for i in range(3)]
+    chosen = list(pures)
+    chosen_set = set(chosen)
+    while len(chosen) < n:
+        best: Monomial | None = None
+        best_profile: list | None = None
+        for cand in pool:
+            if cand in chosen_set:
+                continue
+            profile = _margin_profile(chosen + [cand], d, n)
+            if best_profile is None or profile > best_profile:
+                best, best_profile = cand, profile
+        assert best is not None
+        chosen.append(best)
+        chosen_set.add(best)
+    return MonomialFamily.from_monomials(chosen)
+
+
 class TestN2Search:
+    def test_greedy_matches_reference_greedy(self):
+        cells = 0
+        for d in range(2, 8):
+            for n in range(3, binomial(d + 2, 2) + 1):
+                if (d, n) == (2, 5):
+                    continue
+                assert gen_n2_search(d, n).members == reference_greedy(d, n).members, (d, n)
+                cells += 1
+        assert cells == 103
+
     def test_greedy_certifies_across_grid(self):
         for d in range(2, 7):
             lo, hi = admissible_bounds(2, d)

@@ -203,12 +203,14 @@ class TestBruteForce:
         cert = check_family(f)
         assert oracle.verdict is cert.verdict
         assert oracle.worst.margin == cert.worst.margin
+        assert oracle.witness_count == cert.witness_count
 
     def test_agrees_on_semistable(self):
         f = fam((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2))
         o = brute_force_check(f)
         assert o.verdict is Verdict.SEMISTABLE
         assert o.worst.margin == 0
+        assert o.witness_count == check_family(f).witness_count
 
 
 @st.composite
@@ -232,6 +234,7 @@ def test_oracle_agrees_with_scan(f):
     a = None if cert.worst is None else cert.worst.margin
     b = None if oracle.worst is None else oracle.worst.margin
     assert a == b
+    assert cert.witness_count == oracle.witness_count
 
 
 class TestSplittingType:
