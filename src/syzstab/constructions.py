@@ -94,9 +94,10 @@ MAX_DEGREE_MONOMIALS = 10_000
 
 # Work bound on a plane cell (2, d, n): the greedy takes n - 3 steps, and each
 # step visits every divisor of every degree-d monomial in three variables,
-# C(d+5, 5) (divisor, monomial) pairs.  Its time follows this count at about
-# 1 microsecond per pair from d = 10 to d = 25, so the bound admits every
-# plane cell with d <= 12 (at most 544,544) and takes about 2 s at the top.
+# C(d+5, 5) (divisor, monomial) pairs.  Its time follows this count, at 0.6 to
+# 1.3 microseconds per pair from d = 10 to d = 25 on a 2-core host, so the
+# bound admits every plane cell with d <= 12 (at most 544,544) and the
+# slowest admitted cells take about 3 s.
 MAX_PLANE_SEARCH_WORK = 2_000_000
 
 

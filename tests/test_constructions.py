@@ -138,9 +138,8 @@ def test_plane_work_bound_refuses_without_searching(monkeypatch):
         assert admissible_bounds(2, d) == (3, binomial(d + 2, 2))
     for d in (15, 16, 20, 30, 40, 139):
         top = admissible_bounds(2, d)[1]
-        steps = binomial(d + 5, 5)
-        assert top == 3 or (top - 3) * steps <= MAX_PLANE_SEARCH_WORK
-        assert (top - 2) * steps > MAX_PLANE_SEARCH_WORK
+        pairs = binomial(d + 5, 5)  # (divisor, monomial) pairs one step visits
+        assert (top - 3) * pairs <= MAX_PLANE_SEARCH_WORK < (top - 2) * pairs
         assert top < binomial(d + 2, 2)
         with pytest.raises(Searched):
             dispatch(2, d, top)
