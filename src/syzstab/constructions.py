@@ -31,15 +31,7 @@ from .criterion import (
     is_m_primary,
     is_semistable_p1,
 )
-from .monomials import (
-    Monomial,
-    MonomialFamily,
-    binomial,
-    enumerate_monomials,
-    enumerate_monomials_without,
-    faces_family,
-    full_family,
-)
+from .monomials import MonomialFamily, binomial, enumerate_monomials, full_family
 
 
 class NoFamilyExists(Exception):
@@ -96,8 +88,8 @@ MAX_DEGREE_MONOMIALS = 10_000
 # step visits every divisor of every degree-d monomial in three variables,
 # C(d+5, 5) (divisor, monomial) pairs.  Its time follows this count, at 0.6 to
 # 1.3 microseconds per pair from d = 10 to d = 25 on a 2-core host, so the
-# bound admits every plane cell with d <= 12 (at most 544,544) and the
-# slowest admitted cells take about 3 s.
+# bound admits every plane cell with d <= 14 (at most 1,360,476, at
+# (2, 14, 120)) and the slowest admitted cells take about 3 s.
 MAX_PLANE_SEARCH_WORK = 2_000_000
 
 
@@ -140,8 +132,7 @@ def gen_p1(d: int, n: int) -> MonomialFamily:
             f"projective line: {n - 1} does not divide {d}"
         )
     e = d // (n - 1)
-    members = [Monomial((d - j * e, j * e)) for j in range(n)]
-    return MonomialFamily.from_monomials(members)
+    return MonomialFamily.from_exponents((d - j * e, j * e) for j in range(n))
 
 
 def gen_full(N: int, d: int) -> MonomialFamily:
@@ -174,10 +165,9 @@ def survey_225_candidates() -> list[tuple[MonomialFamily, StabilityCertificate |
     is None for the three subsets that are not m-primary and hence present
     no bundle to certify.
     """
-    pool = enumerate_monomials(2, 2)
     out = []
-    for combo in itertools.combinations(pool, 5):
-        fam = MonomialFamily.from_monomials(combo)
+    for combo in itertools.combinations(enumerate_monomials(2, 2), 5):
+        fam = MonomialFamily.from_exponents(combo)
         out.append((fam, check_family(fam) if is_m_primary(fam) else None))
     return out
 
@@ -259,7 +249,7 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
         return out
 
     chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
-    left = [m.exponents for m in enumerate_monomials(2, d) if d not in m.exponents]
+    left = [c for c in enumerate_monomials(2, d) if d not in c]
     for c in chosen:
         add(c)
     while len(chosen) < n:
@@ -279,12 +269,13 @@ def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
     Adding the opposite vertex to a (semi)stable family in X0..X_{N-1} relaxes
     every subset margin by at least d - d_J > 0, so the result is stable.
     Covers N+1 <= n <= C(d+N-1, N-1) + 1, except (3, 2, 6) whose inner cell
-    (2, 2, 5) admits no stable family.
+    (2, 2, 5) admits no stable family, and the cells whose inner cell is
+    refused.
     """
     _, inner = dispatch(N - 1, d, n - 1)
-    members = [Monomial(m.exponents + (0,)) for m in inner.members]
-    members.append(Monomial.variable_power(N + 1, N, d))
-    return MonomialFamily.from_monomials(members)
+    rows = [(*m.exponents, 0) for m in inner.members]
+    rows.append((0,) * N + (d,))
+    return MonomialFamily.from_exponents(rows)
 
 
 def _last_faces_count(N: int, d: int, r: int) -> int:
@@ -327,25 +318,24 @@ def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
     """
     case = decompose_faces_case(N, d, n)
     r, l, i = case.r, case.l, case.i
-    members = [
-        m
-        for m in enumerate_monomials(N, d)
-        if any(m.exponents[t] == 0 for t in range(N - r + 1, N + 1))
-    ]
+    rows = [m for m in enumerate_monomials(N, d) if 0 in m[N - r + 1:]]
 
-    def layer_base(xn_exponent: int) -> Monomial:
-        exps = [0] * (N + 1)
-        for t in range(N - r + 1, N):
-            exps[t] = 1
-        exps[N] = xn_exponent
-        return Monomial(tuple(exps))
+    def layer(xn_exponent: int, pool: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        # f has an exponent for every variable but X_{N-r}; the row is f times
+        # X_{N-r+1}...X_{N-1} * X_N^xn_exponent, with X_{N-r}-exponent 0
+        base = (1,) * (r - 1) + (xn_exponent,)
+        return [(*f[:N - r], 0, *(a + b for a, b in zip(f[N - r:], base))) for f in pool]
 
-    partial_base = layer_base(d - r - l + 1)
-    members.extend(partial_base * f for f in enumerate_monomials_without(N, l, {N - r}))
-    sub_base = layer_base(d - r - l)
-    sub_pool = enumerate_monomials_without(N, l + 1, {N - r, N})
-    members.extend(sub_base * f for f in sub_pool[:i])
-    return MonomialFamily.from_monomials(members)
+    rows += layer(d - r - l + 1, enumerate_monomials(N - 1, l))
+    # f also avoids X_N: a trailing zero keeps canonical order, so these
+    # are the canonical first i
+    rows += layer(d - r - l, [(*f, 0) for f in enumerate_monomials(N - 2, l + 1)[:i]])
+    return MonomialFamily.from_exponents(rows)
+
+
+def _face_rows(N: int, d: int) -> list[tuple[int, ...]]:
+    # the union of all N+1 faces: exponent tuples with at least one zero
+    return [m for m in enumerate_monomials(N, d) if 0 in m]
 
 
 def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
@@ -354,13 +344,9 @@ def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
     The dot sequence is X_j^(d-N) * prod(X_t, t != j) for j = 0..N; requires
     d > N + 1 so the dots are genuinely interior and distinct.
     """
-    faces = faces_family(N, d)
-    dots = []
-    for j in range(n - len(faces)):
-        exps = [1] * (N + 1)
-        exps[j] = d - N
-        dots.append(Monomial(tuple(exps)))
-    return MonomialFamily.from_monomials(list(faces.members) + dots)
+    rows = _face_rows(N, d)
+    rows += [(1,) * j + (d - N,) + (1,) * (N - j) for j in range(n - len(rows))]
+    return MonomialFamily.from_exponents(rows)
 
 
 def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
@@ -371,11 +357,10 @@ def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
     d' = d - N - 1 lifts to the interior; its subset margins dominate the
     lifted subsets' margins with room to spare, and the union is stable.
     """
-    faces = faces_family(N, d)
-    _, inner = dispatch(N, d - N - 1, n - len(faces))
-    lift = Monomial((1,) * (N + 1))
-    members = list(faces.members) + [lift * f for f in inner.members]
-    return MonomialFamily.from_monomials(members)
+    rows = _face_rows(N, d)
+    _, inner = dispatch(N, d - N - 1, n - len(rows))
+    rows += [tuple(e + 1 for e in m.exponents) for m in inner.members]
+    return MonomialFamily.from_exponents(rows)
 
 
 def classify_route(N: int, d: int, n: int) -> Route:
@@ -383,7 +368,9 @@ def classify_route(N: int, d: int, n: int) -> Route:
 
     The full-set test precedes the bracket routes because for d <= N the top
     cell n = C(d+N, N) lies inside the face-layer range but is generated
-    directly.  The remaining ranges are disjoint and cover everything.
+    directly.  The remaining ranges are disjoint and cover everything.  A
+    recursive route is refused, with its inner cell's RoutingError, when
+    that inner cell is refused; nothing is built to find out.
     """
     lo, hi = admissible_bounds(N, d)
     if not lo <= n <= hi:
@@ -399,11 +386,14 @@ def classify_route(N: int, d: int, n: int) -> Route:
     if n == total and d <= N + 1:
         return Route.FULL_SET
     if n <= binomial(d + N - 1, N - 1) + 1:
+        classify_route(N - 1, d, n - 1)
         return Route.FACE_VERTEX
-    if n <= total - binomial(d - 1, N):
+    faces = total - binomial(d - 1, N)
+    if n <= faces:
         return Route.PROP_FACES
-    if n <= total - binomial(d - 1, N) + N + 1:
+    if n <= faces + N + 1:
         return Route.FACES_AND_DOTS
+    classify_route(N, d - N - 1, n - faces)
     return Route.BRENNER_RECURSION
 
 

@@ -298,17 +298,18 @@ def brute_force_check(
 def splitting_type_p1(fam: MonomialFamily) -> tuple[int, ...]:
     """Exact splitting type of the syzygy bundle on the projective line.
 
-    With members sorted by decreasing X0-exponent, the syzygy module is free
-    on the n-1 consecutive-pair relations, so the bundle is a direct sum of
-    line bundles O(-deg lcm(m_i, m_{i+1})); returns those n-1 twists, which
-    sum to -d*n.
+    The family keeps its members in descending exponent-tuple order, which
+    on the line is decreasing X0-exponent.  In that order the syzygy module
+    is free on the n-1 consecutive-pair relations, so the bundle is a direct
+    sum of line bundles O(-e_i), e_i the degree of the least common multiple
+    of m_i and m_{i+1}; returns those n-1 twists, which sum to -d*n.
     """
     if fam.N != 1:
         raise DimensionMismatch(f"splitting type needs N = 1, got N = {fam.N}")
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: needs X0^d and X1^d")
-    ordered = sorted(fam.members, key=lambda m: -m.exponents[0])
-    return tuple(-a.lcm(b).degree() for a, b in zip(ordered, ordered[1:]))
+    rows = [m.exponents for m in fam.members]
+    return tuple(-sum(map(max, a, b)) for a, b in zip(rows, rows[1:]))
 
 
 def is_semistable_p1(fam: MonomialFamily) -> Verdict:

@@ -1,22 +1,21 @@
-"""Exact monomial arithmetic and degree-level enumeration.
+"""Monomial families, their text format, and degree-level enumeration.
 
 Monomials live in K[X0, ..., XN] and are stored as dense exponent vectors.
-A Monomial is a plain value that checks nothing: the MonomialFamily
-constructor alone checks members and puts them in canonical order.
-Everything in this module is pure integer combinatorics; no floating point
-is used anywhere in the package.
+Constructions build plain exponent tuples; a Monomial is a plain value that
+checks nothing, and the MonomialFamily constructor alone checks members and
+puts them in canonical order.  Everything in this module is pure integer
+combinatorics; no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionMismatch(ValueError):
-    """Two monomials (or a monomial and a family) disagree on the variable count."""
+    """A member, or a family, has the wrong number of variables."""
 
 
 class FamilyFormatError(ValueError):
@@ -36,15 +35,14 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@functools.total_ordering
 @dataclass(frozen=True)
 class Monomial:
     """A monomial X0^e0 * ... * XN^eN stored as its exponent vector.
 
-    Ordering is graded lexicographic with X0 > X1 > ... > XN: monomials of
-    higher degree compare greater, and within one degree the exponent vectors
-    compare as plain tuples, so X0^2 > X0*X1 > X0*X2 > X1^2.  The canonical
-    listing of an equal-degree set is therefore descending order.
+    Only a family's members and a certificate's worst gcd are Monomials;
+    everything else works on bare exponent tuples.  Within one degree the
+    canonical order is descending exponent tuples, so X0^2, X0*X1, X0*X2,
+    X1^2, ...
     """
 
     exponents: tuple[int, ...]
@@ -54,39 +52,9 @@ class Monomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
-    @classmethod
-    def variable_power(cls, num_vars: int, index: int, exponent: int) -> "Monomial":
-        """The pure power X_index^exponent in a ring with num_vars variables."""
-        exps = [0] * num_vars
-        exps[index] = exponent
-        return cls(tuple(exps))
-
     @property
     def num_vars(self) -> int:
         return len(self.exponents)
-
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def _check_dims(self, other: "Monomial") -> None:
-        if len(self.exponents) != len(other.exponents):
-            raise DimensionMismatch(
-                f"monomials in {len(self.exponents)} and {len(other.exponents)} variables"
-            )
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check_dims(other)
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_dims(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        self._check_dims(other)
-        return (self.degree(), self.exponents) < (other.degree(), other.exponents)
 
     def __str__(self) -> str:
         parts = []
@@ -101,44 +69,30 @@ class Monomial:
         return f"Monomial({self.exponents!r})"
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # first coordinate descending, recursively, which is descending lex
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+def enumerate_monomials(N: int, e: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of every degree-e monomial in X0..XN, in canonical order.
 
-
-def enumerate_monomials(N: int, e: int) -> tuple[Monomial, ...]:
-    """All monomials of degree e in X0..XN, in canonical (descending) order.
-
-    A negative degree yields the empty tuple; degree 0 yields the unit.
+    Canonical order is descending tuples.  Heads over the first half of the
+    variables are extended one coordinate at a time, from what is left of the
+    degree down to 0; tails[r] lists the tuples over the other variables that
+    sum to r, in the same order.  Each head followed by each tail it leaves
+    room for is then in descending order.  Splitting keeps the copying near
+    the output size: extending whole rows would copy each prefix once per
+    variable, most of a cell's time at N = 139.  A negative degree yields no
+    tuple; degree 0 yields the unit's.
     """
     if N < 1:
         raise ValueError("need at least two variables (N >= 1)")
     if e < 0:
-        return ()
-    return tuple(Monomial(v) for v in _compositions(e, N + 1))
-
-
-def enumerate_monomials_without(N: int, e: int, excluded: Collection[int]) -> tuple[Monomial, ...]:
-    """Degree-e monomials in X0..XN whose exponent vanishes at every excluded index.
-
-    Canonical order is preserved: the free coordinates run through descending
-    lex and the pinned zeros do not affect comparisons.
-    """
-    free = [i for i in range(N + 1) if i not in excluded]
-    if e < 0:
-        return ()
-    out = []
-    for comp in _compositions(e, len(free)):
-        exps = [0] * (N + 1)
-        for idx, val in zip(free, comp):
-            exps[idx] = val
-        out.append(Monomial(tuple(exps)))
-    return tuple(out)
+        return []
+    half = (N + 1) // 2
+    heads: list[tuple[int, ...]] = [()]
+    for _ in range(half):
+        heads = [(*h, v) for h in heads for v in range(e - sum(h), -1, -1)]
+    tails = [[(r,)] for r in range(e + 1)]
+    for _ in range(N - half):
+        tails = [[(v, *t) for v in range(r, -1, -1) for t in tails[r - v]] for r in range(e + 1)]
+    return [h + t for h in heads for t in tails[e - sum(h)]]
 
 
 @dataclass(frozen=True)
@@ -254,7 +208,7 @@ class MonomialFamily:
 
 def full_family(N: int, d: int) -> MonomialFamily:
     """Every monomial of degree d in X0..XN (the full hypertetrahedron)."""
-    return MonomialFamily(N, d, enumerate_monomials(N, d))
+    return MonomialFamily.from_exponents(enumerate_monomials(N, d))
 
 
 def faces_family(N: int, d: int) -> MonomialFamily:
@@ -263,5 +217,4 @@ def faces_family(N: int, d: int) -> MonomialFamily:
     Cardinality is C(d+N, N) - C(d-1, N); the subtracted term counts interior
     points and vanishes when d <= N.
     """
-    members = tuple(m for m in enumerate_monomials(N, d) if 0 in m.exponents)
-    return MonomialFamily(N, d, members)
+    return MonomialFamily.from_exponents(m for m in enumerate_monomials(N, d) if 0 in m)

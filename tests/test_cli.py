@@ -72,13 +72,18 @@ def test_generate_above_the_admission_ceiling_is_usage_error(capsys):
     assert "admission ceiling" in stderr
 
 
-@pytest.mark.parametrize("cell", [("2", "100", "4000"), ("2", "16", "102"), ("3", "16", "103")])
+@pytest.mark.parametrize(
+    "cell",
+    [("2", "100", "4000"), ("2", "16", "102"), ("3", "16", "103"), ("4", "15", "134"), ("3", "19", "857")],
+)
 def test_generate_above_the_plane_work_bound_is_usage_error(cell, capsys, monkeypatch):
-    # (3, 16, 103) is a face-vertex cell whose inner plane cell is refused
-    def search(d, n):
-        raise AssertionError("gen_n2_search called")
+    # (3, 16, 103) is a face-vertex cell whose inner plane cell is refused;
+    # (4, 15, 134) and (3, 19, 857) recurse into the refused (3, 15, 133)
+    def build(*args):
+        raise AssertionError("a generator ran")
 
-    monkeypatch.setattr("syzstab.constructions.gen_n2_search", search)
+    for name in ("gen_n2_search", "gen_face_vertex", "gen_brenner"):
+        monkeypatch.setattr(f"syzstab.constructions.{name}", build)
     N, d, n = cell
     code, _, stderr = run(["generate", "-N", N, "-d", d, "-n", n], capsys)
     assert code == EX_USAGE
@@ -272,6 +277,29 @@ def test_sweep_cell_budget_admits_the_wider_grid(capsys, monkeypatch):
     code, stdout, _ = run(["sweep", "--Nmax", "5", "--dmax", "8"], capsys)
     assert code == EX_OK
     assert stdout.startswith("sweep: 4865 cells, 4865 families certified")
+
+
+def test_sweep_lists_only_the_cells_generate_admits(capsys, monkeypatch):
+    # (3, 15, 133..137) recurse into plane cells above the work bound
+    listed = []
+
+    def stub(cell):
+        listed.append(cell)
+        N, d, n = cell
+        return {"N": N, "d": d, "n": n, "route": None, "verdict": "StableCertified",
+                "worst_margin": None, "wall_time": 0.0, "failure": None}
+
+    def search(d, n):
+        raise AssertionError("gen_n2_search called")
+
+    monkeypatch.setattr("syzstab.cli._sweep_cell", stub)
+    monkeypatch.setattr("syzstab.constructions.gen_n2_search", search)
+    code, stdout, _ = run(["sweep", "--Nmax", "3", "--dmax", "15"], capsys)
+    assert code == EX_OK
+    assert (3, 15, 132) in listed
+    assert not {(3, 15, n) for n in range(133, 138)} & set(listed)
+    assert f"sweep: {len(listed)} cells" in stdout
+    assert "left out 5 cells" in stdout
 
 
 def test_sweep_jobs_do_not_change_rows(tmp_path, capsys):

@@ -55,7 +55,7 @@ def x0_dominates(fam):
     for e in range(1, fam.d):
         x0_count = sum(1 for m in exps if m[0] >= e)
         for g in enumerate_monomials(fam.N, e):
-            count = sum(1 for m in exps if all(a <= b for a, b in zip(g.exponents, m)))
+            count = sum(1 for m in exps if all(a <= b for a, b in zip(g, m)))
             if count > x0_count:
                 return False
     return True
@@ -146,12 +146,19 @@ def test_plane_work_bound_refuses_without_searching(monkeypatch):
         with pytest.raises(RoutingError, match="plane search work bound"):
             dispatch(2, d, top + 1)
         if d <= 37:
-            # a face-vertex chain is refused by its inner plane cell
-            assert classify_route(3, d, top + 2) is Route.FACE_VERTEX
+            # a face-vertex cell is refused with its inner plane cell
+            assert classify_route(3, d, top + 1) is Route.FACE_VERTEX
             with pytest.raises(Searched):
                 dispatch(3, d, top + 1)
-            with pytest.raises(RoutingError, match="plane search work bound"):
-                dispatch(3, d, top + 2)
+            for refuse in (classify_route, dispatch):
+                with pytest.raises(RoutingError, match="plane search work bound"):
+                    refuse(3, d, top + 2)
+    # a refused face-vertex cell refuses every cell that recurses into it:
+    # (4, 15, 134) -> (3, 15, 133) and (3, 19, 857) -> (3, 15, 133)
+    for cell, route in [((4, 15, 133), Route.FACE_VERTEX), ((3, 19, 856), Route.BRENNER_RECURSION)]:
+        assert classify_route(*cell) is route
+        with pytest.raises(RoutingError, match="plane search work bound"):
+            classify_route(cell[0], cell[1], cell[2] + 1)
 
 
 def test_deepest_admitted_face_vertex_chain_fits_the_stack():
@@ -225,9 +232,8 @@ def reference_greedy(d: int, n: int) -> MonomialFamily:
     Every step rescans the witnesses of each candidate extension of the
     chosen family and keeps the first candidate with the largest profile.
     """
-    pool = list(enumerate_monomials(2, d))
-    pures = [Monomial.variable_power(3, i, d) for i in range(3)]
-    chosen = list(pures)
+    pool = [Monomial(c) for c in enumerate_monomials(2, d)]
+    chosen = [m for m in pool if d in m.exponents]
     chosen_set = set(chosen)
     while len(chosen) < n:
         best: Monomial | None = None
@@ -351,7 +357,7 @@ class TestBrennerRecursion:
         assert len(fam) == 105
         assert set(faces.members) <= set(fam.members)
         assert len(interior) == 5
-        assert all(m.degree() == 7 for m in interior)
+        assert all(sum(m.exponents) == 7 for m in interior)
 
     def test_top_of_range_equals_full_set(self):
         for N, d in [(3, 6), (3, 7), (3, 8), (4, 7)]:
