@@ -68,7 +68,9 @@ def _span(text: str) -> range:
 
 
 def _oracle_limit() -> int:
-    # the oracle walks all 2^n subsets, so the override has a ceiling on time
+    # the override keeps its documented 2..20 range; the oracle's work follows
+    # the number of distinct subset gcds, not the 2^n subsets, so the cap is
+    # a documented limit rather than a bound on time
     raw = os.environ.get("SYZ_ORACLE_MAX")
     if raw is None:
         return DEFAULT_ORACLE_LIMIT
@@ -83,6 +85,12 @@ def _oracle_limit() -> int:
         )
         return DEFAULT_ORACLE_LIMIT
     return limit
+
+
+def _oracle_summary(cert) -> str:
+    w = cert.worst
+    worst = None if w is None else f"gcd {w.gcd} k {w.multiple_count} margin {w.margin}"
+    return f"{cert.verdict.value}, {cert.witness_count} witnesses, worst {worst}"
 
 
 def _print_certificate(cert, as_json: bool, route: str | None = None) -> None:
@@ -182,18 +190,13 @@ def cmd_check(args) -> int:
         except OracleSizeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EX_FAIL
-        same_verdict = oracle.verdict is cert.verdict
-        a, b = cert.worst, oracle.worst
-        same_worst = (a is None and b is None) or (
-            a is not None and b is not None and a.margin == b.margin
-        )
-        if same_verdict and same_worst:
+        # the verdict, the witness count and the whole worst witness
+        if oracle == cert:
             print("oracle agrees")
         else:
             print(
                 "oracle disagrees: "
-                f"scan {cert.verdict.value} worst {None if a is None else a.margin}, "
-                f"oracle {oracle.verdict.value} worst {None if b is None else b.margin}",
+                f"scan {_oracle_summary(cert)}, oracle {_oracle_summary(oracle)}",
                 file=sys.stderr,
             )
             status = EX_FAIL

@@ -46,6 +46,20 @@ class RoutingError(ValueError):
     """The requested (N, d, n) is outside the generator's admissible range."""
 
 
+class InnerCellRefused(RoutingError):
+    """A recursive cell is refused because a cell it recurses into is refused.
+
+    chain runs from the requested cell down to the refused one, and reason is
+    that cell's own RoutingError message.
+    """
+
+    def __init__(self, chain: tuple[tuple[int, int, int], ...], reason: str):
+        self.chain = chain
+        self.reason = reason
+        path = " -> ".join(map(str, chain))
+        super().__init__(f"(N, d, n) = {chain[0]} is refused: it recurses along {path}, and {reason}")
+
+
 class InternalConsistencyError(RuntimeError):
     """A constructed family failed its own certification; indicates a bug."""
 
@@ -369,8 +383,9 @@ def classify_route(N: int, d: int, n: int) -> Route:
     The full-set test precedes the bracket routes because for d <= N the top
     cell n = C(d+N, N) lies inside the face-layer range but is generated
     directly.  The remaining ranges are disjoint and cover everything.  A
-    recursive route is refused, with its inner cell's RoutingError, when
-    that inner cell is refused; nothing is built to find out.
+    recursive route is refused with InnerCellRefused, naming the chain of
+    cells down to the refused one, when its inner cell is refused; nothing
+    is built to find out.
     """
     lo, hi = admissible_bounds(N, d)
     if not lo <= n <= hi:
@@ -386,15 +401,24 @@ def classify_route(N: int, d: int, n: int) -> Route:
     if n == total and d <= N + 1:
         return Route.FULL_SET
     if n <= binomial(d + N - 1, N - 1) + 1:
-        classify_route(N - 1, d, n - 1)
+        _check_inner_cell((N, d, n), (N - 1, d, n - 1))
         return Route.FACE_VERTEX
     faces = total - binomial(d - 1, N)
     if n <= faces:
         return Route.PROP_FACES
     if n <= faces + N + 1:
         return Route.FACES_AND_DOTS
-    classify_route(N, d - N - 1, n - faces)
+    _check_inner_cell((N, d, n), (N, d - N - 1, n - faces))
     return Route.BRENNER_RECURSION
+
+
+def _check_inner_cell(cell: tuple[int, int, int], inner: tuple[int, int, int]) -> None:
+    try:
+        classify_route(*inner)
+    except InnerCellRefused as exc:
+        raise InnerCellRefused((cell, *exc.chain), exc.reason) from None
+    except RoutingError as exc:
+        raise InnerCellRefused((cell, inner), str(exc)) from None
 
 
 def expected_verdict(N: int, d: int, n: int) -> Verdict:

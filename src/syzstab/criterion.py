@@ -232,19 +232,30 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
 def brute_force_check(
     fam: MonomialFamily, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> StabilityCertificate:
-    """Independent oracle: enumerate every subset J with |J| >= 2 directly.
+    """Independent oracle: apply the margin inequality to every subset J with |J| >= 2.
 
-    Walks all 2^n - n - 1 subsets depth-first over index sets, carrying the
-    running gcd and member count down one path at a time, so memory stays
-    O(n) plus one entry per distinct gcd.  Applies the margin inequality to
-    each subset and derives the verdict from the raw quantifiers: any
+    The margin of J depends only on the pair (gcd(J), |J|), so the oracle
+    collects those pairs for all 2^n - 1 non-empty subsets without visiting
+    each subset.  It takes the members one at a time and keeps, for each gcd
+    of a subset of the members taken so far, the sizes of the subsets that
+    have it, as an int with bit k set for size k.  Taking member x keeps
+    every entry (the subsets without x), adds (min(g, x), sizes << 1) for
+    each entry g (the same subsets with x), and adds x at size 1.  Every
+    non-empty subset is x alone, a subset without x, or one with x added, so
+    the table ends holding exactly the (gcd(J), |J|) pairs.  That costs at
+    most n times G componentwise minima, G the number of distinct gcds.  The
+    oracle counts no divisibility and calls nothing of the scan.
+
+    The verdict comes from the raw quantifiers over those pairs: any
     negative margin (any subset) refutes the certificate, a zero margin on a
     proper subset caps it at semistable.  The reported worst witness is a
     minimal-margin proper subset with nontrivial gcd, the same quantity
     check_family minimizes; trivial-gcd subsets are provably slack and the
-    full family sits at margin zero.  witness_count is the number of distinct
-    nontrivial gcds of proper subsets: each such g = gcd(J) is also the gcd of
-    all multiples of g, so these are exactly the witnesses check_family
+    full family sits at margin zero.  Ties go to the lower gcd degree and
+    then the larger exponent tuple, the scan's order, so both checkers
+    report the same witness.  witness_count is the number of distinct
+    nontrivial gcds of proper subsets: each such g = gcd(J) is also the gcd
+    of all multiples of g, so these are exactly the witnesses check_family
     counts.
     """
     n = len(fam)
@@ -258,19 +269,22 @@ def brute_force_check(
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     d = fam.d
-    exps = [m.exponents for m in fam.members]
-    worst: tuple | None = None  # (g, e, k, margin), as scan_witnesses yields
-    gcds: set[tuple[int, ...]] = set()
+    sizes_by_gcd: dict[tuple[int, ...], int] = {}
+    for m in fam.members:
+        x = m.exponents
+        for g, sizes in list(sizes_by_gcd.items()):
+            h = tuple(map(min, g, x))
+            sizes_by_gcd[h] = sizes_by_gcd.get(h, 0) | sizes << 1
+        sizes_by_gcd[x] = sizes_by_gcd.get(x, 0) | 0b10
+    witnesses = []  # (g, e, k, margin), as scan_witnesses yields
     negative = False
     zero_proper = False
-
-    def extend(start: int, g: tuple[int, ...], k: int) -> None:
-        # every extension of the current path (gcd g, k members) by indices >= start
-        nonlocal worst, negative, zero_proper
-        k += 1
-        for j in range(start, n):
-            h = tuple(map(min, g, exps[j]))
-            e = sum(h)
+    for g, sizes in sizes_by_gcd.items():
+        e = sum(g)
+        witness = None
+        for k in range(2, n + 1):
+            if not sizes >> k & 1:
+                continue
             margin = (d - e) * n + e - d * k
             if margin < 0:
                 negative = True
@@ -278,21 +292,19 @@ def brute_force_check(
                 if margin == 0:
                     zero_proper = True
                 if e >= 1:
-                    gcds.add(h)
-                    if worst is None or margin < worst[3]:
-                        worst = h, e, k, margin
-            if j + 1 < n:
-                extend(j + 1, h, k)
-
-    for i in range(n - 1):
-        extend(i + 1, exps[i], 1)
+                    # the margin falls as k grows: the largest k is g's witness
+                    witness = g, e, k, margin
+        if witness is not None:
+            witnesses.append(witness)
+    # the scan's order: degree ascending, then descending exponent tuples
+    worst = min(witnesses, key=lambda w: (w[3], w[1], [-v for v in w[0]]), default=None)
     if negative:
         verdict = Verdict.CRITERION_VIOLATED
     elif zero_proper:
         verdict = Verdict.SEMISTABLE
     else:
         verdict = Verdict.STABLE
-    return StabilityCertificate(verdict, fam.N, fam.d, n, len(gcds), _gcd_witness(worst))
+    return StabilityCertificate(verdict, fam.N, fam.d, n, len(witnesses), _gcd_witness(worst))
 
 
 def splitting_type_p1(fam: MonomialFamily) -> tuple[int, ...]:

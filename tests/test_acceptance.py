@@ -132,12 +132,8 @@ def test_criterion_4_no_balanced_family_when_step_does_not_divide():
 
 def test_criterion_5_oracle_equivalence():
     def agrees(fam):
-        cert = check_family(fam)
-        oracle = brute_force_check(fam)
-        a = None if cert.worst is None else cert.worst.margin
-        b = None if oracle.worst is None else oracle.worst.margin
-        same_count = cert.witness_count == oracle.witness_count
-        return cert.verdict is oracle.verdict and a == b and same_count
+        # verdict, witness_count and the whole worst witness
+        return check_family(fam) == brute_force_check(fam)
 
     disagreements = generated = 0
     for N in (1, 2, 3, 4):

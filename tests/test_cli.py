@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, main
+from syzstab.criterion import GcdWitness, brute_force_check
+from syzstab.monomials import Monomial
 
 
 def run(argv, capsys):
@@ -88,6 +91,14 @@ def test_generate_above_the_plane_work_bound_is_usage_error(cell, capsys, monkey
     code, _, stderr = run(["generate", "-N", N, "-d", d, "-n", n], capsys)
     assert code == EX_USAGE
     assert "plane search work bound" in stderr
+
+
+def test_generate_names_the_chain_to_a_refused_inner_cell(capsys):
+    code, _, stderr = run(["generate", "-N", "3", "-d", "19", "-n", "857"], capsys)
+    assert code == EX_USAGE
+    assert "(N, d, n) = (3, 19, 857) is refused" in stderr
+    assert "(3, 19, 857) -> (3, 15, 133) -> (2, 15, 132)" in stderr
+    assert "n=132 outside [3, 131] for (N, d) = (2, 15) (the plane search work bound)" in stderr
 
 
 def test_generate_unwritable_output_is_runtime_error(tmp_path, capsys):
@@ -187,6 +198,26 @@ def test_check_oracle_respects_env_limit(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(["check", str(out), "--oracle"], capsys)
     assert code == EX_OK
     assert "oracle agrees" in stdout
+
+
+def test_check_oracle_requires_the_same_worst_witness(tmp_path, capsys, monkeypatch):
+    # an oracle with the scan's verdict, count and worst margin but another
+    # gcd does not agree
+    out = tmp_path / "fam.txt"
+    run(["generate", "-N", "2", "-d", "3", "-n", "8", "-o", str(out)], capsys)
+
+    def other_gcd(fam, limit):
+        cert = brute_force_check(fam, limit)
+        w = cert.worst
+        moved = GcdWitness(Monomial(w.gcd.exponents[::-1]), w.gcd_degree, w.multiple_count, w.margin)
+        assert moved != w
+        return dataclasses.replace(cert, worst=moved)
+
+    monkeypatch.setattr("syzstab.cli.brute_force_check", other_gcd)
+    code, stdout, stderr = run(["check", str(out), "--oracle"], capsys)
+    assert code == EX_FAIL
+    assert "oracle agrees" not in stdout
+    assert "oracle disagrees" in stderr
 
 
 @pytest.mark.parametrize("limit", ["1", "21", "1000"])

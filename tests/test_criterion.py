@@ -14,6 +14,7 @@ from syzstab.criterion import (
     PreconditionError,
     StabilityCertificate,
     Verdict,
+    _gcd_witness,
     brute_force_check,
     check_family,
     is_m_primary,
@@ -169,6 +170,76 @@ def test_check_family_is_memoized():
     assert check_family(f) is check_family(full_family(2, 3))
 
 
+def reference_oracle(
+    fam: MonomialFamily, limit: int = DEFAULT_ORACLE_LIMIT
+) -> StabilityCertificate:
+    """The depth-first walk over all 2^n - n - 1 subsets the dynamic program replaced.
+
+    Kept as it was apart from its name and these first lines.  It breaks
+    ties in the worst witness by walk order, so only the worst margin is
+    compared with it.
+
+    Walks all 2^n - n - 1 subsets depth-first over index sets, carrying the
+    running gcd and member count down one path at a time, so memory stays
+    O(n) plus one entry per distinct gcd.  Applies the margin inequality to
+    each subset and derives the verdict from the raw quantifiers: any
+    negative margin (any subset) refutes the certificate, a zero margin on a
+    proper subset caps it at semistable.  The reported worst witness is a
+    minimal-margin proper subset with nontrivial gcd, the same quantity
+    check_family minimizes; trivial-gcd subsets are provably slack and the
+    full family sits at margin zero.  witness_count is the number of distinct
+    nontrivial gcds of proper subsets: each such g = gcd(J) is also the gcd of
+    all multiples of g, so these are exactly the witnesses check_family
+    counts.
+    """
+    n = len(fam)
+    if n > limit:
+        raise OracleSizeError(
+            f"family has {n} members, oracle limit is {limit}; "
+            "raise the limit explicitly to force enumeration"
+        )
+    if n < 2:
+        raise PreconditionError(f"need at least two generators, got {n}")
+    if not is_m_primary(fam):
+        raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
+    d = fam.d
+    exps = [m.exponents for m in fam.members]
+    worst: tuple | None = None  # (g, e, k, margin), as scan_witnesses yields
+    gcds: set[tuple[int, ...]] = set()
+    negative = False
+    zero_proper = False
+
+    def extend(start: int, g: tuple[int, ...], k: int) -> None:
+        # every extension of the current path (gcd g, k members) by indices >= start
+        nonlocal worst, negative, zero_proper
+        k += 1
+        for j in range(start, n):
+            h = tuple(map(min, g, exps[j]))
+            e = sum(h)
+            margin = (d - e) * n + e - d * k
+            if margin < 0:
+                negative = True
+            if k < n:
+                if margin == 0:
+                    zero_proper = True
+                if e >= 1:
+                    gcds.add(h)
+                    if worst is None or margin < worst[3]:
+                        worst = h, e, k, margin
+            if j + 1 < n:
+                extend(j + 1, h, k)
+
+    for i in range(n - 1):
+        extend(i + 1, exps[i], 1)
+    if negative:
+        verdict = Verdict.CRITERION_VIOLATED
+    elif zero_proper:
+        verdict = Verdict.SEMISTABLE
+    else:
+        verdict = Verdict.STABLE
+    return StabilityCertificate(verdict, fam.N, fam.d, n, len(gcds), _gcd_witness(worst))
+
+
 class TestBruteForce:
     def test_limit_enforced(self):
         f = full_family(2, 3)  # ten members
@@ -183,8 +254,19 @@ class TestBruteForce:
         # the scanning checker
         f, o = full_family(2, 2), brute_force_check(full_family(2, 2))
         cert = check_family(f)
-        assert o.worst.margin == cert.worst.margin
+        assert o.worst == cert.worst
         assert o.worst.gcd_degree >= 1
+
+    def test_ties_break_in_scan_order(self):
+        # X0^2 (k 3) and X0^3 (k 2) both sit at margin 0; the scan meets the
+        # lower degree first, and the depth-first walk met X0^3 first
+        f = fam((4, 0, 0), (3, 0, 1), (2, 1, 1), (0, 4, 0), (0, 0, 4))
+        o = brute_force_check(f)
+        assert o.worst == check_family(f).worst
+        assert o.worst.gcd == Monomial((2, 0, 0)) and o.worst.margin == 0
+        assert reference_oracle(f).worst.gcd == Monomial((3, 0, 0))
+        # X0, X1 and X2 tie at degree 1: the larger exponent tuple comes first
+        assert brute_force_check(full_family(2, 2)).worst.gcd == Monomial((1, 0, 0))
 
     def test_memory_stays_linear(self):
         # a 2^n gcd table would take megabytes at n = 16
@@ -209,7 +291,28 @@ class TestBruteForce:
         o = brute_force_check(f)
         assert o.verdict is Verdict.SEMISTABLE
         assert o.worst.margin == 0
-        assert o.witness_count == check_family(f).witness_count
+        assert o == check_family(f)
+
+    def test_agrees_on_violated(self):
+        f = fam((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (1, 1, 1),
+                (0, 3, 0), (0, 0, 3))
+        o = brute_force_check(f)
+        assert o.verdict is Verdict.CRITERION_VIOLATED
+        assert o == check_family(f)
+
+    def test_answers_without_the_scan(self, monkeypatch):
+        # the oracle is an independent check only while it shares no code
+        # with the scan
+        def scan(*args):
+            raise AssertionError("the oracle called the scan")
+
+        f = full_family(2, 3)
+        cert = check_family(f)
+        check_family.cache_clear()
+        monkeypatch.setattr("syzstab.criterion.scan_witnesses", scan)
+        assert brute_force_check(f) == cert
+        with pytest.raises(AssertionError, match="called the scan"):
+            check_family(f)
 
 
 @st.composite
@@ -219,6 +322,9 @@ def primary_families(draw):
     pool = enumerate_monomials(N, d)
     pures = [m for m in pool if d in m]
     others = [m for m in pool if d not in m]
+    if draw(st.booleans()):
+        # members heavy on X0 crowd its multiples: many CriterionViolated
+        others = [m for m in others if m[0] >= 1]
     extra = draw(st.integers(min_value=0, max_value=min(len(others), 14 - len(pures))))
     chosen = draw(st.permutations(others))[:extra]
     return MonomialFamily.from_exponents(pures + list(chosen))
@@ -227,13 +333,19 @@ def primary_families(draw):
 @settings(max_examples=80, deadline=None)
 @given(primary_families())
 def test_oracle_agrees_with_scan(f):
-    cert = check_family(f)
-    oracle = brute_force_check(f)
-    assert cert.verdict is oracle.verdict
-    a = None if cert.worst is None else cert.worst.margin
-    b = None if oracle.worst is None else oracle.worst.margin
+    # the certificates are equal field by field, the worst witness included
+    assert brute_force_check(f) == check_family(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(primary_families())
+def test_oracle_agrees_with_reference_walk(f):
+    oracle, walk = brute_force_check(f), reference_oracle(f)
+    assert oracle.verdict is walk.verdict
+    assert oracle.witness_count == walk.witness_count
+    a = None if oracle.worst is None else oracle.worst.margin
+    b = None if walk.worst is None else walk.worst.margin
     assert a == b
-    assert cert.witness_count == oracle.witness_count
 
 
 class TestSplittingType:
