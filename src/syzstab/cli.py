@@ -25,7 +25,6 @@ from .constructions import (
     dispatch,
 )
 from .criterion import (
-    DEFAULT_ORACLE_LIMIT,
     OracleSizeError,
     PreconditionError,
     Verdict,
@@ -43,7 +42,6 @@ EX_NOFAMILY = 2
 EX_USAGE = 64
 EX_DATA = 65
 
-ORACLE_LIMIT_MAX = 20
 # cells one sweep may run; the default grid has 716 and N <= 5, d <= 8 has 4865
 SWEEP_CELL_LIMIT = 100_000
 
@@ -65,26 +63,6 @@ def _span(text: str) -> range:
         return range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}") from exc
-
-
-def _oracle_limit() -> int:
-    # the override keeps its documented 2..20 range; the oracle's work follows
-    # the number of distinct subset gcds, not the 2^n subsets, so the cap is
-    # a documented limit rather than a bound on time
-    raw = os.environ.get("SYZ_ORACLE_MAX")
-    if raw is None:
-        return DEFAULT_ORACLE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if not 2 <= limit <= ORACLE_LIMIT_MAX:
-        print(
-            f"warning: ignoring SYZ_ORACLE_MAX={raw!r}, not an integer in 2..{ORACLE_LIMIT_MAX}",
-            file=sys.stderr,
-        )
-        return DEFAULT_ORACLE_LIMIT
-    return limit
 
 
 def _oracle_summary(cert) -> str:
@@ -186,7 +164,7 @@ def cmd_check(args) -> int:
     status = EX_OK
     if args.oracle:
         try:
-            oracle = brute_force_check(fam, _oracle_limit())
+            oracle = brute_force_check(fam)
         except OracleSizeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EX_FAIL
@@ -239,6 +217,9 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict:
 def cmd_sweep(args) -> int:
     if args.Nmax < 1 or args.dmax < 2:
         print("error: need Nmax >= 1 and dmax >= 2", file=sys.stderr)
+        return EX_USAGE
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EX_USAGE
     try:
         # C(d+N, N) grows in N and d, so the corner is the grid's largest cell
@@ -364,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument("--strict", action="store_true", help="require stability")
     level.add_argument("--semi", action="store_true", help="require semistability (default)")
     chk.add_argument("--oracle", action="store_true",
-                     help="cross-check against subset enumeration (size-capped)")
+                     help="cross-check against every subset (work-bounded)")
     chk.add_argument("--json", action="store_true", help="certificate as JSON")
     chk.set_defaults(func=cmd_check)
 
@@ -372,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--Nmax", type=int, default=4)
     swp.add_argument("--dmax", type=int, default=6)
     swp.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, at most the CPU count")
+                     help="worker processes, from 1 to the CPU count")
     swp.add_argument("--report", help="write the JSON report here")
     swp.set_defaults(func=cmd_sweep)
 

@@ -32,7 +32,8 @@ from .monomials import (
     MonomialFamily,
 )
 
-DEFAULT_ORACLE_LIMIT = 16
+# n * 2^n at n = 20: the most componentwise minima the oracle may take
+MAX_ORACLE_WORK = 20 * 2**20
 
 
 class PreconditionError(ValueError):
@@ -40,7 +41,7 @@ class PreconditionError(ValueError):
 
 
 class OracleSizeError(ValueError):
-    """The brute-force oracle was asked to enumerate subsets of too large a family."""
+    """The brute-force oracle's work bound for the family exceeds MAX_ORACLE_WORK."""
 
 
 class Verdict(enum.Enum):
@@ -126,6 +127,15 @@ def is_m_primary(fam: MonomialFamily) -> bool:
     )
 
 
+def _require_checkable(fam: MonomialFamily) -> None:
+    # the preconditions both checkers share
+    n = len(fam)
+    if n < 2:
+        raise PreconditionError(f"need at least two generators, got {n}")
+    if not is_m_primary(fam):
+        raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
+
+
 def scan_witnesses(
     members: Sequence[Monomial], d: int, family_size: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
@@ -207,11 +217,8 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     family always has margin exactly 0 via its trivial gcd and is excluded
     from the strictness requirement.
     """
+    _require_checkable(fam)
     n = len(fam)
-    if n < 2:
-        raise PreconditionError(f"need at least two generators, got {n}")
-    if not is_m_primary(fam):
-        raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     if n == 2:
         return StabilityCertificate(Verdict.STABLE, fam.N, fam.d, n, 0, None)
     count = 0
@@ -229,9 +236,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     return StabilityCertificate(verdict, fam.N, fam.d, n, count, _gcd_witness(worst))
 
 
-def brute_force_check(
-    fam: MonomialFamily, limit: int = DEFAULT_ORACLE_LIMIT
-) -> StabilityCertificate:
+def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     """Independent oracle: apply the margin inequality to every subset J with |J| >= 2.
 
     The margin of J depends only on the pair (gcd(J), |J|), so the oracle
@@ -246,6 +251,12 @@ def brute_force_check(
     most n times G componentwise minima, G the number of distinct gcds.  The
     oracle counts no divisibility and calls nothing of the scan.
 
+    Raises PreconditionError as check_family does, and OracleSizeError when
+    the work bound n * min(2^n, C(d+N+1, N+1)) exceeds MAX_ORACLE_WORK: each
+    gcd is a non-empty subset's and a monomial of degree <= d in N+1
+    variables, so G is at most both.  Every family of up to 20 members is
+    admitted.
+
     The verdict comes from the raw quantifiers over those pairs: any
     negative margin (any subset) refutes the certificate, a zero margin on a
     proper subset caps it at semistable.  The reported worst witness is a
@@ -258,17 +269,21 @@ def brute_force_check(
     of all multiples of g, so these are exactly the witnesses check_family
     counts.
     """
-    n = len(fam)
-    if n > limit:
-        raise OracleSizeError(
-            f"family has {n} members, oracle limit is {limit}; "
-            "raise the limit explicitly to force enumeration"
-        )
-    if n < 2:
-        raise PreconditionError(f"need at least two generators, got {n}")
-    if not is_m_primary(fam):
-        raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
-    d = fam.d
+    _require_checkable(fam)
+    n, d = len(fam), fam.d
+    cap = MAX_ORACLE_WORK // n
+    if n >= cap.bit_length():  # 2^n > cap, so C(d+N+1, N+1) must fit
+        gcds = 1
+        for i in range(1, fam.N + 2):
+            # C(d+i, i) grows with i: stop once it passes the cap, before a
+            # huge d from the file header makes the product large
+            gcds = gcds * (d + i) // i
+            if gcds > cap:
+                raise OracleSizeError(
+                    f"family has {n} members: the oracle's work bound "
+                    f"n * min(2^n, C(d+N+1, N+1)) at N = {fam.N}, d = {d} "
+                    f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}"
+                )
     sizes_by_gcd: dict[tuple[int, ...], int] = {}
     for m in fam.members:
         x = m.exponents

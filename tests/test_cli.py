@@ -1,13 +1,14 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
 
 from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, main
-from syzstab.criterion import GcdWitness, brute_force_check
-from syzstab.monomials import Monomial
+from syzstab.criterion import MAX_ORACLE_WORK, GcdWitness, brute_force_check
+from syzstab.monomials import Monomial, MonomialFamily
 
 
 def run(argv, capsys):
@@ -187,17 +188,29 @@ def test_check_oracle_agreement(tmp_path, capsys):
     assert "oracle agrees" in stdout
 
 
-def test_check_oracle_respects_env_limit(tmp_path, capsys, monkeypatch):
+def test_check_oracle_admits_210_members(tmp_path, capsys):
+    # 210 * C(11, 5) = 97,020 componentwise minima at most
     out = tmp_path / "fam.txt"
-    run(["generate", "-N", "2", "-d", "3", "-n", "8", "-o", str(out)], capsys)
-    monkeypatch.setenv("SYZ_ORACLE_MAX", "5")
-    code, _, stderr = run(["check", str(out), "--oracle"], capsys)
-    assert code == EX_FAIL
-    assert "limit" in stderr
-    monkeypatch.setenv("SYZ_ORACLE_MAX", "20")
-    code, stdout, _ = run(["check", str(out), "--oracle"], capsys)
+    assert run(["generate", "-N", "4", "-d", "6", "-n", "210", "-o", str(out)], capsys)[0] == EX_OK
+    code, stdout, stderr = run(["check", str(out), "--oracle"], capsys)
     assert code == EX_OK
-    assert "oracle agrees" in stdout
+    assert stdout.splitlines()[-1] == "oracle agrees"
+    assert stderr == ""
+
+
+def test_check_oracle_above_the_work_bound_fails(tmp_path, capsys):
+    # 21 members of degree 30 in six variables: 21 * C(36, 6) > MAX_ORACLE_WORK
+    pures = [tuple(30 * (k == i) for k in range(6)) for i in range(6)]
+    pairs = list(itertools.permutations(range(6), 2))[:15]
+    f = MonomialFamily.from_exponents(
+        pures + [tuple(29 * (k == i) + (k == j) for k in range(6)) for i, j in pairs]
+    )
+    out = tmp_path / "fam.txt"
+    out.write_text(f.to_text())
+    code, stdout, stderr = run(["check", str(out), "--oracle"], capsys)
+    assert code == EX_FAIL
+    assert "verdict:" in stdout and "oracle agrees" not in stdout
+    assert f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}" in stderr
 
 
 def test_check_oracle_requires_the_same_worst_witness(tmp_path, capsys, monkeypatch):
@@ -206,8 +219,8 @@ def test_check_oracle_requires_the_same_worst_witness(tmp_path, capsys, monkeypa
     out = tmp_path / "fam.txt"
     run(["generate", "-N", "2", "-d", "3", "-n", "8", "-o", str(out)], capsys)
 
-    def other_gcd(fam, limit):
-        cert = brute_force_check(fam, limit)
+    def other_gcd(fam):
+        cert = brute_force_check(fam)
         w = cert.worst
         moved = GcdWitness(Monomial(w.gcd.exponents[::-1]), w.gcd_degree, w.multiple_count, w.margin)
         assert moved != w
@@ -218,18 +231,6 @@ def test_check_oracle_requires_the_same_worst_witness(tmp_path, capsys, monkeypa
     assert code == EX_FAIL
     assert "oracle agrees" not in stdout
     assert "oracle disagrees" in stderr
-
-
-@pytest.mark.parametrize("limit", ["1", "21", "1000"])
-def test_check_oracle_env_limit_outside_2_to_20_is_ignored(limit, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "fam.txt"
-    run(["generate", "-N", "2", "-d", "5", "-n", "17", "-o", str(out)], capsys)
-    monkeypatch.setenv("SYZ_ORACLE_MAX", limit)
-    code, _, stderr = run(["check", str(out), "--oracle"], capsys)
-    # the override is ignored, and the default limit of 16 refuses 17 members
-    assert code == EX_FAIL
-    assert f"ignoring SYZ_ORACLE_MAX='{limit}'" in stderr
-    assert "limit is 16" in stderr
 
 
 def test_sweep_row_count_and_report(tmp_path, capsys):
@@ -372,6 +373,18 @@ def test_sweep_caps_jobs_at_cpu_count(cpus, workers, capsys, monkeypatch):
 def test_sweep_rejects_degenerate_grid(capsys):
     code, _, _ = run(["sweep", "--Nmax", "0"], capsys)
     assert code == EX_USAGE
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_jobs_below_one_is_usage_error(jobs, capsys, monkeypatch):
+    def no_cell(cell):
+        raise AssertionError(f"cell {cell} ran")
+
+    monkeypatch.setattr("syzstab.cli._sweep_cell", no_cell)
+    code, stdout, stderr = run(["sweep", "--Nmax", "1", "--dmax", "3", "--jobs", jobs], capsys)
+    assert code == EX_USAGE
+    assert stdout == ""
+    assert stderr == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_audit_passes_and_reports_json(capsys):

@@ -2,6 +2,7 @@
 splitting-type checker on the projective line."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzstab.criterion import (
-    DEFAULT_ORACLE_LIMIT,
+    MAX_ORACLE_WORK,
     OracleSizeError,
     PreconditionError,
     StabilityCertificate,
@@ -26,6 +27,7 @@ from syzstab.monomials import (
     DimensionMismatch,
     Monomial,
     MonomialFamily,
+    binomial,
     enumerate_monomials,
     full_family,
 )
@@ -171,9 +173,7 @@ def test_check_family_is_memoized():
     assert check_family(f) is check_family(full_family(2, 3))
 
 
-def reference_oracle(
-    fam: MonomialFamily, limit: int = DEFAULT_ORACLE_LIMIT
-) -> StabilityCertificate:
+def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertificate:
     """The depth-first walk over all 2^n - n - 1 subsets the dynamic program replaced.
 
     Kept as it was apart from its name and these first lines.  It breaks
@@ -242,12 +242,23 @@ def reference_oracle(
 
 
 class TestBruteForce:
-    def test_limit_enforced(self):
-        f = full_family(2, 3)  # ten members
-        with pytest.raises(OracleSizeError):
-            brute_force_check(f, limit=9)
-        assert brute_force_check(f, limit=10).verdict is Verdict.STABLE
-        assert DEFAULT_ORACLE_LIMIT == 16
+    def test_admits_families_beyond_twenty_members(self):
+        # 35 members, but at most C(8, 4) = 70 distinct subset gcds
+        f = full_family(3, 4)
+        assert len(f) == 35
+        assert brute_force_check(f) == check_family(f)
+
+    def test_work_bound_refuses_21_members_of_degree_30(self):
+        # 21 * C(36, 6) = 40,903,632 componentwise minima at most
+        pures = [tuple(30 * (k == i) for k in range(6)) for i in range(6)]
+        pairs = list(itertools.permutations(range(6), 2))[:15]
+        f = MonomialFamily.from_exponents(
+            pures + [tuple(29 * (k == i) + (k == j) for k in range(6)) for i, j in pairs]
+        )
+        assert len(f) == 21 and is_m_primary(f)
+        assert 21 * binomial(36, 6) > MAX_ORACLE_WORK
+        with pytest.raises(OracleSizeError, match=r"21 members.*C\(d\+N\+1, N\+1\).*N = 5, d = 30.*20971520"):
+            brute_force_check(f)
 
     def test_worst_margin_restricted_to_nontrivial_gcds(self):
         # proper subsets with trivial gcd can have smaller margins than any
