@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -260,7 +259,10 @@ def cmd_sweep(args) -> int:
         # every worker is forked up front, so never ask for more than the CPUs
         jobs = min(args.jobs, os.cpu_count() or 1)
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # imported here: the pool pulls in multiprocessing, which only this path needs
+            import concurrent.futures
+
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_sweep_cell, cells, chunksize=8))
         else:
             rows = [_sweep_cell(cell) for cell in cells]

@@ -22,11 +22,11 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .criterion import (
     StabilityCertificate,
     Verdict,
+    _exponent_masks,
     check_family,
     is_m_primary,
     is_semistable_p1,
@@ -98,12 +98,12 @@ class CaseDecomposition:
 # (C = 54,615), while N = 139 (C = 9,870) fits even under a call tracer.
 MAX_DEGREE_MONOMIALS = 10_000
 
-# Work bound on a plane cell (2, d, n): the greedy takes n - 3 steps, and each
-# step visits every divisor of every degree-d monomial in three variables,
-# C(d+5, 5) (divisor, monomial) pairs.  Its time follows this count, at 0.6 to
-# 1.3 microseconds per pair from d = 10 to d = 25 on a 2-core host, so the
-# bound admits every plane cell with d <= 14 (at most 1,360,476, at
-# (2, 14, 120)) and the slowest admitted cells take about 3 s.
+# Admission rule for a plane cell (2, d, n): (n - 3) * C(d+5, 5) may be at
+# most this, n - 3 greedy steps times the (divisor, monomial) pairs in three
+# variables.  It admits every plane cell with d <= 14 (at most 1,360,476, at
+# (2, 14, 120)) and shrinks the range above that.  The search no longer walks
+# those pairs, and the slowest admitted cell, (2, 15, 131), dispatches in
+# about 0.2 s on a 2-core host.
 MAX_PLANE_SEARCH_WORK = 2_000_000
 
 
@@ -199,20 +199,40 @@ def gen_225_semistable() -> MonomialFamily:
     raise InternalConsistencyError("no semistable 5-subset found at (2, 2, 5)")
 
 
-def _delta_rank(delta: dict[int, int]) -> list[tuple[int, ...]]:
-    """Sort key on which the best plane-search candidate is the smallest.
+def _least_net_change(live: int, gains: dict[int, list[int]], losses: dict[int, list[int]]) -> int:
+    """The plane search's pick among the candidates in live, as a single bit.
 
-    A margin profile (a family's sorted witness margins, then +inf) is larger
-    when, at the smallest margin where two profiles' counts differ, it has
-    fewer entries.  Candidates extend the same chosen members, so only their
-    deltas matter (margin -> net change in its count): walking the nonzero
-    deltas by ascending margin, a net loss at v beats every candidate that
-    agrees below v and keeps more there, and a net gain loses.  So a loss maps
-    to (0, v, net), a gain to (2, -v, net), and the end of the walk to (1,).
+    gains[v] and losses[v] are masks of candidates whose witness count at
+    margin v rises or falls by one for each mask that holds them.  Walking
+    the margins in ascending order, keep the candidates with the smallest net
+    change at each; stop when one is left, and let a tie go to the lowest bit.
+    Adding the number of losses to every net change at v leaves a count, the
+    gains that hold c plus the losses that do not, kept as bit planes (plane
+    b holds bit b of every candidate's count).  A mask that holds all or
+    none of the kept candidates shifts them all alike and is skipped.
     """
-    key = [(0, v, net) if net < 0 else (2, -v, net) for v, net in sorted(delta.items()) if net]
-    key.append((1,))
-    return key
+    keep = live
+    for v in sorted(gains.keys() | losses.keys()):
+        planes: list[int] = []
+        for masks, flip in ((gains.get(v, ()), 0), (losses.get(v, ()), keep)):
+            for mask in masks:
+                carry = mask & keep
+                if not carry or carry == keep:
+                    continue
+                carry ^= flip
+                for b, plane in enumerate(planes):
+                    planes[b] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+        for plane in reversed(planes):
+            if keep & ~plane:
+                keep &= ~plane
+        if not keep & (keep - 1):
+            break
+    return keep & -keep
 
 
 def gen_n2_search(d: int, n: int) -> MonomialFamily:
@@ -225,50 +245,70 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     1..d-1 keeps the number k of chosen members it divides and their
     componentwise minimum low[g]; g is a witness iff k >= 2 and low[g] == g.
     Adding c changes only c's own divisors: an old witness leaves its margin
-    at k and every g with min(low[g], c) == g enters at k + 1, and
-    _delta_rank orders the candidates on these deltas.  Raises
-    SearchExhausted when the greedy family is not certified stable; that
-    certificate is the search's only witness scan.  Output is a pure function
-    of (d, n).
+    m(k) and enters m(k) - d, and a non-witness g enters m(k) - d when
+    min(low[g], c) == g.
+
+    So candidates differ only in their net change in the number of witnesses
+    at each margin.  Of two sorted profiles, the larger has fewer entries at
+    the smallest margin where their counts differ.  Two candidates extend
+    the same members, so that is the smallest margin where their nets
+    differ, and the smaller net wins there: a loss beats no change, which
+    beats a gain.  The best candidate thus has the lexicographically
+    smallest vector of nets over ascending margins, the first in canonical
+    order on a tie, and _least_net_change finds it for every candidate at
+    once.  The candidates are the bits of one int in canonical order, with
+    masks ge[i][t] of those whose X_i-exponent is at least t.  g divides the
+    candidates in the AND of ge[i][g_i]; for a non-witness, min(low[g], c)
+    == g also needs c_i == g_i wherever low[g]_i > g_i, which removes
+    ge[i][g_i + 1].
+
+    Raises SearchExhausted when the greedy family is not certified stable;
+    that certificate is the search's only witness scan.  Output is a pure
+    function of (d, n).
     """
     count: dict[tuple[int, ...], int] = {}
     low: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def divisors(c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(x + 1) for x in c))
-
     def add(c: tuple[int, ...]) -> None:
-        for g in divisors(c):
+        for g in itertools.product(*(range(x + 1) for x in c)):
             if 0 < sum(g) < d:
                 k = count.get(g, 0)
                 count[g] = k + 1
                 low[g] = tuple(map(min, low[g], c)) if k else c
 
-    def delta(c: tuple[int, ...]) -> dict[int, int]:
-        # net change per margin value when c joins the chosen members
-        out: dict[int, int] = {}
-        for g in divisors(c):
-            k = count.get(g)
-            if k is None:
-                continue
-            lo = low[g]
-            if lo != g and tuple(map(min, lo, c)) != g:
-                continue
-            e = sum(g)
-            margin = (d - e) * n + e - d * k
-            if lo == g:
-                # already a witness: k >= 2, as a lone member is its own minimum
-                out[margin] = out.get(margin, 0) - 1
-            out[margin - d] = out.get(margin - d, 0) + 1
-        return out
-
+    pool = [c for c in enumerate_monomials(2, d) if d not in c]
+    ge0, ge1, ge2 = _exponent_masks(pool, 3, d)
+    live = (1 << len(pool)) - 1
     chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
-    left = [c for c in enumerate_monomials(2, d) if d not in c]
     for c in chosen:
         add(c)
     while len(chosen) < n:
-        best = min(left, key=lambda c: _delta_rank(delta(c)))
-        left.remove(best)
+        gains: dict[int, list[int]] = {}
+        losses: dict[int, list[int]] = {}
+        for g, k in count.items():
+            g0, g1, g2 = g
+            mask = live & ge0[g0] & ge1[g1] & ge2[g2]
+            if not mask:
+                continue
+            e = g0 + g1 + g2
+            margin = (d - e) * n + e - d * k
+            lo = low[g]
+            if lo == g:
+                # already a witness: k >= 2, as a lone member is its own minimum
+                losses.setdefault(margin, []).append(mask)
+            else:
+                if lo[0] > g0:
+                    mask &= ~ge0[g0 + 1]
+                if lo[1] > g1:
+                    mask &= ~ge1[g1 + 1]
+                if lo[2] > g2:
+                    mask &= ~ge2[g2 + 1]
+                if not mask:
+                    continue
+            gains.setdefault(margin - d, []).append(mask)
+        bit = _least_net_change(live, gains, losses)
+        live ^= bit
+        best = pool[bit.bit_length() - 1]
         chosen.append(best)
         add(best)
     fam = MonomialFamily.from_exponents(chosen)

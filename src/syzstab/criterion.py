@@ -136,6 +136,22 @@ def _require_checkable(fam: MonomialFamily) -> None:
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
 
 
+def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> list[list[int]]:
+    """ge[i][t] has bit j set when rows[j] has X_i-exponent >= t, for 0 <= t <= d + 1.
+
+    The rows are exponent tuples of degree at most d, so ge[i][d + 1] is 0.
+    """
+    ge = []
+    for i in range(num_vars):
+        at = [0] * (d + 2)
+        for j, row in enumerate(rows):
+            at[row[i]] |= 1 << j
+        for t in range(d, -1, -1):
+            at[t] |= at[t + 1]
+        ge.append(at)
+    return ge
+
+
 def scan_witnesses(
     members: Sequence[Monomial], d: int, family_size: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
@@ -164,14 +180,7 @@ def scan_witnesses(
         return
     last = members[0].num_vars - 1
     everyone = (1 << len(members)) - 1
-    ge = []
-    for i in range(last + 1):
-        at = [0] * (d + 2)
-        for j, m in enumerate(members):
-            at[m.exponents[i]] |= 1 << j
-        for t in range(d, -1, -1):
-            at[t] |= at[t + 1]
-        ge.append(at)
+    ge = _exponent_masks([m.exponents for m in members], last + 1, d)
 
     def walk(i: int, rest: int, mask: int, prefix: tuple[int, ...], out: list) -> None:
         # coordinate i runs from rest down to 0: canonical (descending) order

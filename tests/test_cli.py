@@ -362,7 +362,7 @@ def test_sweep_caps_jobs_at_cpu_count(cpus, workers, capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("syzstab.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     code, stdout, _ = run(["sweep", "--Nmax", "1", "--dmax", "2", "--jobs", "1000000"], capsys)
     assert code == EX_OK

@@ -253,13 +253,13 @@ def reference_greedy(d: int, n: int) -> MonomialFamily:
 class TestN2Search:
     def test_greedy_matches_reference_greedy(self):
         cells = 0
-        for d in range(2, 8):
+        for d in range(2, 9):
             for n in range(3, binomial(d + 2, 2) + 1):
                 if (d, n) == (2, 5):
                     continue
                 assert gen_n2_search(d, n).members == reference_greedy(d, n).members, (d, n)
                 cells += 1
-        assert cells == 103
+        assert cells == 146
 
     def test_greedy_certifies_across_grid(self):
         for d in range(2, 7):
