@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from math import inf
 
@@ -13,6 +15,7 @@ from syzstab.constructions import (
     NoFamilyExists,
     Route,
     RoutingError,
+    _least_net_change,
     admissible_bounds,
     classify_route,
     decompose_faces_case,
@@ -260,6 +263,27 @@ class TestN2Search:
                 assert gen_n2_search(d, n).members == reference_greedy(d, n).members, (d, n)
                 cells += 1
         assert cells == 146
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 2**10 - 1),
+        st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 2**10 - 1)), max_size=12),
+    )
+    def test_ranking_picks_the_least_net_vector(self, live, entries):
+        # the candidate whose nets over ascending margins are least, the lowest on a tie
+        gains, losses = {}, {}
+        for v, loss, mask in entries:
+            (losses if loss else gains).setdefault(v, []).append(mask & live)
+        margins = sorted(gains.keys() | losses.keys())
+
+        def nets(j):
+            return [
+                sum(m >> j & 1 for m in gains.get(v, ())) - sum(m >> j & 1 for m in losses.get(v, ()))
+                for v in margins
+            ]
+
+        best = min((j for j in range(10) if live >> j & 1), key=nets)
+        assert _least_net_change(live, gains, losses) == 1 << best
 
     def test_greedy_certifies_across_grid(self):
         for d in range(2, 7):
