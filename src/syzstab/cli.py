@@ -16,9 +16,9 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from .constructions import (
+    InternalConsistencyError,
     NoFamilyExists,
     RoutingError,
-    SearchExhausted,
     admissible_bounds,
     classify_route,
     dispatch,
@@ -99,7 +99,7 @@ def cmd_generate(args) -> int:
     except RoutingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except SearchExhausted as exc:
+    except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
     cert = check_family(fam)
@@ -186,31 +186,24 @@ def cmd_check(args) -> int:
 def _sweep_cell(cell: tuple[int, int, int]) -> dict:
     """Dispatch one grid cell; returns a plain row dict (picklable)."""
     N, d, n = cell
+    row = {
+        "N": N, "d": d, "n": n, "route": None, "verdict": None,
+        "worst_margin": None, "wall_time": None, "failure": None,
+    }
     start = time.perf_counter()
     try:
         route, fam = dispatch(N, d, n)
     except NoFamilyExists:
-        return {
-            "N": N, "d": d, "n": n, "route": "P1Family",
-            "verdict": "NoFamilyExists", "worst_margin": None,
-            "wall_time": round(time.perf_counter() - start, 6), "failure": None,
-        }
+        row["route"], row["verdict"] = "P1Family", "NoFamilyExists"
     except Exception as exc:
-        return {
-            "N": N, "d": d, "n": n, "route": None, "verdict": None,
-            "worst_margin": None,
-            "wall_time": round(time.perf_counter() - start, 6),
-            "failure": f"{type(exc).__name__}: {exc}",
-        }
-    # dispatch has already certified the family at its expected verdict
-    cert = check_family(fam)
-    return {
-        "N": N, "d": d, "n": n, "route": route.value,
-        "verdict": cert.verdict.value,
-        "worst_margin": None if cert.worst is None else cert.worst.margin,
-        "wall_time": round(time.perf_counter() - start, 6),
-        "failure": None,
-    }
+        row["failure"] = f"{type(exc).__name__}: {exc}"
+    else:
+        # dispatch has already certified the family at its expected verdict
+        cert = check_family(fam)
+        row["route"], row["verdict"] = route.value, cert.verdict.value
+        row["worst_margin"] = None if cert.worst is None else cert.worst.margin
+    row["wall_time"] = round(time.perf_counter() - start, 6)
+    return row
 
 
 def cmd_sweep(args) -> int:

@@ -23,23 +23,18 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .criterion import (
-    StabilityCertificate,
-    Verdict,
-    _exponent_masks,
-    check_family,
-    is_m_primary,
-    is_semistable_p1,
+from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
+from .monomials import (
+    MAX_DEGREE_MONOMIALS,
+    MonomialFamily,
+    binomial,
+    enumerate_monomials,
+    full_family,
 )
-from .monomials import MonomialFamily, binomial, enumerate_monomials, full_family
 
 
 class NoFamilyExists(Exception):
     """The requested cell provably has no semistable family."""
-
-
-class SearchExhausted(Exception):
-    """The deterministic search gave up without a certified family."""
 
 
 class RoutingError(ValueError):
@@ -91,12 +86,6 @@ class CaseDecomposition:
     l: int
     i: int
 
-
-# Admission ceiling on C(d+N, N), the number of degree-d monomials.  Routes
-# enumerate up to all of them, and the face-vertex chain recurses once per
-# dimension: at d = 2 it overflows the default stack from N = 329
-# (C = 54,615), while N = 139 (C = 9,870) fits even under a call tracer.
-MAX_DEGREE_MONOMIALS = 10_000
 
 # Admission rule for a plane cell (2, d, n): (n - 3) * C(d+5, 5) may be at
 # most this, n - 3 greedy steps times the (divisor, monomial) pairs in three
@@ -172,31 +161,15 @@ def gen_case326() -> MonomialFamily:
     return MonomialFamily.from_exponents(rows)
 
 
-def survey_225_candidates() -> list[tuple[MonomialFamily, StabilityCertificate | None]]:
-    """All six 5-subsets of the degree-2 quadrics in three variables.
-
-    Returns (family, certificate) pairs in canonical order; the certificate
-    is None for the three subsets that are not m-primary and hence present
-    no bundle to certify.
-    """
-    out = []
-    for combo in itertools.combinations(enumerate_monomials(2, 2), 5):
-        fam = MonomialFamily.from_exponents(combo)
-        out.append((fam, check_family(fam) if is_m_primary(fam) else None))
-    return out
-
-
 def gen_225_semistable() -> MonomialFamily:
-    """The canonical strictly semistable family at (2, 2, 5).
+    """The canonical strictly semistable family at (N, d, n) = (2, 2, 5).
 
-    Exhaustive search over all C(6, 5) candidates: every m-primary one has a
-    variable dividing three members, a zero-margin witness, so none is
-    stable; the canonically first semistable candidate is returned.
+    {X0^2, X0*X1, X0*X2, X1^2, X2^2}: X0 divides three members, a witness
+    at margin 0.  No 5-subset of the six quadrics is stable, and this one is
+    the canonically first semistable subset.
     """
-    for fam, cert in survey_225_candidates():
-        if cert is not None and cert.verdict is Verdict.SEMISTABLE:
-            return fam
-    raise InternalConsistencyError("no semistable 5-subset found at (2, 2, 5)")
+    rows = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
+    return MonomialFamily.from_exponents(rows)
 
 
 def _least_net_change(live: int, gains: dict[int, list[int]], losses: dict[int, list[int]]) -> int:
@@ -262,9 +235,8 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     == g also needs c_i == g_i wherever low[g]_i > g_i, which removes
     ge[i][g_i + 1].
 
-    Raises SearchExhausted when the greedy family is not certified stable;
-    that certificate is the search's only witness scan.  Output is a pure
-    function of (d, n).
+    The search scans no witnesses; dispatch certifies the family it returns.
+    Output is a pure function of (d, n).
     """
     count: dict[tuple[int, ...], int] = {}
     low: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -311,10 +283,7 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
         best = pool[bit.bit_length() - 1]
         chosen.append(best)
         add(best)
-    fam = MonomialFamily.from_exponents(chosen)
-    if check_family(fam).verdict is not Verdict.STABLE:
-        raise SearchExhausted(f"no stable family found for (N, d, n) = (2, {d}, {n})")
-    return fam
+    return MonomialFamily.from_exponents(chosen)
 
 
 def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:

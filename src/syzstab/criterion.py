@@ -26,18 +26,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .monomials import (
-    DimensionMismatch,
-    Monomial,
-    MonomialFamily,
-)
+from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, MonomialFamily
 
 # n * 2^n at n = 20: the most componentwise minima the oracle may take
 MAX_ORACLE_WORK = 20 * 2**20
 
+# The scan costs about (N + 1) * d^2.  The largest value over the cells that
+# generate admits is on the line at d = MAX_DEGREE_MONOMIALS - 1; no other
+# admitted cell has both N + 1 and d that large.
+MAX_SCAN_WORK = 2 * (MAX_DEGREE_MONOMIALS - 1) ** 2
+
 
 class PreconditionError(ValueError):
-    """The family fails a checker precondition (not m-primary, or fewer than two members)."""
+    """The family fails a checker precondition: fewer than two members, not
+    m-primary, or a degree whose scan would exceed MAX_SCAN_WORK."""
 
 
 class OracleSizeError(ValueError):
@@ -134,6 +136,12 @@ def _require_checkable(fam: MonomialFamily) -> None:
         raise PreconditionError(f"need at least two generators, got {n}")
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
+    work = (fam.N + 1) * fam.d**2
+    if work > MAX_SCAN_WORK:
+        raise PreconditionError(
+            f"(N + 1) * d^2 = {work} at N = {fam.N}, d = {fam.d} exceeds "
+            f"MAX_SCAN_WORK = {MAX_SCAN_WORK}, the most of any cell generate admits"
+        )
 
 
 def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> list[list[int]]:
@@ -153,7 +161,7 @@ def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> l
 
 
 def scan_witnesses(
-    members: Sequence[Monomial], d: int, family_size: int
+    members: Sequence[Monomial], d: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     """Yield (g, e, k, margin) for every maximal multiple-set among the members.
 
@@ -164,9 +172,8 @@ def scan_witnesses(
     and then in canonical order; a candidate counts only when at least two
     members are divisible by g and g is exactly the gcd of those members
     (otherwise the same subset reappears at the larger true gcd, with a
-    smaller margin).  Margins are computed as if the members belonged to a
-    family of family_size generators, which lets search heuristics score
-    partial families against their target size.
+    smaller margin).  Margins are those of a family of len(members)
+    generators.
 
     Members (all of degree d) are held as bitmasks: ge[i][t] has bit j set
     when member j has X_i-exponent >= t, so the multiples of g are the AND of
@@ -178,8 +185,9 @@ def scan_witnesses(
     """
     if not members:
         return
+    n = len(members)
     last = members[0].num_vars - 1
-    everyone = (1 << len(members)) - 1
+    everyone = (1 << n) - 1
     ge = _exponent_masks([m.exponents for m in members], last + 1, d)
 
     def walk(i: int, rest: int, mask: int, prefix: tuple[int, ...], out: list) -> None:
@@ -208,7 +216,7 @@ def scan_witnesses(
         hits: list[tuple[tuple[int, ...], int]] = []
         walk(0, e, everyone, (), hits)
         for g, count in hits:
-            margin = (d - e) * family_size + e - d * count
+            margin = (d - e) * n + e - d * count
             yield g, e, count, margin
 
 
@@ -216,9 +224,10 @@ def scan_witnesses(
 def check_family(fam: MonomialFamily) -> StabilityCertificate:
     """Certify the family via the gcd-candidate scan.
 
-    Raises PreconditionError unless the family has n >= 2 members and is
-    m-primary.  A two-member family presents a line bundle (rank 1) and is
-    StableCertified by convention without evaluating the criterion.
+    Raises PreconditionError unless the family has n >= 2 members, is
+    m-primary and has (N + 1) * d^2 at most MAX_SCAN_WORK.  A two-member
+    family presents a line bundle (rank 1) and is StableCertified by
+    convention without evaluating the criterion.
 
     Verdict logic over the evaluated witnesses, all of which are proper
     subsets: any negative margin gives CriterionViolated; otherwise a zero
@@ -232,7 +241,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         return StabilityCertificate(Verdict.STABLE, fam.N, fam.d, n, 0, None)
     count = 0
     worst = None
-    for w in scan_witnesses(fam.members, fam.d, n):
+    for w in scan_witnesses(fam.members, fam.d):
         count += 1
         if worst is None or w[3] < worst[3]:
             worst = w

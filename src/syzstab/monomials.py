@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -20,6 +20,14 @@ class DimensionMismatch(ValueError):
 
 class FamilyFormatError(ValueError):
     """Family data, in memory or on disk, violates the family invariants."""
+
+
+# Admission ceiling on C(d+N, N), the number of degree-d monomials.  Routes
+# enumerate up to all of them, and the face-vertex chain recurses once per
+# dimension: at d = 2 it overflows the default stack from N = 329
+# (C = 54,615), while N = 139 (C = 9,870) fits even under a call tracer.
+# The checker derives its own refusal from it (criterion._require_checkable).
+MAX_DEGREE_MONOMIALS = 10_000
 
 
 def binomial(a: int, b: int) -> int:
@@ -153,12 +161,6 @@ class MonomialFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.members)
-
-    def __contains__(self, m: object) -> bool:
-        return m in self.members
-
     def exponent_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(m.exponents for m in self.members)
 
@@ -209,12 +211,3 @@ class MonomialFamily:
 def full_family(N: int, d: int) -> MonomialFamily:
     """Every monomial of degree d in X0..XN (the full hypertetrahedron)."""
     return MonomialFamily.from_exponents(enumerate_monomials(N, d))
-
-
-def faces_family(N: int, d: int) -> MonomialFamily:
-    """The union of all N+1 faces: monomials with at least one zero exponent.
-
-    Cardinality is C(d+N, N) - C(d-1, N); the subtracted term counts interior
-    points and vanishes when d <= N.
-    """
-    return MonomialFamily.from_exponents(m for m in enumerate_monomials(N, d) if 0 in m)

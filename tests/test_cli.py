@@ -3,11 +3,14 @@
 import dataclasses
 import itertools
 import json
+import re
+import time
 
 import pytest
 
-from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, main
-from syzstab.criterion import MAX_ORACLE_WORK, GcdWitness, brute_force_check
+from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, _sweep_cell, main
+from syzstab.constructions import InternalConsistencyError, dispatch
+from syzstab.criterion import MAX_ORACLE_WORK, MAX_SCAN_WORK, GcdWitness, brute_force_check
 from syzstab.monomials import Monomial, MonomialFamily
 
 
@@ -110,6 +113,24 @@ def test_generate_unwritable_output_is_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_family_that_fails_its_certificate_is_refused(capsys, monkeypatch):
+    # X0^2 divides X0^3 and X0^2*X1 at margin 0, so this (2, 3, 4) family is
+    # only semistable; dispatch alone certifies what the plane search returns
+    semistable = MonomialFamily.from_exponents([(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 3)])
+    monkeypatch.setattr("syzstab.constructions.gen_n2_search", lambda d, n: semistable)
+    dispatch.cache_clear()
+    message = "cell (2, 3, 4) via N2Search certified SemistableCertified, expected StableCertified"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        dispatch(2, 3, 4)
+    code, stdout, stderr = run(["generate", "-N", "2", "-d", "3", "-n", "4"], capsys)
+    assert code == EX_FAIL
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: {message}"]
+    row = _sweep_cell((2, 3, 4))
+    assert row["failure"] == f"InternalConsistencyError: {message}"
+    assert (row["route"], row["verdict"], row["worst_margin"]) == (None, None, None)
+
+
 def test_round_trip_certificate_identical(tmp_path, capsys):
     out = tmp_path / "fam.txt"
     code, gen_out, _ = run(
@@ -180,6 +201,21 @@ def test_check_non_primary_family(tmp_path, capsys):
     assert "m-primary" in stderr
 
 
+def test_check_refuses_a_degree_beyond_the_scan_work_bound(tmp_path, capsys):
+    # (N + 1) * d^2 = 3 * 10^18: the scan's masks alone would exhaust memory
+    f = tmp_path / "huge.txt"
+    f.write_text("2 1000000000 3\n1000000000 0 0\n0 1000000000 0\n0 0 1000000000\n")
+    for extra in ([], ["--oracle"]):
+        start = time.perf_counter()
+        code, stdout, stderr = run(["check", str(f), *extra], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == EX_FAIL
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: (N + 1) * d^2 = 3000000000000000000 at N = 2")
+        assert f"exceeds MAX_SCAN_WORK = {MAX_SCAN_WORK}" in stderr
+
+
 def test_check_oracle_agreement(tmp_path, capsys):
     out = tmp_path / "fam.txt"
     run(["generate", "-N", "2", "-d", "3", "-n", "8", "-o", str(out)], capsys)
@@ -245,6 +281,8 @@ def test_sweep_row_count_and_report(tmp_path, capsys):
     # (2, 3): n ranges over [3, 10], giving 8 rows
     assert sum(1 for r in rows if (r["N"], r["d"]) == (2, 3)) == 8
     assert blob["failures"] == []
+    keys = ["N", "d", "n", "route", "verdict", "worst_margin", "wall_time", "failure"]
+    assert all(list(r) == keys for r in rows)
     assert all(
         (r["N"], r["d"], r["n"]) < (s["N"], s["d"], s["n"])
         for r, s in zip(rows, rows[1:])

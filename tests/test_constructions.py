@@ -29,9 +29,9 @@ from syzstab.constructions import (
     gen_n2_search,
     gen_p1,
     gen_prop_faces,
-    survey_225_candidates,
 )
 from syzstab.criterion import (
+    MAX_SCAN_WORK,
     Verdict,
     brute_force_check,
     check_family,
@@ -43,9 +43,10 @@ from syzstab.monomials import (
     MonomialFamily,
     binomial,
     enumerate_monomials,
-    faces_family,
     full_family,
 )
+
+from families import faces_family, survey_225_candidates
 
 
 def x0_dominates(fam):
@@ -106,6 +107,21 @@ def test_classify_route_rejects_out_of_range():
             classify_route(*cell)
         with pytest.raises(RoutingError):
             dispatch(*cell)
+
+
+def test_scan_work_bound_is_the_largest_admitted_cell():
+    # the top of (N + 1) * d^2 over every (N, d) that generate admits
+    largest = 0
+    for N in range(1, MAX_DEGREE_MONOMIALS):
+        d = 1
+        while True:
+            try:
+                admissible_bounds(N, d + 1)
+            except RoutingError:
+                break
+            d += 1
+        largest = max(largest, (N + 1) * d**2)
+    assert largest == MAX_SCAN_WORK == 2 * 9999**2 == 199_960_002
 
 
 def test_admission_ceiling_refuses_without_enumerating(monkeypatch):
@@ -198,7 +214,7 @@ def test_case326_members_and_margins():
     assert cert.verdict is Verdict.STABLE
     assert cert.witness_count == 4
     assert brute_force_check(fam).witness_count == 4
-    assert [margin for *_, margin in scan_witnesses(fam.members, 2, 6)] == [3, 3, 3, 3]
+    assert [margin for *_, margin in scan_witnesses(fam.members, 2)] == [3, 3, 3, 3]
 
 
 class TestSearch225:
@@ -215,6 +231,10 @@ class TestSearch225:
             (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2),
         }
         assert check_family(fam).worst.margin == 0
+        # the literal is the canonically first semistable 5-subset
+        first = next(f for f, cert in survey_225_candidates()
+                     if cert is not None and cert.verdict is Verdict.SEMISTABLE)
+        assert fam == first
 
 
 def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
@@ -224,7 +244,8 @@ def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
     first, then the larger second-worst, and so on; the sentinel makes a
     family with fewer binding witnesses win over an extension of it.
     """
-    margins = sorted(margin for *_, margin in scan_witnesses(members, d, target_n))
+    # the witnesses of the partial family, scored at the target size
+    margins = sorted((d - e) * target_n + e - d * k for _, e, k, _ in scan_witnesses(members, d))
     margins.append(inf)
     return margins
 
@@ -299,7 +320,7 @@ class TestN2Search:
 class TestFaceVertex:
     def test_vertex_is_added(self):
         fam = gen_face_vertex(3, 4, 10)
-        assert Monomial((0, 0, 0, 4)) in fam
+        assert Monomial((0, 0, 0, 4)) in fam.members
         inner = [m for m in fam.members if m.exponents[3] == 0]
         assert len(inner) == 9
 
@@ -342,7 +363,7 @@ class TestPropFaces:
     def test_partial_layer_members(self):
         fam = gen_prop_faces(3, 4, 20)
         for exps in [(1, 0, 0, 3), (0, 1, 0, 3), (0, 0, 0, 4), (2, 0, 0, 2), (1, 1, 0, 2)]:
-            assert Monomial(exps) in fam
+            assert Monomial(exps) in fam.members
 
     def test_degenerate_bracket_family(self):
         # n one past the whole-faces count: one monomial beyond the faces

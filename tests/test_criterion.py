@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
+    MAX_SCAN_WORK,
     OracleSizeError,
     PreconditionError,
     StabilityCertificate,
@@ -37,6 +38,15 @@ def fam(*rows):
     return MonomialFamily.from_exponents(rows)
 
 
+def degree_30_family():
+    """21 members of degree 30 in six variables, past the oracle's work bound."""
+    pures = [tuple(30 * (k == i) for k in range(6)) for i in range(6)]
+    pairs = list(itertools.permutations(range(6), 2))[:15]
+    return MonomialFamily.from_exponents(
+        pures + [tuple(29 * (k == i) + (k == j) for k in range(6)) for i, j in pairs]
+    )
+
+
 def test_is_m_primary():
     assert is_m_primary(full_family(2, 2))
     assert not is_m_primary(fam((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)))
@@ -50,6 +60,19 @@ def test_check_family_requires_m_primary():
 def test_check_family_requires_two_members():
     with pytest.raises(PreconditionError):
         check_family(MonomialFamily.from_exponents([(2, 0)]))
+
+
+def test_scan_work_bound_refuses_before_allocating():
+    # (N + 1) * d^2 = 3 * 10^18: one mask per exponent would exhaust memory
+    huge = fam((10**9, 0, 0), (0, 10**9, 0), (0, 0, 10**9))
+    for checker in (check_family, brute_force_check):
+        with pytest.raises(PreconditionError, match=f"exceeds MAX_SCAN_WORK = {MAX_SCAN_WORK}"):
+            checker(huge)
+    # the line's top admitted degree sits exactly at the bound
+    assert 2 * 9999**2 == MAX_SCAN_WORK
+    assert check_family(fam((9999, 0), (0, 9999))).verdict is Verdict.STABLE
+    # the oracle work-bound family, far below the scan's bound, still scans
+    assert check_family(degree_30_family()).n == 21
 
 
 def test_rank_one_bundle_is_stable_by_convention():
@@ -74,16 +97,17 @@ def test_scan_witnesses_skips_non_maximal_gcds():
     # in {X0^3, X0^2 X1, X1^3} the multiples of X0 have gcd X0^2, so only
     # X0^2 is reported as a witness gcd
     members = [Monomial((3, 0)), Monomial((2, 1)), Monomial((0, 3))]
-    gcds = {g for g, *_ in scan_witnesses(members, 3, 3)}
+    gcds = {g for g, *_ in scan_witnesses(members, 3)}
     assert (2, 0) in gcds
     assert (1, 0) not in gcds
 
 
-def reference_scan(members, d, family_size):
+def reference_scan(members, d):
     """The candidate x member divisibility loop the bitmask kernel replaced."""
     if not members:
         return
     N = members[0].num_vars - 1
+    n = len(members)
     exps = [m.exponents for m in members]
     for e in range(1, d):
         for gexp in enumerate_monomials(N, e):
@@ -95,37 +119,33 @@ def reference_scan(members, d, family_size):
                     running = mexp if running is None else tuple(map(min, running, mexp))
             if count < 2 or running != gexp:
                 continue
-            margin = (d - e) * family_size + e - d * count
+            margin = (d - e) * n + e - d * count
             yield gexp, e, count, margin
 
 
 @st.composite
 def member_sets(draw):
-    # any non-empty set in any order: the plane search scans partial,
-    # non-m-primary families scored against a larger target size
+    # any non-empty set in any order, m-primary or not
     N = draw(st.integers(min_value=1, max_value=5))
     d = draw(st.integers(min_value=1, max_value=7))
     pool = [Monomial(c) for c in enumerate_monomials(N, d)]
     members = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
-    family_size = len(members) + draw(st.integers(min_value=0, max_value=20))
-    return members, d, family_size
+    return members, d
 
 
 @settings(max_examples=200, deadline=None)
 @given(member_sets())
 def test_scan_matches_reference_loop(case):
-    members, d, family_size = case
-    assert list(scan_witnesses(members, d, family_size)) == list(
-        reference_scan(members, d, family_size)
-    )
+    members, d = case
+    assert list(scan_witnesses(members, d)) == list(reference_scan(members, d))
 
 
 def test_scan_matches_reference_loop_on_full_families():
     for N, d in ((1, 9), (2, 8), (3, 6), (4, 5)):
         family = full_family(N, d)
         members = family.members
-        got = list(scan_witnesses(members, d, len(members)))
-        assert got == list(reference_scan(members, d, len(members)))
+        got = list(scan_witnesses(members, d))
+        assert got == list(reference_scan(members, d))
         assert got
         assert check_family(family).witness_count == len(got)
 
@@ -250,11 +270,7 @@ class TestBruteForce:
 
     def test_work_bound_refuses_21_members_of_degree_30(self):
         # 21 * C(36, 6) = 40,903,632 componentwise minima at most
-        pures = [tuple(30 * (k == i) for k in range(6)) for i in range(6)]
-        pairs = list(itertools.permutations(range(6), 2))[:15]
-        f = MonomialFamily.from_exponents(
-            pures + [tuple(29 * (k == i) + (k == j) for k in range(6)) for i, j in pairs]
-        )
+        f = degree_30_family()
         assert len(f) == 21 and is_m_primary(f)
         assert 21 * binomial(36, 6) > MAX_ORACLE_WORK
         with pytest.raises(OracleSizeError, match=r"21 members.*C\(d\+N\+1, N\+1\).*N = 5, d = 30.*20971520"):

@@ -24,7 +24,9 @@ from syzstab.inequalities import (
     sample_P,
     sweep,
 )
-from syzstab.monomials import binomial, faces_family
+from syzstab.monomials import binomial
+
+from families import faces_family
 
 
 class TestSpotValues:
@@ -130,7 +132,7 @@ def margin_decomposition_holds(N, d, n):
     n_faces = len(faces_family(N, d))
     n_prime = n - n_faces
     d_prime = d - N - 1
-    for g, e, k, _ in scan_witnesses(list(fam.members), d, n):
+    for g, e, k, _ in scan_witnesses(list(fam.members), d):
         i = sum(1 for x in g if x == 0)
         k_prime = k - (binomial(d - e + N, N) - binomial(d - e + N - i, N))
         delta = e - N - 1 + i
