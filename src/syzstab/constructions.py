@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
-from .monomials import (
-    MAX_DEGREE_MONOMIALS,
-    MonomialFamily,
-    binomial,
-    enumerate_monomials,
-    full_family,
-)
+from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, binomial, enumerate_monomials, full_family
 
 
 class NoFamilyExists(Exception):
