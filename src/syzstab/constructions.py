@@ -290,7 +290,7 @@ def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
     refused.
     """
     _, inner = dispatch(N - 1, d, n - 1)
-    rows = [(*m.exponents, 0) for m in inner.members]
+    rows = [(*m, 0) for m in inner.rows]
     rows.append((0,) * N + (d,))
     return MonomialFamily.from_exponents(rows)
 
@@ -376,7 +376,7 @@ def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
     """
     rows = _face_rows(N, d)
     _, inner = dispatch(N, d - N - 1, n - len(rows))
-    rows += [tuple(e + 1 for e in m.exponents) for m in inner.members]
+    rows += [tuple(e + 1 for e in m) for m in inner.rows]
     return MonomialFamily.from_exponents(rows)
 
 

@@ -12,7 +12,9 @@ must be non-negative for semistability and strictly positive on proper
 subsets for stability.  Subsets with trivial gcd never bind (their margin is
 d*(n-k) and the whole family itself always sits at margin zero), so the
 checker scans gcd candidates of degree 1..d-1 and evaluates each candidate's
-full multiple-set, which is the worst subset sharing that gcd.
+full multiple-set, which is the worst subset sharing that gcd.  The one scan
+kernel, witnesses_by_degree, and the oracle both read the family's exponent
+rows; the only Monomial built here is a certificate's worst gcd.
 
 The test is sufficient, not necessary, for N >= 2: CriterionViolated makes no
 claim of non-semistability there.  On the projective line the splitting type
@@ -24,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, MonomialFamily
@@ -147,77 +151,102 @@ def _require_checkable(fam: MonomialFamily) -> None:
 def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> list[list[int]]:
     """ge[i][t] has bit j set when rows[j] has X_i-exponent >= t, for 0 <= t <= d + 1.
 
-    The rows are exponent tuples of degree at most d, so ge[i][d + 1] is 0.
+    The rows are exponent tuples of degree at most d, so ge[i][d + 1] is 0
+    and ge[i][0] holds every row.  Only nonzero exponents set bits, so a row
+    costs one OR per variable it has.
     """
+    bits = [1 << j for j in range(len(rows))]
+    everyone = (1 << len(rows)) - 1
     ge = []
-    for i in range(num_vars):
+    # no rows still make num_vars (empty) columns
+    for column in zip(*rows) if rows else [()] * num_vars:
         at = [0] * (d + 2)
-        for j, row in enumerate(rows):
-            at[row[i]] |= 1 << j
-        for t in range(d, -1, -1):
-            at[t] |= at[t + 1]
+        for t, bit in compress(zip(column, bits), column):
+            at[t] |= bit
+        above = 0
+        for t in range(d, 0, -1):
+            above |= at[t]
+            at[t] = above
+        at[0] = everyone
         ge.append(at)
     return ge
 
 
-def scan_witnesses(
-    members: Sequence[Monomial], d: int
-) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """Yield (g, e, k, margin) for every maximal multiple-set among the members.
+def witnesses_by_degree(
+    rows: Sequence[tuple[int, ...]], d: int
+) -> Iterator[list[tuple[tuple[int, ...], int, int, int]]]:
+    """For each degree e = 1..d-1, the list of (g, e, k, margin) over every
+    maximal multiple-set among the rows whose gcd has degree e.
 
-    g is the gcd's exponent tuple, e its degree and k the number of members
-    it divides.
+    g is the gcd's exponent tuple, e its degree and k the number of rows it
+    divides.  A g counts only when at least two rows are divisible by g and
+    g is exactly the gcd of those rows (otherwise the same subset reappears
+    at the larger true gcd, with a smaller margin).  Margins are those of a
+    family of len(rows) generators.  Each list is in canonical (descending)
+    order of g, and only one degree's list is held at a time.
 
-    Candidates g run over all monomials of degree 1..d-1, degree ascending
-    and then in canonical order; a candidate counts only when at least two
-    members are divisible by g and g is exactly the gcd of those members
-    (otherwise the same subset reappears at the larger true gcd, with a
-    smaller margin).  Margins are those of a family of len(members)
-    generators.
-
-    Members (all of degree d) are held as bitmasks: ge[i][t] has bit j set
-    when member j has X_i-exponent >= t, so the multiples of g are the AND of
+    Rows (all of degree d) are held as bitmasks: ge[i][t] has bit j set when
+    row j has X_i-exponent >= t, so the multiples of g are the AND of
     ge[i][g_i] over i and their count is its popcount.  g is their exact gcd
-    iff, for every i, some multiple has X_i-exponent exactly g_i, i.e. the
-    multiples are not all inside ge[i][g_i + 1].  Candidates are walked
+    iff, for every i, some multiple has X_i-exponent exactly g_i, that is
+    the multiples do not all lie in ge[i][g_i + 1].  Candidates are walked
     depth-first over exponent prefixes, and a prefix whose multiples number
-    fewer than two is dropped with everything below it.
+    fewer than two is dropped with everything below it; once the prefix
+    uses up the degree, the other coordinates are 0 and need no walk.  A
+    coordinate of an exact gcd is some multiple's exponent, so each
+    coordinate runs only over the exponents the rows have there: on the
+    line that is at most n values per degree, not d.
     """
-    if not members:
+    if not rows:
         return
-    n = len(members)
-    last = members[0].num_vars - 1
+    n = len(rows)
+    last = len(rows[0]) - 1
     everyone = (1 << n) - 1
-    ge = _exponent_masks([m.exponents for m in members], last + 1, d)
+    ge = _exponent_masks(rows, last + 1, d)
+    # rows with a positive X_i-exponent, and the all-zero exponents
+    positive = [at[1] for at in ge]
+    zero_exps = (0,) * (last + 1)
+    # the X_i-exponents rows have, descending: where ge[i] steps down
+    values = [[t for t in range(d, -1, -1) if at[t] != at[t + 1]] for at in ge]
 
-    def walk(i: int, rest: int, mask: int, prefix: tuple[int, ...], out: list) -> None:
-        # coordinate i runs from rest down to 0: canonical (descending) order
-        row = ge[i]
+    def walk(
+        i: int, rest: int, mask: int, prefix: tuple[int, ...], highs: tuple[int, ...], out: list
+    ) -> None:
+        # highs holds ge[j][g_j + 1] for the coordinates of prefix
+        at = ge[i]
         if i + 1 < last:
-            for v in range(rest, -1, -1):
-                sub = mask & row[v]
+            if not rest:
+                for high in (*highs, *positive[i:]):
+                    if mask & high == mask:
+                        return
+                out.append(((*prefix, *zero_exps[i:]), mask.bit_count()))
+                return
+            for v in values[i]:
+                if v > rest:
+                    continue
+                sub = mask & at[v]
                 if sub.bit_count() >= 2:
-                    walk(i + 1, rest - v, sub, (*prefix, v), out)
+                    walk(i + 1, rest - v, sub, (*prefix, v), (*highs, at[v + 1]), out)
             return
         # the last coordinate takes what is left of the degree
         tail = ge[last]
-        for v in range(rest, -1, -1):
-            sub = mask & row[v] & tail[rest - v]
-            if sub.bit_count() < 2:
+        for v in values[i]:
+            if v > rest:
                 continue
-            g = (*prefix, v, rest - v)
-            for j, g_j in enumerate(g):
-                if not sub & ~ge[j][g_j + 1]:
+            w = rest - v
+            sub = mask & at[v] & tail[w]
+            if sub.bit_count() < 2 or sub & at[v + 1] == sub or sub & tail[w + 1] == sub:
+                continue
+            for high in highs:
+                if sub & high == sub:
                     break
             else:
-                out.append((g, sub.bit_count()))
+                out.append(((*prefix, v, w), sub.bit_count()))
 
     for e in range(1, d):
         hits: list[tuple[tuple[int, ...], int]] = []
-        walk(0, e, everyone, (), hits)
-        for g, count in hits:
-            margin = (d - e) * n + e - d * count
-            yield g, e, count, margin
+        walk(0, e, everyone, (), (), hits)
+        yield [(g, e, k, (d - e) * n + e - d * k) for g, k in hits]
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +262,8 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     subsets: any negative margin gives CriterionViolated; otherwise a zero
     margin gives SemistableCertified; otherwise StableCertified.  The whole
     family always has margin exactly 0 via its trivial gcd and is excluded
-    from the strictness requirement.
+    from the strictness requirement.  The worst witness is the first of
+    least margin in scan order.
     """
     _require_checkable(fam)
     n = len(fam)
@@ -241,10 +271,12 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         return StabilityCertificate(Verdict.STABLE, fam.N, fam.d, n, 0, None)
     count = 0
     worst = None
-    for w in scan_witnesses(fam.members, fam.d):
-        count += 1
-        if worst is None or w[3] < worst[3]:
-            worst = w
+    for hits in witnesses_by_degree(fam.rows, fam.d):
+        if hits:
+            count += len(hits)
+            least = min(hits, key=itemgetter(3))
+            if worst is None or least[3] < worst[3]:
+                worst = least
     if worst is None or worst[3] > 0:
         verdict = Verdict.STABLE
     elif worst[3] == 0:
@@ -303,13 +335,12 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
                     f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}"
                 )
     sizes_by_gcd: dict[tuple[int, ...], int] = {}
-    for m in fam.members:
-        x = m.exponents
+    for x in fam.rows:
         for g, sizes in list(sizes_by_gcd.items()):
             h = tuple(map(min, g, x))
             sizes_by_gcd[h] = sizes_by_gcd.get(h, 0) | sizes << 1
         sizes_by_gcd[x] = sizes_by_gcd.get(x, 0) | 0b10
-    witnesses = []  # (g, e, k, margin), as scan_witnesses yields
+    witnesses = []  # (g, e, k, margin), as witnesses_by_degree lists them
     negative = False
     zero_proper = False
     for g, sizes in sizes_by_gcd.items():
@@ -353,7 +384,7 @@ def splitting_type_p1(fam: MonomialFamily) -> tuple[int, ...]:
         raise DimensionMismatch(f"splitting type needs N = 1, got N = {fam.N}")
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: needs X0^d and X1^d")
-    rows = [m.exponents for m in fam.members]
+    rows = fam.rows
     return tuple(-sum(map(max, a, b)) for a, b in zip(rows, rows[1:]))
 
 

@@ -1,16 +1,18 @@
 """Monomial families, their text format, and degree-level enumeration.
 
-Monomials live in K[X0, ..., XN] and are stored as dense exponent vectors.
-Constructions build plain exponent tuples; a Monomial is a plain value that
-checks nothing, and the MonomialFamily constructor alone checks members and
-puts them in canonical order.  Everything in this module is pure integer
-combinatorics; no floating point is used anywhere in the package.
+Monomials live in K[X0, ..., XN] and are plain exponent tuples.  A
+MonomialFamily holds its members as rows, the canonical (descending) tuple
+of those tuples; its constructor validates the whole family at once, and
+everything downstream reads the rows.  monomial_text writes one row as
+X0^2*X1.  Everything in this module is pure integer combinatorics; no
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -43,20 +45,31 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def monomial_text(exponents: Sequence[int]) -> str:
+    """The monomial with these exponents as text: (2, 1, 0) is X0^2*X1, all zeros is 1."""
+    parts = []
+    for i, e in enumerate(exponents):
+        if e == 1:
+            parts.append(f"X{i}")
+        elif e > 1:
+            parts.append(f"X{i}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial X0^e0 * ... * XN^eN stored as its exponent vector.
 
-    Only a family's members and a certificate's worst gcd are Monomials;
-    everything else works on bare exponent tuples.  Within one degree the
-    canonical order is descending exponent tuples, so X0^2, X0*X1, X0*X2,
-    X1^2, ...
+    The package builds one only as a certificate's worst gcd.  The
+    MonomialFamily.members view and from_monomials also use it, for
+    perfbench/; the benchmark change that drops those (ROADMAP item 2)
+    deletes this class.
     """
 
     exponents: tuple[int, ...]
 
-    # Only normalises to a tuple (MonomialFamily checks members); it stays in
-    # the class body because perfbench/spans.py patches it to count Monomials.
+    # Only normalises to a tuple; it stays in the class body because
+    # perfbench/spans.py patches it to count Monomials.
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
@@ -65,13 +78,7 @@ class Monomial:
         return len(self.exponents)
 
     def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"X{i}")
-            elif e > 1:
-                parts.append(f"X{i}^{e}")
-        return "*".join(parts) if parts else "1"
+        return monomial_text(self.exponents)
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents!r})"
@@ -107,62 +114,78 @@ def enumerate_monomials(N: int, e: int) -> list[tuple[int, ...]]:
 class MonomialFamily:
     """An ordered set of distinct monomials of one common degree d in X0..XN.
 
-    The constructor checks that each member has N+1 non-negative integer
-    exponents summing to d, and stores the members, given in any order, in
-    canonical descending order without duplicates.  The family may be empty
-    (N and d are carried explicitly), although the stability checker only
-    accepts families with at least two members.
+    rows holds the members' exponent tuples.  The constructor takes them in
+    any order, checks that each has N+1 non-negative integer exponents
+    summing to d and that none repeats, and stores them as a tuple in
+    canonical descending order.  The family may be empty (N and d are carried
+    explicitly), although the stability checker only accepts families with
+    at least two members.
     """
 
     N: int
     d: int
-    members: tuple[Monomial, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise FamilyFormatError(f"N must be at least 1, got {self.N}")
-        if self.d < 1:
-            raise FamilyFormatError(f"d must be at least 1, got {self.d}")
-        members = tuple(self.members)
-        for m in members:
-            exps = m.exponents
-            if len(exps) != self.N + 1:
-                raise DimensionMismatch(
-                    f"member {exps!r} has {len(exps)} variables, family expects {self.N + 1}"
-                )
-            if not all(isinstance(e, int) and e >= 0 for e in exps):
-                raise FamilyFormatError(f"exponents must be non-negative integers, got {exps!r}")
-            if sum(exps) != self.d:
-                raise FamilyFormatError(f"member {m} has degree {sum(exps)}, family expects {self.d}")
+        N, d = self.N, self.d
+        if N < 1:
+            raise FamilyFormatError(f"N must be at least 1, got {N}")
+        if d < 1:
+            raise FamilyFormatError(f"d must be at least 1, got {d}")
+        rows = list(map(tuple, self.rows))
+        # the whole family is checked at once with builtins; only a family
+        # that fails runs the per-row loop, which names the first bad row
+        if rows and not (
+            set(map(len, rows)) == {N + 1}
+            and all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows))))
+            and min(map(min, rows)) >= 0
+            and set(map(sum, rows)) == {d}
+        ):
+            _reject_row(N, d, rows)
         # within one degree, canonical order is descending exponent tuples
-        members = tuple(sorted(members, key=lambda m: m.exponents, reverse=True))
-        for a, b in zip(members, members[1:]):
-            if a.exponents == b.exponents:
-                raise FamilyFormatError(f"duplicate member {a}")
-        object.__setattr__(self, "members", members)
+        rows.sort(reverse=True)
+        if len(set(rows)) != len(rows):
+            for a, b in zip(rows, rows[1:]):
+                if a == b:
+                    raise FamilyFormatError(f"duplicate member {monomial_text(a)}")
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def members(self) -> tuple[Monomial, ...]:
+        """The rows as Monomials, built on every read.
+
+        Nothing in the package reads this; perfbench/ does, and the view goes
+        with Monomial in the benchmark change that deletes it (ROADMAP item 2).
+        """
+        return tuple(map(Monomial, self.rows))
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> "MonomialFamily":
-        """Build a family from monomials in any order, inferring N and d from the first."""
-        members = tuple(monomials)
-        if not members:
+        """Build a family from Monomials, as from_exponents does from rows.
+
+        Kept for perfbench/, which wraps it; it goes with Monomial (ROADMAP
+        item 2).
+        """
+        return cls.from_exponents(m.exponents for m in monomials)
+
+    @classmethod
+    def from_exponents(cls, rows: Iterable[Sequence[int]]) -> "MonomialFamily":
+        """Build a family from exponent rows in any order, inferring N and d from the first."""
+        rows = tuple(map(tuple, rows))
+        if not rows:
             raise FamilyFormatError("cannot infer N and d from an empty family")
-        first = members[0].exponents
+        first = rows[0]
         try:
             d = sum(first)
         except TypeError as exc:
             raise FamilyFormatError(f"exponents must be non-negative integers, got {first!r}") from exc
-        return cls(len(first) - 1, d, members)
-
-    @classmethod
-    def from_exponents(cls, rows: Iterable[Sequence[int]]) -> "MonomialFamily":
-        return cls.from_monomials(Monomial(tuple(r)) for r in rows)
+        return cls(len(first) - 1, d, rows)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def exponent_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(m.exponents for m in self.members)
+        return frozenset(self.rows)
 
     def to_text(self) -> str:
         """Serialize in the family file format.
@@ -170,9 +193,8 @@ class MonomialFamily:
         First line is "N d n"; then n lines of N+1 space-separated exponents,
         one member per line, in canonical order.
         """
-        lines = [f"{self.N} {self.d} {len(self.members)}"]
-        for m in self.members:
-            lines.append(" ".join(str(e) for e in m.exponents))
+        lines = [f"{self.N} {self.d} {len(self.rows)}"]
+        lines += [" ".join(map(str, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -181,33 +203,48 @@ class MonomialFamily:
 
         Checks the syntax; the constructor checks the rows against N and d.
         """
-        rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
-        if not rows:
+        lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
+        if not lines:
             raise FamilyFormatError("empty family file")
-        header = rows[0].split()
+        header = lines[0].split()
         if len(header) != 3:
-            raise FamilyFormatError(f"header must be 'N d n', got {rows[0]!r}")
+            raise FamilyFormatError(f"header must be 'N d n', got {lines[0]!r}")
         try:
             N, d, n = (int(x) for x in header)
         except ValueError as exc:
-            raise FamilyFormatError(f"non-integer header field in {rows[0]!r}") from exc
+            raise FamilyFormatError(f"non-integer header field in {lines[0]!r}") from exc
         if n < 1:
             raise FamilyFormatError(f"header promises {n} members, need at least 1")
-        body = rows[1:]
+        body = lines[1:]
         if len(body) != n:
             raise FamilyFormatError(f"header promises {n} members, file has {len(body)}")
-        monomials = []
+        rows = []
         for ln in body:
             fields = ln.split()
             if len(fields) != N + 1:
                 raise FamilyFormatError(f"row {ln!r} must have {N + 1} exponents")
             try:
-                monomials.append(Monomial(tuple(int(x) for x in fields)))
+                rows.append(tuple(map(int, fields)))
             except ValueError as exc:
                 raise FamilyFormatError(f"non-integer exponent in row {ln!r}") from exc
-        return cls(N, d, monomials)
+        return cls(N, d, rows)
+
+
+def _reject_row(N: int, d: int, rows: list[tuple]) -> None:
+    # raise for the first row that breaks a family invariant, checks in order
+    for exps in rows:
+        if len(exps) != N + 1:
+            raise DimensionMismatch(
+                f"member {exps!r} has {len(exps)} variables, family expects {N + 1}"
+            )
+        if not all(isinstance(e, int) and e >= 0 for e in exps):
+            raise FamilyFormatError(f"exponents must be non-negative integers, got {exps!r}")
+        if sum(exps) != d:
+            raise FamilyFormatError(
+                f"member {monomial_text(exps)} has degree {sum(exps)}, family expects {d}"
+            )
 
 
 def full_family(N: int, d: int) -> MonomialFamily:
     """Every monomial of degree d in X0..XN (the full hypertetrahedron)."""
-    return MonomialFamily.from_exponents(enumerate_monomials(N, d))
+    return MonomialFamily(N, d, enumerate_monomials(N, d))

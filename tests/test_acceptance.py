@@ -23,8 +23,8 @@ from syzstab.criterion import (
     brute_force_check,
     check_family,
     is_semistable_p1,
-    scan_witnesses,
     splitting_type_p1,
+    witnesses_by_degree,
 )
 from syzstab.inequalities import audit
 from syzstab.monomials import (
@@ -178,7 +178,7 @@ def test_criterion_6_exceptional_quadric_family():
         and cert.worst is not None
         and cert.worst.margin == 3
         and hand_margin == 3
-        and min(margin for *_, margin in scan_witnesses(fam.members, 2)) == 3
+        and min(margin for hits in witnesses_by_degree(fam.rows, 2) for *_, margin in hits) == 3
     )
     _report(6, ok, "the six-quadric family in four variables is stable with worst margin 3")
     assert ok

@@ -9,8 +9,14 @@ import time
 import pytest
 
 from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, _sweep_cell, main
-from syzstab.constructions import InternalConsistencyError, dispatch
-from syzstab.criterion import MAX_ORACLE_WORK, MAX_SCAN_WORK, GcdWitness, brute_force_check
+from syzstab.constructions import InternalConsistencyError, admissible_bounds, dispatch
+from syzstab.criterion import (
+    MAX_ORACLE_WORK,
+    MAX_SCAN_WORK,
+    GcdWitness,
+    brute_force_check,
+    check_family,
+)
 from syzstab.monomials import Monomial, MonomialFamily
 
 
@@ -214,6 +220,42 @@ def test_check_refuses_a_degree_beyond_the_scan_work_bound(tmp_path, capsys):
         assert len(stderr.splitlines()) == 1
         assert stderr.startswith("error: (N + 1) * d^2 = 3000000000000000000 at N = 2")
         assert f"exceeds MAX_SCAN_WORK = {MAX_SCAN_WORK}" in stderr
+
+
+def test_generate_certifies_the_line_at_the_top_degree_quickly(capsys):
+    # three members at d = 9998: the scan takes each coordinate from the
+    # exponents the rows have, not from every value up to d
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    start = time.perf_counter()
+    code, stdout, _ = run(["generate", "-N", "1", "-d", "9998", "-n", "3", "--json"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == EX_OK
+    cert = json.loads(stdout[stdout.index("{"):])
+    assert cert["verdict"] == "SemistableCertified"
+    assert cert["witness_count"] == 2
+    assert cert["worst"] == {"g": [4999, 0], "d_J": 4999, "k": 2, "margin": 0}
+
+
+def test_sweep_builds_at_most_one_monomial_per_certificate(monkeypatch):
+    # families hold exponent rows: only a certificate's worst gcd is a Monomial
+    built = []
+    post_init = Monomial.__post_init__
+
+    def counted(m):
+        built.append(m.exponents)
+        post_init(m)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    for N in range(1, 4):
+        for d in range(2, 7):
+            lo, hi = admissible_bounds(N, d)
+            for n in range(lo, hi + 1):
+                assert _sweep_cell((N, d, n))["failure"] is None
+    certificates = check_family.cache_info().misses
+    assert 0 < len(built) <= certificates
 
 
 def test_check_oracle_agreement(tmp_path, capsys):

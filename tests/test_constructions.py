@@ -36,10 +36,9 @@ from syzstab.criterion import (
     brute_force_check,
     check_family,
     is_m_primary,
-    scan_witnesses,
+    witnesses_by_degree,
 )
 from syzstab.monomials import (
-    Monomial,
     MonomialFamily,
     binomial,
     enumerate_monomials,
@@ -55,7 +54,7 @@ def x0_dominates(fam):
     Families built face-first in the canonical variable order have this
     property, which collapses the criterion to the X0^e candidates.
     """
-    exps = [m.exponents for m in fam.members]
+    exps = fam.rows
     for e in range(1, fam.d):
         x0_count = sum(1 for m in exps if m[0] >= e)
         for g in enumerate_monomials(fam.N, e):
@@ -197,7 +196,7 @@ def test_routes_partition_every_admissible_cell():
 class TestP1:
     def test_step_family(self):
         fam = gen_p1(6, 4)
-        assert [m.exponents for m in fam.members] == [(6, 0), (4, 2), (2, 4), (0, 6)]
+        assert fam.rows == ((6, 0), (4, 2), (2, 4), (0, 6))
 
     def test_nonexistence(self):
         with pytest.raises(NoFamilyExists):
@@ -214,7 +213,7 @@ def test_case326_members_and_margins():
     assert cert.verdict is Verdict.STABLE
     assert cert.witness_count == 4
     assert brute_force_check(fam).witness_count == 4
-    assert [margin for *_, margin in scan_witnesses(fam.members, 2)] == [3, 3, 3, 3]
+    assert [[margin for *_, margin in hits] for hits in witnesses_by_degree(fam.rows, 2)] == [[3, 3, 3, 3]]
 
 
 class TestSearch225:
@@ -237,7 +236,7 @@ class TestSearch225:
         assert fam == first
 
 
-def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
+def _margin_profile(rows: list[tuple[int, ...]], d: int, target_n: int) -> list:
     """Sorted witness margins, padded with one +inf sentinel.
 
     Lexicographic comparison of profiles prefers the larger worst margin
@@ -245,7 +244,9 @@ def _margin_profile(members: list[Monomial], d: int, target_n: int) -> list:
     family with fewer binding witnesses win over an extension of it.
     """
     # the witnesses of the partial family, scored at the target size
-    margins = sorted((d - e) * target_n + e - d * k for _, e, k, _ in scan_witnesses(members, d))
+    margins = sorted(
+        (d - e) * target_n + e - d * k for hits in witnesses_by_degree(rows, d) for _, e, k, _ in hits
+    )
     margins.append(inf)
     return margins
 
@@ -256,11 +257,11 @@ def reference_greedy(d: int, n: int) -> MonomialFamily:
     Every step rescans the witnesses of each candidate extension of the
     chosen family and keeps the first candidate with the largest profile.
     """
-    pool = [Monomial(c) for c in enumerate_monomials(2, d)]
-    chosen = [m for m in pool if d in m.exponents]
+    pool = enumerate_monomials(2, d)
+    chosen = [m for m in pool if d in m]
     chosen_set = set(chosen)
     while len(chosen) < n:
-        best: Monomial | None = None
+        best: tuple[int, ...] | None = None
         best_profile: list | None = None
         for cand in pool:
             if cand in chosen_set:
@@ -271,7 +272,7 @@ def reference_greedy(d: int, n: int) -> MonomialFamily:
         assert best is not None
         chosen.append(best)
         chosen_set.add(best)
-    return MonomialFamily.from_monomials(chosen)
+    return MonomialFamily.from_exponents(chosen)
 
 
 class TestN2Search:
@@ -281,7 +282,7 @@ class TestN2Search:
             for n in range(3, binomial(d + 2, 2) + 1):
                 if (d, n) == (2, 5):
                     continue
-                assert gen_n2_search(d, n).members == reference_greedy(d, n).members, (d, n)
+                assert gen_n2_search(d, n).rows == reference_greedy(d, n).rows, (d, n)
                 cells += 1
         assert cells == 146
 
@@ -320,8 +321,8 @@ class TestN2Search:
 class TestFaceVertex:
     def test_vertex_is_added(self):
         fam = gen_face_vertex(3, 4, 10)
-        assert Monomial((0, 0, 0, 4)) in fam.members
-        inner = [m for m in fam.members if m.exponents[3] == 0]
+        assert (0, 0, 0, 4) in fam.rows
+        inner = [m for m in fam.rows if m[3] == 0]
         assert len(inner) == 9
 
 
@@ -363,15 +364,15 @@ class TestPropFaces:
     def test_partial_layer_members(self):
         fam = gen_prop_faces(3, 4, 20)
         for exps in [(1, 0, 0, 3), (0, 1, 0, 3), (0, 0, 0, 4), (2, 0, 0, 2), (1, 1, 0, 2)]:
-            assert Monomial(exps) in fam.members
+            assert exps in fam.rows
 
     def test_degenerate_bracket_family(self):
         # n one past the whole-faces count: one monomial beyond the faces
         fam = gen_prop_faces(3, 4, 26)
-        faces_part = [m for m in fam.members if m.exponents[2] == 0 or m.exponents[3] == 0]
+        faces_part = [m for m in fam.rows if m[2] == 0 or m[3] == 0]
         assert len(faces_part) == 25
-        extra = [m for m in fam.members if m not in faces_part]
-        assert [m.exponents for m in extra] == [(0, 0, 1, 3)]
+        extra = [m for m in fam.rows if m not in faces_part]
+        assert extra == [(0, 0, 1, 3)]
 
     def test_m_primary_across_layer_range(self):
         for d in (3, 4, 5):
@@ -389,20 +390,20 @@ def test_faces_and_dots_members():
     fam = gen_faces_and_dots(3, 5, 53)
     assert len(fam) == 53
     faces = faces_family(3, 5)
-    assert set(faces.members) <= set(fam.members)
-    extra = set(fam.members) - set(faces.members)
-    assert {m.exponents for m in extra} == {(2, 1, 1, 1)}
+    assert set(faces.rows) <= set(fam.rows)
+    extra = set(fam.rows) - set(faces.rows)
+    assert extra == {(2, 1, 1, 1)}
 
 
 class TestBrennerRecursion:
     def test_interior_lift(self):
         fam = gen_brenner(3, 7, 105)
         faces = faces_family(3, 7)
-        interior = [m for m in fam.members if all(e >= 1 for e in m.exponents)]
+        interior = [m for m in fam.rows if all(e >= 1 for e in m)]
         assert len(fam) == 105
-        assert set(faces.members) <= set(fam.members)
+        assert set(faces.rows) <= set(fam.rows)
         assert len(interior) == 5
-        assert all(sum(m.exponents) == 7 for m in interior)
+        assert all(sum(m) == 7 for m in interior)
 
     def test_top_of_range_equals_full_set(self):
         for N, d in [(3, 6), (3, 7), (3, 8), (4, 7)]:

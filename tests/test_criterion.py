@@ -16,17 +16,17 @@ from syzstab.criterion import (
     PreconditionError,
     StabilityCertificate,
     Verdict,
+    _exponent_masks,
     _gcd_witness,
     brute_force_check,
     check_family,
     is_m_primary,
     is_semistable_p1,
-    scan_witnesses,
     splitting_type_p1,
+    witnesses_by_degree,
 )
 from syzstab.monomials import (
     DimensionMismatch,
-    Monomial,
     MonomialFamily,
     binomial,
     enumerate_monomials,
@@ -87,28 +87,32 @@ def test_full_quadrics_plane_worst_witness():
     cert = check_family(full_family(2, 2))
     assert cert.verdict is Verdict.STABLE
     assert cert.worst is not None
-    assert cert.worst.gcd == Monomial((1, 0, 0))
+    assert cert.worst.gcd.exponents == (1, 0, 0)
     assert cert.worst.multiple_count == 3
     assert cert.worst.margin == 1
     assert cert.witness_count == 3
 
 
-def test_scan_witnesses_skips_non_maximal_gcds():
+def scan(rows, d):
+    """Every witness of the rows, in scan order."""
+    return [w for hits in witnesses_by_degree(rows, d) for w in hits]
+
+
+def test_scan_skips_non_maximal_gcds():
     # in {X0^3, X0^2 X1, X1^3} the multiples of X0 have gcd X0^2, so only
     # X0^2 is reported as a witness gcd
-    members = [Monomial((3, 0)), Monomial((2, 1)), Monomial((0, 3))]
-    gcds = {g for g, *_ in scan_witnesses(members, 3)}
+    rows = [(3, 0), (2, 1), (0, 3)]
+    gcds = {g for g, *_ in scan(rows, 3)}
     assert (2, 0) in gcds
     assert (1, 0) not in gcds
 
 
-def reference_scan(members, d):
+def reference_scan(exps, d):
     """The candidate x member divisibility loop the bitmask kernel replaced."""
-    if not members:
+    if not exps:
         return
-    N = members[0].num_vars - 1
-    n = len(members)
-    exps = [m.exponents for m in members]
+    N = len(exps[0]) - 1
+    n = len(exps)
     for e in range(1, d):
         for gexp in enumerate_monomials(N, e):
             count = 0
@@ -128,26 +132,64 @@ def member_sets(draw):
     # any non-empty set in any order, m-primary or not
     N = draw(st.integers(min_value=1, max_value=5))
     d = draw(st.integers(min_value=1, max_value=7))
-    pool = [Monomial(c) for c in enumerate_monomials(N, d)]
-    members = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
-    return members, d
+    pool = enumerate_monomials(N, d)
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    return rows, d
 
 
 @settings(max_examples=200, deadline=None)
 @given(member_sets())
 def test_scan_matches_reference_loop(case):
-    members, d = case
-    assert list(scan_witnesses(members, d)) == list(reference_scan(members, d))
+    rows, d = case
+    # one list per degree 1..d-1, each holding that degree's witnesses
+    by_degree = list(witnesses_by_degree(rows, d))
+    assert [{w[1] for w in hits} <= {e} for e, hits in enumerate(by_degree, 1)] == [True] * (d - 1)
+    assert scan(rows, d) == list(reference_scan(rows, d))
 
 
 def test_scan_matches_reference_loop_on_full_families():
     for N, d in ((1, 9), (2, 8), (3, 6), (4, 5)):
         family = full_family(N, d)
-        members = family.members
-        got = list(scan_witnesses(members, d))
-        assert got == list(reference_scan(members, d))
+        got = scan(family.rows, d)
+        assert got == list(reference_scan(family.rows, d))
         assert got
         assert check_family(family).witness_count == len(got)
+
+
+def reference_masks(rows, num_vars, d):
+    """ge[i][t] built entry by entry, as the masks were before only nonzero exponents set bits."""
+    ge = []
+    for i in range(num_vars):
+        at = [0] * (d + 2)
+        for j, row in enumerate(rows):
+            at[row[i]] |= 1 << j
+        for t in range(d, -1, -1):
+            at[t] |= at[t + 1]
+        ge.append(at)
+    return ge
+
+
+@st.composite
+def sparse_rows(draw):
+    # rows of degree at most d over up to a dozen variables: mostly zeros
+    num_vars = draw(st.integers(min_value=1, max_value=12))
+    d = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        row = [0] * num_vars
+        budget = draw(st.integers(min_value=0, max_value=d))
+        while budget:
+            v = draw(st.integers(min_value=1, max_value=budget))
+            row[draw(st.integers(min_value=0, max_value=num_vars - 1))] += v
+            budget -= v
+        rows.append(tuple(row))
+    return rows, num_vars, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_exponent_masks_match_per_entry_reference(case):
+    assert _exponent_masks(*case) == reference_masks(*case)
 
 
 def test_witness_json_keys():
@@ -224,8 +266,8 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
     if not is_m_primary(fam):
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     d = fam.d
-    exps = [m.exponents for m in fam.members]
-    worst: tuple | None = None  # (g, e, k, margin), as scan_witnesses yields
+    exps = fam.rows
+    worst: tuple | None = None  # (g, e, k, margin), as witnesses_by_degree lists them
     gcds: set[tuple[int, ...]] = set()
     negative = False
     zero_proper = False
@@ -291,10 +333,10 @@ class TestBruteForce:
         f = fam((4, 0, 0), (3, 0, 1), (2, 1, 1), (0, 4, 0), (0, 0, 4))
         o = brute_force_check(f)
         assert o.worst == check_family(f).worst
-        assert o.worst.gcd == Monomial((2, 0, 0)) and o.worst.margin == 0
-        assert reference_oracle(f).worst.gcd == Monomial((3, 0, 0))
+        assert o.worst.gcd.exponents == (2, 0, 0) and o.worst.margin == 0
+        assert reference_oracle(f).worst.gcd.exponents == (3, 0, 0)
         # X0, X1 and X2 tie at degree 1: the larger exponent tuple comes first
-        assert brute_force_check(full_family(2, 2)).worst.gcd == Monomial((1, 0, 0))
+        assert brute_force_check(full_family(2, 2)).worst.gcd.exponents == (1, 0, 0)
 
     def test_memory_stays_linear(self):
         # a 2^n gcd table would take megabytes at n = 16
@@ -330,7 +372,7 @@ class TestBruteForce:
         f = full_family(2, 3)
         cert = check_family(f)
         check_family.cache_clear()
-        monkeypatch.setattr("syzstab.criterion.scan_witnesses", scan)
+        monkeypatch.setattr("syzstab.criterion.witnesses_by_degree", scan)
         assert brute_force_check(f) == cert
         with pytest.raises(AssertionError, match="called the scan"):
             check_family(f)
@@ -405,7 +447,7 @@ class TestSplittingType:
 def test_strategy_x0_on_full_family():
     # in every degree e, no monomial divides more members than X0^e does
     fam = full_family(3, 3)
-    exps = [m.exponents for m in fam.members]
+    exps = fam.rows
     for e in range(1, fam.d):
         x0_count = sum(1 for m in exps if m[0] >= e)
         for g in enumerate_monomials(fam.N, e):

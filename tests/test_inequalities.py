@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from syzstab.constructions import Route, classify_route, dispatch
-from syzstab.criterion import scan_witnesses
+from syzstab.criterion import witnesses_by_degree
 from syzstab.inequalities import (
     FUNCTIONS,
     audit,
@@ -132,7 +132,7 @@ def margin_decomposition_holds(N, d, n):
     n_faces = len(faces_family(N, d))
     n_prime = n - n_faces
     d_prime = d - N - 1
-    for g, e, k, _ in scan_witnesses(list(fam.members), d):
+    for g, e, k, _ in (w for hits in witnesses_by_degree(fam.rows, d) for w in hits):
         i = sum(1 for x in g if x == 0)
         k_prime = k - (binomial(d - e + N, N) - binomial(d - e + N - i, N))
         delta = e - N - 1 + i

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzstab.monomials import (
+    DimensionMismatch,
     FamilyFormatError,
     Monomial,
     MonomialFamily,
     binomial,
     enumerate_monomials,
     full_family,
+    monomial_text,
 )
 
 from families import faces_family
@@ -33,15 +35,13 @@ def test_binomial_vanishes_outside_pascal_triangle():
     assert binomial(-2, -1) == 0
 
 
-class TestMonomial:
-    def test_degree_and_str(self):
-        m = Monomial((2, 0, 1))
-        assert MonomialFamily.from_monomials([m]).d == 3
-        assert str(m) == "X0^2*X2"
-        assert str(Monomial((0, 0, 0))) == "1"
+class TestRows:
+    def test_text(self):
+        assert monomial_text((2, 0, 1)) == "X0^2*X2"
+        assert monomial_text((0, 0, 0)) == "1"
+        assert MonomialFamily.from_exponents([(2, 0, 1)]).d == 3
 
     def test_validation(self):
-        # a Monomial is a plain value; the family constructor checks members
         bad = [
             [(3,)],  # a single variable is not a projective space
             [(2, 0), (2,)],
@@ -54,8 +54,15 @@ class TestMonomial:
         for rows in bad:
             with pytest.raises(ValueError):
                 MonomialFamily.from_exponents(rows)
-            with pytest.raises(ValueError):
-                MonomialFamily.from_monomials(Monomial(r) for r in rows)
+
+    def test_members_view_and_from_monomials(self):
+        # kept for perfbench/ only: the view builds Monomials from the rows
+        fam = MonomialFamily.from_monomials([Monomial((0, 2)), Monomial((2, 0)), Monomial((1, 1))])
+        assert fam.rows == ((2, 0), (1, 1), (0, 2))
+        assert fam.members == (Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2)))
+        assert str(fam.members[0]) == "X0^2"
+        with pytest.raises(ValueError):
+            MonomialFamily.from_monomials([Monomial((2, 0)), Monomial((3, -1))])
 
 
 def test_enumerate_monomials_count_and_order():
@@ -87,22 +94,22 @@ def test_faces_family_size_formula():
         for d in range(1, 7):
             fam = faces_family(N, d)
             assert len(fam) == binomial(d + N, N) - binomial(d - 1, N)
-            assert all(0 in m.exponents for m in fam.members)
+            assert all(0 in m for m in fam.rows)
 
 
 class TestMonomialFamily:
-    def test_from_monomials_canonicalizes(self):
-        fam = MonomialFamily.from_monomials([Monomial((0, 2)), Monomial((2, 0)), Monomial((1, 1))])
-        assert [m.exponents for m in fam.members] == [(2, 0), (1, 1), (0, 2)]
+    def test_from_exponents_canonicalizes(self):
+        fam = MonomialFamily.from_exponents([(0, 2), [2, 0], (1, 1)])
+        assert fam.rows == ((2, 0), (1, 1), (0, 2))
         assert fam.N == 1 and fam.d == 2 and len(fam) == 3
 
     def test_constructor_canonicalizes(self):
-        unsorted = (Monomial((0, 2)), Monomial((2, 0)), Monomial((1, 1)))
+        unsorted = ((0, 2), (2, 0), (1, 1))
         fam = MonomialFamily(1, 2, unsorted)
-        assert [m.exponents for m in fam.members] == [(2, 0), (1, 1), (0, 2)]
-        assert fam == MonomialFamily.from_monomials(unsorted)
-        with pytest.raises(FamilyFormatError):
-            MonomialFamily(1, 2, unsorted + (Monomial((1, 1)),))
+        assert fam.rows == ((2, 0), (1, 1), (0, 2))
+        assert fam == MonomialFamily.from_exponents(unsorted)
+        with pytest.raises(FamilyFormatError, match=r"^duplicate member X0\*X1$"):
+            MonomialFamily(1, 2, unsorted + ((1, 1),))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -114,11 +121,11 @@ class TestMonomialFamily:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            MonomialFamily.from_monomials([Monomial((2, 0)), Monomial((0, 2, 0))])
+            MonomialFamily.from_exponents([(2, 0), (0, 2, 0)])
 
     def test_contains_and_exponent_set(self):
         fam = full_family(2, 2)
-        assert Monomial((1, 1, 0)) in fam.members
+        assert (1, 1, 0) in fam.rows
         assert (2, 0, 0) in fam.exponent_set()
 
     def test_text_round_trip(self):
@@ -129,7 +136,7 @@ class TestMonomialFamily:
     def test_from_text_reorders_to_canonical(self):
         text = "1 2 3\n0 2\n2 0\n1 1\n"
         fam = MonomialFamily.from_text(text)
-        assert [m.exponents for m in fam.members] == [(2, 0), (1, 1), (0, 2)]
+        assert fam.rows == ((2, 0), (1, 1), (0, 2))
 
     @pytest.mark.parametrize(
         "text",
@@ -171,6 +178,84 @@ def test_family_text_round_trip_property(fam):
 @settings(max_examples=60)
 @given(families())
 def test_family_members_strictly_descending(fam):
-    rows = [m.exponents for m in fam.members]
+    rows = list(fam.rows)
     assert rows == sorted(rows, reverse=True)
     assert len(set(rows)) == len(fam)
+
+
+def reference_validate(N, d, rows):
+    """The per-member checks the family constructor made before it held rows."""
+    if N < 1:
+        raise FamilyFormatError(f"N must be at least 1, got {N}")
+    if d < 1:
+        raise FamilyFormatError(f"d must be at least 1, got {d}")
+    members = tuple(Monomial(r) for r in rows)
+    for m in members:
+        exps = m.exponents
+        if len(exps) != N + 1:
+            raise DimensionMismatch(
+                f"member {exps!r} has {len(exps)} variables, family expects {N + 1}"
+            )
+        if not all(isinstance(e, int) and e >= 0 for e in exps):
+            raise FamilyFormatError(f"exponents must be non-negative integers, got {exps!r}")
+        if sum(exps) != d:
+            raise FamilyFormatError(f"member {m} has degree {sum(exps)}, family expects {d}")
+    members = tuple(sorted(members, key=lambda m: m.exponents, reverse=True))
+    for a, b in zip(members, members[1:]):
+        if a.exponents == b.exponents:
+            raise FamilyFormatError(f"duplicate member {a}")
+    return tuple(m.exponents for m in members)
+
+
+@st.composite
+def malformed_rows(draw):
+    # mostly valid rows, a few of them spoiled one way or another
+    N = draw(st.integers(min_value=0, max_value=3))
+    d = draw(st.integers(min_value=0, max_value=4))
+    pool = enumerate_monomials(max(N, 1), max(d, 0))
+    rows = [list(r) for r in draw(st.lists(st.sampled_from(pool), max_size=6))]
+    spoil = st.sampled_from(["short", "long", "negative", "float", "str", "bool", "degree", "repeat"])
+    spoiled = set()
+    for how in draw(st.lists(spoil, max_size=3)):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        if k in spoiled:
+            continue
+        spoiled.add(k)
+        row = rows[k]
+        j = draw(st.integers(0, len(row) - 1))
+        if how == "short":
+            row.pop()
+        elif how == "long":
+            row.append(0)
+        elif how == "negative":
+            # X_j drops to -1 and the next variable makes up the degree
+            row[(j + 1) % len(row)] += row[j] + 1
+            row[j] = -1
+        elif how == "float":
+            row[j] = row[j] + 0.5
+        elif how == "str":
+            row[j] = str(row[j])
+        elif how == "bool":
+            row[j] = bool(row[j] % 2)
+        elif how == "degree":
+            row[j] += 1
+        else:
+            rows.append(list(row))
+    return N, d, [tuple(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_rows())
+def test_constructor_raises_as_the_member_loop_did(case):
+    N, d, rows = case
+    try:
+        expected = reference_validate(N, d, rows)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            MonomialFamily(N, d, rows)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert MonomialFamily(N, d, rows).rows == expected
