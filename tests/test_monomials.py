@@ -35,10 +35,11 @@ def test_binomial_vanishes_outside_pascal_triangle():
     assert binomial(-2, -1) == 0
 
 
-class TestRows:
-    def test_text(self):
+class TestMonomial:
+    def test_degree_and_str(self):
         assert monomial_text((2, 0, 1)) == "X0^2*X2"
         assert monomial_text((0, 0, 0)) == "1"
+        assert str(Monomial((2, 0, 1))) == "X0^2*X2"
         assert MonomialFamily.from_exponents([(2, 0, 1)]).d == 3
 
     def test_validation(self):
@@ -54,15 +55,8 @@ class TestRows:
         for rows in bad:
             with pytest.raises(ValueError):
                 MonomialFamily.from_exponents(rows)
-
-    def test_members_view_and_from_monomials(self):
-        # kept for perfbench/ only: the view builds Monomials from the rows
-        fam = MonomialFamily.from_monomials([Monomial((0, 2)), Monomial((2, 0)), Monomial((1, 1))])
-        assert fam.rows == ((2, 0), (1, 1), (0, 2))
-        assert fam.members == (Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2)))
-        assert str(fam.members[0]) == "X0^2"
-        with pytest.raises(ValueError):
-            MonomialFamily.from_monomials([Monomial((2, 0)), Monomial((3, -1))])
+            with pytest.raises(ValueError):
+                MonomialFamily.from_monomials(Monomial(r) for r in rows)
 
 
 def test_enumerate_monomials_count_and_order():
@@ -101,6 +95,13 @@ class TestMonomialFamily:
     def test_from_exponents_canonicalizes(self):
         fam = MonomialFamily.from_exponents([(0, 2), [2, 0], (1, 1)])
         assert fam.rows == ((2, 0), (1, 1), (0, 2))
+        assert fam.N == 1 and fam.d == 2 and len(fam) == 3
+
+    def test_from_monomials_canonicalizes(self):
+        # kept for perfbench/ only, as is the members view built from the rows
+        fam = MonomialFamily.from_monomials([Monomial((0, 2)), Monomial((2, 0)), Monomial((1, 1))])
+        assert fam.rows == ((2, 0), (1, 1), (0, 2))
+        assert fam.members == (Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2)))
         assert fam.N == 1 and fam.d == 2 and len(fam) == 3
 
     def test_constructor_canonicalizes(self):
