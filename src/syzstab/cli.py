@@ -128,6 +128,7 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
 
+    wanted = (Verdict.STABLE,) if args.strict else (Verdict.STABLE, Verdict.SEMISTABLE)
     if fam.N == 1:
         # bundles on the line split; the splitting type decides exactly
         try:
@@ -151,7 +152,6 @@ def cmd_check(args) -> int:
         if args.oracle:
             print("error: --oracle applies to N >= 2 families", file=sys.stderr)
             return EX_FAIL
-        wanted = (Verdict.STABLE,) if args.strict else (Verdict.STABLE, Verdict.SEMISTABLE)
         return EX_OK if verdict in wanted else EX_FAIL
 
     try:
@@ -177,7 +177,6 @@ def cmd_check(args) -> int:
                 file=sys.stderr,
             )
             status = EX_FAIL
-    wanted = (Verdict.STABLE,) if args.strict else (Verdict.STABLE, Verdict.SEMISTABLE)
     if cert.verdict not in wanted:
         status = EX_FAIL
     return status
@@ -259,7 +258,6 @@ def cmd_sweep(args) -> int:
                 rows = list(pool.map(_sweep_cell, cells, chunksize=8))
         else:
             rows = [_sweep_cell(cell) for cell in cells]
-        rows.sort(key=lambda row: (row["N"], row["d"], row["n"]))
         failures = [row for row in rows if row["failure"] is not None]
         if fh is not None:
             report = {
@@ -286,23 +284,14 @@ def cmd_sweep(args) -> int:
     return EX_OK if not failures else EX_FAIL
 
 
-_AUDIT_DEFAULTS = {
-    "T": (range(3, 6), range(2, 11)),
-    "U": (range(3, 6), range(2, 11)),
-    "V": (range(3, 6), range(5, 13)),
-    "Q": (range(3, 6), range(5, 13)),
-    "brenner2": (range(1, 7), range(0, 21)),
-}
-
-
 def cmd_audit(args) -> int:
-    if args.function == "P" and (args.N is not None or args.d is not None):
-        # P draws its own (N, d) pairs; see sample_P
-        print("error: the P audit takes no --N or --d, only --samples and --seed",
+    ranges = FUNCTIONS[args.function].ranges
+    if ranges is None and (args.N is not None or args.d is not None):
+        # a sampled audit draws its own (N, d) pairs; see sample_P
+        print(f"error: the {args.function} audit takes no --N or --d, only --samples and --seed",
               file=sys.stderr)
         return EX_USAGE
-    # P has no default ranges: audit_grid ignores them and calls sample_P
-    N_range, d_range = _AUDIT_DEFAULTS.get(args.function, ((), ()))
+    N_range, d_range = ranges or ((), ())
     if args.N is not None:
         N_range = args.N
     if args.d is not None:

@@ -30,7 +30,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, MonomialFamily
+from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, MonomialFamily, binomial
 
 # n * 2^n at n = 20: the most componentwise minima the oracle may take
 MAX_ORACLE_WORK = 20 * 2**20
@@ -255,8 +255,9 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
 
     Raises PreconditionError unless the family has n >= 2 members, is
     m-primary and has (N + 1) * d^2 at most MAX_SCAN_WORK.  A two-member
-    family presents a line bundle (rank 1) and is StableCertified by
-    convention without evaluating the criterion.
+    family presents a line bundle (rank 1), stable by convention; the scan
+    gives that with no special case, since two members are m-primary only
+    on the line, {X0^d, X1^d}, where no subset has a nontrivial gcd.
 
     Verdict logic over the evaluated witnesses, all of which are proper
     subsets: any negative margin gives CriterionViolated; otherwise a zero
@@ -266,9 +267,6 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     least margin in scan order.
     """
     _require_checkable(fam)
-    n = len(fam)
-    if n == 2:
-        return StabilityCertificate(Verdict.STABLE, fam.N, fam.d, n, 0, None)
     count = 0
     worst = None
     for hits in witnesses_by_degree(fam.rows, fam.d):
@@ -283,7 +281,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         verdict = Verdict.SEMISTABLE
     else:
         verdict = Verdict.CRITERION_VIOLATED
-    return StabilityCertificate(verdict, fam.N, fam.d, n, count, _gcd_witness(worst))
+    return StabilityCertificate(verdict, fam.N, fam.d, len(fam), count, _gcd_witness(worst))
 
 
 def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
@@ -305,7 +303,8 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     the work bound n * min(2^n, C(d+N+1, N+1)) exceeds MAX_ORACLE_WORK: each
     gcd is a non-empty subset's and a monomial of degree <= d in N+1
     variables, so G is at most both.  Every family of up to 20 members is
-    admitted.
+    admitted.  The bound is taken after the shared preconditions, whose cap
+    on (N + 1) * d^2 keeps the binomial small.
 
     The verdict comes from the raw quantifiers over those pairs: any
     negative margin (any subset) refutes the certificate, a zero margin on a
@@ -321,19 +320,12 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     """
     _require_checkable(fam)
     n, d = len(fam), fam.d
-    cap = MAX_ORACLE_WORK // n
-    if n >= cap.bit_length():  # 2^n > cap, so C(d+N+1, N+1) must fit
-        gcds = 1
-        for i in range(1, fam.N + 2):
-            # C(d+i, i) grows with i: stop once it passes the cap, before a
-            # huge d from the file header makes the product large
-            gcds = gcds * (d + i) // i
-            if gcds > cap:
-                raise OracleSizeError(
-                    f"family has {n} members: the oracle's work bound "
-                    f"n * min(2^n, C(d+N+1, N+1)) at N = {fam.N}, d = {d} "
-                    f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}"
-                )
+    if n * min(2**n, binomial(d + fam.N + 1, fam.N + 1)) > MAX_ORACLE_WORK:
+        raise OracleSizeError(
+            f"family has {n} members: the oracle's work bound "
+            f"n * min(2^n, C(d+N+1, N+1)) at N = {fam.N}, d = {d} "
+            f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}"
+        )
     sizes_by_gcd: dict[tuple[int, ...], int] = {}
     for x in fam.rows:
         for g, sizes in list(sizes_by_gcd.items()):

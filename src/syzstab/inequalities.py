@@ -149,24 +149,31 @@ def _gap_in_range(args: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """One auditable function: evaluator, proof range, and sign requirement.
+    """One auditable function: evaluator, proof range, sign requirement and
+    default audit ranges.
 
     strict means the proof needs value > 0 on the range; otherwise >= 0.
+    ranges holds the (N, d) ranges an audit walks by default, or None for a
+    function whose audit samples its argument tuples instead (P, see
+    sample_P) and so takes no (N, d) ranges at all.
     """
 
     label: str
     evaluate: Callable[..., Fraction]
     in_range: Callable[[Sequence[int]], bool]
     strict: bool
+    ranges: tuple[range, range] | None
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
-    "T": FunctionSpec("T", eval_T, _t_in_range, True),
-    "U": FunctionSpec("U", eval_U, _u_in_range, True),
-    "V": FunctionSpec("V", eval_V, _v_in_range, True),
-    "Q": FunctionSpec("Q", eval_Q, _q_in_range, True),
-    "P": FunctionSpec("P", eval_P, _p_in_range, False),
-    "brenner2": FunctionSpec("Brenner2Gap", brenner2_gap, _gap_in_range, False),
+    "T": FunctionSpec("T", eval_T, _t_in_range, True, (range(3, 6), range(2, 11))),
+    "U": FunctionSpec("U", eval_U, _u_in_range, True, (range(3, 6), range(2, 11))),
+    "V": FunctionSpec("V", eval_V, _v_in_range, True, (range(3, 6), range(5, 13))),
+    "Q": FunctionSpec("Q", eval_Q, _q_in_range, True, (range(3, 6), range(5, 13))),
+    "P": FunctionSpec("P", eval_P, _p_in_range, False, None),
+    "brenner2": FunctionSpec(
+        "Brenner2Gap", brenner2_gap, _gap_in_range, False, (range(1, 7), range(0, 21))
+    ),
 }
 
 
@@ -269,12 +276,13 @@ def audit_grid(
 ) -> Iterator[tuple[int, ...]]:
     """In-proof-range argument tuples for one function over (N, d) ranges.
 
-    For P the proof range has no finite (N, d)-indexed grid, so sampled
-    tuples are yielded instead; samples and seed are ignored otherwise.
+    For a sampled function (P: its proof range has no finite (N, d)-indexed
+    grid) sampled tuples are yielded instead; samples and seed are ignored
+    otherwise.
     """
     if name not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}")
-    if name == "P":
+    if FUNCTIONS[name].ranges is None:
         yield from sample_P(samples, seed)
         return
     for N, d in itertools.product(N_range, d_range):

@@ -17,6 +17,7 @@ from syzstab.criterion import (
     brute_force_check,
     check_family,
 )
+from syzstab.inequalities import audit
 from syzstab.monomials import Monomial, MonomialFamily
 
 
@@ -482,6 +483,22 @@ def test_audit_human_output(capsys):
     code, stdout, _ = run(["audit", "V", "--N", "3..3", "--d", "5..8"], capsys)
     assert code == EX_OK
     assert "violations: 0" in stdout
+
+
+@pytest.mark.parametrize(
+    "name, N_range, d_range",
+    [
+        ("T", range(3, 6), range(2, 11)),
+        ("U", range(3, 6), range(2, 11)),
+        ("V", range(3, 6), range(5, 13)),
+        ("Q", range(3, 6), range(5, 13)),
+        ("brenner2", range(1, 7), range(0, 21)),
+    ],
+)
+def test_audit_default_ranges(name, N_range, d_range, capsys):
+    code, stdout, _ = run(["audit", name, "--json"], capsys)
+    assert code == EX_OK
+    assert json.loads(stdout) == audit(name, N_range, d_range)[1].to_json()
 
 
 def test_audit_p_samples(capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syzstab.constructions import Route, dispatch
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
@@ -38,10 +39,10 @@ def fam(*rows):
     return MonomialFamily.from_exponents(rows)
 
 
-def degree_30_family():
-    """21 members of degree 30 in six variables, past the oracle's work bound."""
+def degree_30_family(size=21):
+    """size members of degree 30 in six variables; 21 is past the oracle's work bound."""
     pures = [tuple(30 * (k == i) for k in range(6)) for i in range(6)]
-    pairs = list(itertools.permutations(range(6), 2))[:15]
+    pairs = list(itertools.permutations(range(6), 2))[:size - 6]
     return MonomialFamily.from_exponents(
         pures + [tuple(29 * (k == i) + (k == j) for k in range(6)) for i, j in pairs]
     )
@@ -76,10 +77,18 @@ def test_scan_work_bound_refuses_before_allocating():
 
 
 def test_rank_one_bundle_is_stable_by_convention():
-    f = fam((3, 0), (0, 3))
-    assert check_family(f).verdict is Verdict.STABLE
-    assert brute_force_check(f).verdict is Verdict.STABLE
-    assert check_family(f).worst is None
+    # the scan needs no special case: the two pure powers' gcd is 1, so no
+    # subset has a witness, up to the line's top admitted degree
+    for d in (3, 9999):
+        f = fam((d, 0), (0, d))
+        cert = check_family(f)
+        assert cert.verdict is Verdict.STABLE
+        assert cert.witness_count == 0
+        assert cert.worst is None
+        assert brute_force_check(f) == cert
+        route, built = dispatch(1, d, 2)
+        assert route is Route.P1_FAMILY and built == f
+        assert check_family(built) == cert
 
 
 def test_full_quadrics_plane_worst_witness():
@@ -308,6 +317,14 @@ class TestBruteForce:
         # 35 members, but at most C(8, 4) = 70 distinct subset gcds
         f = full_family(3, 4)
         assert len(f) == 35
+        assert brute_force_check(f) == check_family(f)
+
+    def test_work_bound_admits_20_members_at_exactly_the_cap(self):
+        # C(36, 6) >= 2^20, so the bound is 20 * 2^20, which equals the cap
+        f = degree_30_family(20)
+        assert len(f) == 20 and is_m_primary(f)
+        assert binomial(36, 6) >= 2**20
+        assert 20 * min(2**20, binomial(36, 6)) == MAX_ORACLE_WORK
         assert brute_force_check(f) == check_family(f)
 
     def test_work_bound_refuses_21_members_of_degree_30(self):

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from syzstab.constructions import Route, classify_route, dispatch
+from syzstab.constructions import (
+    Route,
+    admissible_bounds,
+    classify_route,
+    decompose_faces_case,
+    dispatch,
+)
 from syzstab.criterion import witnesses_by_degree
 from syzstab.inequalities import (
     FUNCTIONS,
@@ -158,6 +164,38 @@ def test_margin_decomposition_on_interior_recursion_cells():
     assert cells  # the grid must actually exercise the route
     for cell in cells:
         assert margin_decomposition_holds(*cell), cell
+
+
+def test_generated_witnesses_respect_their_bounds():
+    # every witness of the cells a bound speaks about, on the default grid
+    # (N <= 4, d <= 6), paired with that bound where its arguments are in
+    # the proof range; U and V with dots have no settled reading yet
+    T, Q, V = (FUNCTIONS[name] for name in "TQV")
+    paired = {"T": 0, "Q": 0, "V": 0}
+    for N in (3, 4):
+        for d in range(2, 7):
+            faces = faces_family(N, d)
+            lo, hi = admissible_bounds(N, d)
+            for n in range(lo, hi + 1):
+                route, fam = dispatch(N, d, n)
+                witnesses = [w for hits in witnesses_by_degree(fam.rows, d) for w in hits]
+                if route is Route.PROP_FACES:
+                    case = decompose_faces_case(N, d, n)
+                    for g, e, k, margin in witnesses:
+                        if T.in_range(args := (N, d, e, case.r, case.l)):
+                            paired["T"] += 1
+                            assert margin >= T.evaluate(*args), (N, d, n, g)
+                    if fam == faces:
+                        for g, e, k, margin in witnesses:
+                            if V.in_range(args := (d, e, N)):
+                                paired["V"] += 1
+                                assert margin >= V.evaluate(*args), (N, d, n, g)
+                elif route is Route.BRENNER_RECURSION:
+                    for g, e, k, margin in witnesses:
+                        if Q.in_range(args := (N, d, e, g.count(0))):
+                            paired["Q"] += 1
+                            assert margin >= Q.evaluate(*args), (N, d, n, g)
+    assert paired == {"T": 6699, "Q": 747, "V": 68}
 
 
 class TestSweepPlumbing:
