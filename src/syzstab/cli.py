@@ -2,7 +2,8 @@
 
 Exit codes follow sysexits where they fit: 0 success, 1 check or audit
 failure (or runtime error), 2 provable nonexistence of the requested family,
-64 usage error, 65 malformed input file.
+64 usage error, 65 malformed input file. A command raises its refusal and
+main maps it to an exit code and one stderr line through REFUSALS.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import time
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import islice
 
 from .constructions import (
     InternalConsistencyError,
@@ -32,7 +34,7 @@ from .criterion import (
     is_semistable_p1,
     splitting_type_p1,
 )
-from .inequalities import FUNCTIONS, audit
+from .inequalities import FUNCTIONS, audit, audit_grid
 from .monomials import FamilyFormatError, MonomialFamily
 
 EX_OK = 0
@@ -43,6 +45,21 @@ EX_DATA = 65
 
 # cells one sweep may run; the default grid has 716 and N <= 5, d <= 8 has 4865
 SWEEP_CELL_LIMIT = 100_000
+# points one audit may evaluate: each is kept as a trace until the audit ends
+AUDIT_POINT_LIMIT = 500_000
+
+
+class UsageError(Exception):
+    """A request the command line refuses as malformed or out of range (exit 64)."""
+
+
+# (exception classes, exit code, stderr prefix); main prints the first match
+REFUSALS = (
+    ((NoFamilyExists,), EX_NOFAMILY, "no family exists"),
+    ((RoutingError, UsageError), EX_USAGE, "error"),
+    ((FamilyFormatError, UnicodeDecodeError), EX_DATA, "parse error"),
+    ((InternalConsistencyError, PreconditionError, OracleSizeError, OSError), EX_FAIL, "error"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,26 +108,12 @@ def _print_certificate(cert, as_json: bool, route: str | None = None) -> None:
 
 
 def cmd_generate(args) -> int:
-    try:
-        route, fam = dispatch(args.N, args.d, args.n)
-    except NoFamilyExists as exc:
-        print(f"no family exists: {exc}", file=sys.stderr)
-        return EX_NOFAMILY
-    except RoutingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FAIL
+    route, fam = dispatch(args.N, args.d, args.n)
     cert = check_family(fam)
     text = fam.to_text()
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_FAIL
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         print(text, end="")
     _print_certificate(cert, args.json, route.value)
@@ -118,25 +121,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            fam = MonomialFamily.from_text(fh.read())
-    except (FamilyFormatError, UnicodeDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FAIL
+    with open(args.path, "r", encoding="utf-8") as fh:
+        fam = MonomialFamily.from_text(fh.read())
 
     wanted = (Verdict.STABLE,) if args.strict else (Verdict.STABLE, Verdict.SEMISTABLE)
     if fam.N == 1:
         # bundles on the line split; the splitting type decides exactly
-        try:
-            twists = splitting_type_p1(fam)
-            verdict = is_semistable_p1(fam)
-        except PreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_FAIL
+        twists = splitting_type_p1(fam)
+        verdict = is_semistable_p1(fam)
         if args.json:
             print(json.dumps({
                 "verdict": verdict.value,
@@ -150,23 +142,14 @@ def cmd_check(args) -> int:
             print(f"family: N=1 d={fam.d} n={len(fam)}")
             print(f"splitting type: {', '.join(f'O({t})' for t in twists)}")
         if args.oracle:
-            print("error: --oracle applies to N >= 2 families", file=sys.stderr)
-            return EX_FAIL
+            raise PreconditionError("--oracle applies to N >= 2 families")
         return EX_OK if verdict in wanted else EX_FAIL
 
-    try:
-        cert = check_family(fam)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FAIL
+    cert = check_family(fam)
     _print_certificate(cert, args.json)
     status = EX_OK
     if args.oracle:
-        try:
-            oracle = brute_force_check(fam)
-        except OracleSizeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_FAIL
+        oracle = brute_force_check(fam)
         # the verdict, the witness count and the whole worst witness
         if oracle == cert:
             print("oracle agrees")
@@ -207,17 +190,11 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict:
 
 def cmd_sweep(args) -> int:
     if args.Nmax < 1 or args.dmax < 2:
-        print("error: need Nmax >= 1 and dmax >= 2", file=sys.stderr)
-        return EX_USAGE
+        raise UsageError("need Nmax >= 1 and dmax >= 2")
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EX_USAGE
-    try:
-        # C(d+N, N) grows in N and d, so the corner is the grid's largest cell
-        admissible_bounds(args.Nmax, args.dmax)
-    except RoutingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    # C(d+N, N) grows in N and d, so the corner is the grid's largest cell
+    admissible_bounds(args.Nmax, args.dmax)
     bounds = [
         (N, d, *admissible_bounds(N, d))
         for N in range(1, args.Nmax + 1)
@@ -227,11 +204,9 @@ def cmd_sweep(args) -> int:
     # ceiling yet holds tens of millions of cells
     total = sum(hi - lo + 1 for _, _, lo, hi in bounds)
     if total > SWEEP_CELL_LIMIT:
-        print(
-            f"error: the grid has {total} cells, above the sweep budget of {SWEEP_CELL_LIMIT}",
-            file=sys.stderr,
+        raise UsageError(
+            f"the grid has {total} cells, above the sweep budget of {SWEEP_CELL_LIMIT}"
         )
-        return EX_USAGE
     cells = []
     for N, d, lo, hi in bounds:
         for n in range(lo, hi + 1):
@@ -241,12 +216,8 @@ def cmd_sweep(args) -> int:
             except RoutingError:
                 continue
             cells.append((N, d, n))
-    try:
-        # opened before any cell runs, so a bad path is refused at once
-        report_file = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FAIL
+    # opened before any cell runs, so a bad path is refused at once
+    report_file = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
     with report_file as fh:
         # every worker is forked up front, so never ask for more than the CPUs
         jobs = min(args.jobs, os.cpu_count() or 1)
@@ -265,12 +236,8 @@ def cmd_sweep(args) -> int:
                 "rows": rows,
                 "failures": failures,
             }
-            try:
-                json.dump(report, fh, indent=2)
-                fh.flush()
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EX_FAIL
+            json.dump(report, fh, indent=2)
+            fh.flush()
     generated = sum(row["verdict"] not in (None, "NoFamilyExists") for row in rows)
     skipped = sum(row["verdict"] == "NoFamilyExists" for row in rows)
     print(
@@ -288,18 +255,27 @@ def cmd_audit(args) -> int:
     ranges = FUNCTIONS[args.function].ranges
     if ranges is None and (args.N is not None or args.d is not None):
         # a sampled audit draws its own (N, d) pairs; see sample_P
-        print(f"error: the {args.function} audit takes no --N or --d, only --samples and --seed",
-              file=sys.stderr)
-        return EX_USAGE
+        raise UsageError(
+            f"the {args.function} audit takes no --N or --d, only --samples and --seed"
+        )
     N_range, d_range = ranges or ((), ())
     if args.N is not None:
         N_range = args.N
     if args.d is not None:
         d_range = args.d
+    # a sampled audit evaluates --samples points; a grid is counted up to the budget
+    if ranges is None:
+        points = args.samples
+    else:
+        grid = audit_grid(args.function, N_range, d_range)
+        points = sum(1 for _ in islice(grid, AUDIT_POINT_LIMIT + 1))
+    if points > AUDIT_POINT_LIMIT:
+        raise UsageError(
+            f"the {args.function} audit has more than {AUDIT_POINT_LIMIT} points, the audit budget"
+        )
     _, summary = audit(args.function, N_range, d_range, args.samples, args.seed)
     if summary.count == summary.flagged:
-        print(f"error: the {args.function} audit grid has no in-range points", file=sys.stderr)
-        return EX_USAGE
+        raise UsageError(f"the {args.function} audit grid has no in-range points")
     if args.json:
         print(json.dumps(summary.to_json(), indent=2))
     else:
@@ -355,7 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for classes, code, prefix in REFUSALS:
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ exactly on a finite grid and count sign violations.  A passing audit does not
 replace the unbounded induction arguments, but any bookkeeping slip in the
 case analysis would show up here as a concrete counterexample tuple.
 
-All evaluators return Fraction. The five main functions are integer-valued
-on integer arguments once the factorials clear, but exact rationals cost
-nothing and remove any temptation to round.
+The five main functions are integer-valued on integer arguments and return
+the int they compute; brenner2_gap divides by factorials and returns a
+Fraction. Both are exact, so no sign is rounded away. Wrapping the ints in
+Fraction is not free: it made the default P audit about half again as slow.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .monomials import binomial
 
 
-def eval_T(N: int, d: int, gcd_degree: int, r: int, l: int) -> Fraction:
+def eval_T(N: int, d: int, gcd_degree: int, r: int, l: int) -> int:
     """Lower bound for the margin of a subset meeting r whole faces and a
     partial layer of depth l, when the subset gcd has degree gcd_degree <= l.
 
@@ -43,10 +44,10 @@ def eval_T(N: int, d: int, gcd_degree: int, r: int, l: int) -> Fraction:
         )
         - e * binomial(l - e + N - 1, N - 2)
     )
-    return Fraction(value)
+    return value
 
 
-def eval_U(N: int, d: int, r: int, l: int) -> Fraction:
+def eval_U(N: int, d: int, r: int, l: int) -> int:
     """Lower bound for the same margins when the subset gcd degree exceeds l.
 
     Positive on 0 <= l <= d-r-1, 1 <= r <= min(d-1, N), N >= 3.
@@ -54,10 +55,10 @@ def eval_U(N: int, d: int, r: int, l: int) -> Fraction:
     value = (d - l - 1) * (
         binomial(d + N, N) - binomial(d - r + N, N) + binomial(l + N - 1, N - 1)
     ) - d * (binomial(d - l - 1 + N, N) - binomial(d - l - 1 - r + N, N))
-    return Fraction(value)
+    return value
 
 
-def eval_V(d: int, gcd_degree: int, N: int) -> Fraction:
+def eval_V(d: int, gcd_degree: int, N: int) -> int:
     """Margin lower bound for the faces-plus-dots families.
 
     Positive on 1 <= gcd_degree <= d-N, d >= N+2, N >= 3; as a function of
@@ -67,10 +68,10 @@ def eval_V(d: int, gcd_degree: int, N: int) -> Fraction:
     value = (d - e) * (binomial(d + N, N) - binomial(d - 1, N)) - d * (
         binomial(d - e + N, N) - binomial(d - e, N)
     )
-    return Fraction(value)
+    return value
 
 
-def eval_Q(N: int, d: int, gcd_degree: int, t: int) -> Fraction:
+def eval_Q(N: int, d: int, gcd_degree: int, t: int) -> int:
     """Face contribution to the margin in the interior-recursion argument.
 
     t counts the zero exponents of the subset gcd; admissible pairs satisfy
@@ -83,10 +84,10 @@ def eval_Q(N: int, d: int, gcd_degree: int, t: int) -> Fraction:
         - d * binomial(d - e + N, N)
         + (d - N - 1 + t) * binomial(d - e + N - t, N)
     )
-    return Fraction(value)
+    return value
 
 
-def eval_P(n_prime: int, k_prime: int, N: int, d: int, gcd_degree: int, i: int) -> Fraction:
+def eval_P(n_prime: int, k_prime: int, N: int, d: int, gcd_degree: int, i: int) -> int:
     """Interior contribution to the margin in the interior-recursion argument.
 
     Nonnegative whenever k_prime is at most binomial(d - gcd_degree + N - i, N),
@@ -95,7 +96,7 @@ def eval_P(n_prime: int, k_prime: int, N: int, d: int, gcd_degree: int, i: int) 
     value = i * (n_prime - k_prime) + (N + 1 - i) * (
         binomial(d - gcd_degree + N - i, N) - k_prime + 1
     )
-    return Fraction(value)
+    return value
 
 
 def brenner2_gap(N: int, d: int) -> Fraction:
@@ -159,7 +160,7 @@ class FunctionSpec:
     """
 
     label: str
-    evaluate: Callable[..., Fraction]
+    evaluate: Callable[..., int | Fraction]
     in_range: Callable[[Sequence[int]], bool]
     strict: bool
     ranges: tuple[range, range] | None
@@ -184,7 +185,7 @@ class InequalityTrace:
 
     function: str
     arguments: tuple[int, ...]
-    value: Fraction | None
+    value: int | Fraction | None
     in_range: bool
 
 
@@ -201,7 +202,7 @@ class SweepSummary:
     count: int
     flagged: int
     violations: int
-    min_value: Fraction | None
+    min_value: int | Fraction | None
     argmin: tuple[int, ...] | None
 
     def to_json(self) -> dict:
@@ -226,7 +227,7 @@ def sweep(
     fn = FUNCTIONS[name]
     traces = []
     flagged = violations = 0
-    min_value: Fraction | None = None
+    min_value: int | Fraction | None = None
     argmin: tuple[int, ...] | None = None
     for raw in grid:
         args = tuple(raw)

@@ -579,3 +579,143 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "StableCertified" in proc.stdout
+
+
+# 21 members of degree 30 in six variables: 21 * C(36, 6) > MAX_ORACLE_WORK
+_OVERSIZED_FOR_THE_ORACLE = MonomialFamily.from_exponents(
+    [tuple(30 * (k == i) for k in range(6)) for i in range(6)]
+    + [tuple(29 * (k == i) + (k == j) for k in range(6))
+       for i, j in list(itertools.permutations(range(6), 2))[:15]]
+).to_text()
+
+# argv and the content of {path} (absent when None; {dir} is an existing
+# directory), then the exit code, the one stderr line and whether stdout is empty
+REFUSALS = [
+    pytest.param(
+        ["generate", "-N", "1", "-d", "3", "-n", "3"], None, EX_NOFAMILY,
+        "no family exists: no semistable family of 3 degree-3 monomials exists"
+        " on the projective line: 2 does not divide 3", True, id="generate-nonexistent",
+    ),
+    pytest.param(
+        ["generate", "-N", "3", "-d", "4", "-n", "36"], None, EX_USAGE,
+        "error: n=36 outside [4, 35] for (N, d) = (3, 4)", True, id="generate-out-of-range",
+    ),
+    pytest.param(
+        ["generate", "-N", "2", "-d", "100", "-n", "4000"], None, EX_USAGE,
+        "error: n=4000 outside [3, 3] for (N, d) = (2, 100) (the plane search work bound)", True,
+        id="generate-plane-work-bound",
+    ),
+    pytest.param(
+        ["generate", "-N", "2", "-d", "2", "-n", "4", "-o", "{dir}/missing/fam.txt"], None, EX_FAIL,
+        "error: [Errno 2] No such file or directory: '{dir}/missing/fam.txt'", True,
+        id="generate-unwritable-output",
+    ),
+    pytest.param(
+        ["check", "{path}"], "not a family\n", EX_DATA,
+        "parse error: non-integer header field in 'not a family'", True, id="check-malformed",
+    ),
+    pytest.param(
+        ["check", "{path}"], b"\xff\xfe" + "2 2 4\n".encode("utf-16-le"), EX_DATA,
+        "parse error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", True,
+        id="check-not-utf8",
+    ),
+    pytest.param(
+        ["check", "{path}"], None, EX_FAIL,
+        "error: [Errno 2] No such file or directory: '{path}'", True, id="check-missing-path",
+    ),
+    pytest.param(
+        ["check", "{dir}"], None, EX_FAIL,
+        "error: [Errno 21] Is a directory: '{dir}'", True, id="check-directory",
+    ),
+    pytest.param(
+        ["check", "{path}"], "2 2 1\n2 0 0\n", EX_FAIL,
+        "error: need at least two generators, got 1", True, id="check-one-member",
+    ),
+    pytest.param(
+        ["check", "{path}"], "1 2 2\n2 0\n1 1\n", EX_FAIL,
+        "error: family is not m-primary: needs X0^d and X1^d", True, id="check-line-not-primary",
+    ),
+    pytest.param(
+        ["check", "{path}"], "2 2 4\n2 0 0\n1 1 0\n0 2 0\n0 1 1\n", EX_FAIL,
+        "error: family is not m-primary: some pure power X_i^d is missing", True,
+        id="check-plane-not-primary",
+    ),
+    pytest.param(
+        ["check", "{path}", "--oracle"], "1 2 3\n2 0\n1 1\n0 2\n", EX_FAIL,
+        "error: --oracle applies to N >= 2 families", False, id="check-line-oracle",
+    ),
+    pytest.param(
+        ["check", "{path}", "--oracle"], _OVERSIZED_FOR_THE_ORACLE, EX_FAIL,
+        "error: family has 21 members: the oracle's work bound n * min(2^n, C(d+N+1, N+1))"
+        f" at N = 5, d = 30 exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}", False,
+        id="check-oracle-work-bound",
+    ),
+    pytest.param(
+        ["check", "{path}"], "2 1000000000 3\n1000000000 0 0\n0 1000000000 0\n0 0 1000000000\n",
+        EX_FAIL,
+        "error: (N + 1) * d^2 = 3000000000000000000 at N = 2, d = 1000000000 exceeds"
+        f" MAX_SCAN_WORK = {MAX_SCAN_WORK}, the most of any cell generate admits", True,
+        id="check-scan-work-bound",
+    ),
+    pytest.param(
+        ["sweep", "--Nmax", "0"], None, EX_USAGE,
+        "error: need Nmax >= 1 and dmax >= 2", True, id="sweep-degenerate",
+    ),
+    pytest.param(
+        ["sweep", "--Nmax", "1", "--dmax", "3", "--jobs", "0"], None, EX_USAGE,
+        "error: --jobs must be at least 1, got 0", True, id="sweep-jobs",
+    ),
+    pytest.param(
+        ["sweep", "--Nmax", "2", "--dmax", "140"], None, EX_USAGE,
+        "error: (N, d) = (2, 140) has more than 10000 degree-d monomials, the admission"
+        " ceiling on C(d+N, N)", True, id="sweep-admission-ceiling",
+    ),
+    pytest.param(
+        ["sweep", "--Nmax", "1", "--dmax", "9999"], None, EX_USAGE,
+        "error: the grid has 49994999 cells, above the sweep budget of 100000", True,
+        id="sweep-cell-budget",
+    ),
+    pytest.param(
+        ["sweep", "--Nmax", "1", "--dmax", "2", "--report", "{dir}/missing/r.json"], None, EX_FAIL,
+        "error: [Errno 2] No such file or directory: '{dir}/missing/r.json'", True,
+        id="sweep-unwritable-report",
+    ),
+    pytest.param(
+        ["audit", "P", "--N", "9..9"], None, EX_USAGE,
+        "error: the P audit takes no --N or --d, only --samples and --seed", True,
+        id="audit-P-ranges",
+    ),
+    pytest.param(
+        ["audit", "Q", "--d", "2..4"], None, EX_USAGE,
+        "error: the Q audit grid has no in-range points", True, id="audit-no-points",
+    ),
+    pytest.param(
+        ["audit", "T", "--N", "3..30", "--d", "2..50"], None, EX_USAGE,
+        "error: the T audit has more than 500000 points, the audit budget", True,
+        id="audit-budget-grid",
+    ),
+    pytest.param(
+        ["audit", "P", "--samples", "500001"], None, EX_USAGE,
+        "error: the P audit has more than 500000 points, the audit budget", True,
+        id="audit-budget-samples",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, content, code, line, quiet", REFUSALS)
+def test_refusal_table(argv, content, code, line, quiet, tmp_path, capsys):
+    path = tmp_path / "family.txt"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+
+    def fill(text):
+        return text.replace("{path}", str(path)).replace("{dir}", str(tmp_path))
+
+    # every refusal comes before the work it refuses
+    start = time.perf_counter()
+    got, stdout, stderr = run([fill(arg) for arg in argv], capsys)
+    assert time.perf_counter() - start < 2
+    assert (got, stderr) == (code, fill(line) + "\n")
+    assert stdout == "" if quiet else stdout.startswith("verdict: ")
