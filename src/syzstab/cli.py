@@ -150,7 +150,8 @@ def cmd_check(args) -> int:
     status = EX_OK
     if args.oracle:
         oracle = brute_force_check(fam)
-        # the verdict, the witness count and the whole worst witness
+        # the verdict, the witness count, the whole worst witness and the
+        # per-degree summary
         if oracle == cert:
             print("oracle agrees")
         else:

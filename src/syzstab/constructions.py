@@ -290,9 +290,11 @@ def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
     refused.
     """
     _, inner = dispatch(N - 1, d, n - 1)
-    rows = [(*m, 0) for m in inner.rows]
+    # padding keeps the inner rows valid and in canonical order, and the
+    # vertex is the least row
+    rows = [m + (0,) for m in inner.rows]
     rows.append((0,) * N + (d,))
-    return MonomialFamily.from_exponents(rows)
+    return MonomialFamily._from_valid_rows(N, d, tuple(rows))
 
 
 def _last_faces_count(N: int, d: int, r: int) -> int:

@@ -82,12 +82,23 @@ def _gcd_witness(witness: tuple | None) -> GcdWitness | None:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
+    """A checker's answer for one family.
+
+    by_degree summarises the witnesses one entry per witness degree e, in
+    ascending order: (e, count, k, g), count the number of witnesses of
+    degree e, k their largest multiple count and g the first gcd in scan
+    order with that k.  At fixed e the margin falls as k grows, so the worst
+    witness at any n is the entry of least margin, a tie going to the lower
+    e, and witness_count is the sum of the counts.
+    """
+
     verdict: Verdict
     N: int
     d: int
     n: int
     witness_count: int
     worst: GcdWitness | None
+    by_degree: tuple[tuple[int, int, int, tuple[int, ...]], ...]
 
     @property
     def primary(self) -> bool:
@@ -126,11 +137,8 @@ def is_m_primary(fam: MonomialFamily) -> bool:
     the radical contains each variable iff some pure power of it appears.
     """
     exps = fam.exponent_set()
-    d = fam.d
-    return all(
-        tuple(d if j == i else 0 for j in range(fam.N + 1)) in exps
-        for i in range(fam.N + 1)
-    )
+    N, d = fam.N, fam.d
+    return all((0,) * i + (d,) + (0,) * (N - i) in exps for i in range(N + 1))
 
 
 def _require_checkable(fam: MonomialFamily) -> None:
@@ -249,6 +257,48 @@ def witnesses_by_degree(
         yield [(g, e, k, (d - e) * n + e - d * k) for g, k in hits]
 
 
+def _first_vertex_variable(rows: Sequence[tuple[int, ...]], N: int, d: int) -> int:
+    """The first of the trailing variables X_m..X_N that each divide only
+    their own pure power, with m >= 2, or N + 1 when X_N divides another row.
+
+    The rows are an m-primary family in canonical order, so those pure powers
+    are the last rows, X_N^d last, and j counts them from the end.  The other
+    rows must hold none of those variables: of their tails read from X_N
+    down, (r_N, ..., r_m), the largest has its first nonzero at the last
+    variable any of them holds, and the run stops above it.
+    """
+    j = 0
+    while j < N - 1 and rows[-j - 1][N - j] == d:
+        j += 1
+    if not j:
+        return N + 1
+    m = N + 1 - j
+    top = max(map(itemgetter(slice(N, m - 1, -1)), rows[:-j]))
+    for i, v in enumerate(top):
+        if v:
+            return N + 1 - i
+    return m
+
+
+def _certificate(
+    N: int, d: int, n: int, by_degree: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+) -> StabilityCertificate:
+    # the verdict and the worst witness at n members, read off the summary
+    worst = None
+    for e, _, k, g in by_degree:
+        margin = (d - e) * n + e - d * k
+        if worst is None or margin < worst[3]:
+            worst = g, e, k, margin
+    if worst is None or worst[3] > 0:
+        verdict = Verdict.STABLE
+    elif worst[3] == 0:
+        verdict = Verdict.SEMISTABLE
+    else:
+        verdict = Verdict.CRITERION_VIOLATED
+    count = sum(entry[1] for entry in by_degree)
+    return StabilityCertificate(verdict, N, d, n, count, _gcd_witness(worst), by_degree)
+
+
 @lru_cache(maxsize=None)
 def check_family(fam: MonomialFamily) -> StabilityCertificate:
     """Certify the family via the gcd-candidate scan.
@@ -265,23 +315,37 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     family always has margin exactly 0 via its trivial gcd and is excluded
     from the strictness requirement.  The worst witness is the first of
     least margin in scan order.
+
+    The scan keeps only the certificate's by_degree summary, and the verdict
+    and worst witness are read off it: a margin (d - e) * n + e - d * k
+    depends on the witness only through (e, k), so the summary gives the
+    worst witness at any n.
+
+    Vertex lemma: if each of X_m..X_N divides only its own pure power, then
+    any subset holding one of those powers and another member has gcd 1.
+    The witnesses are then exactly those of the core, the other rows cut to
+    X_0..X_{m-1}, with the same k and g padded with zeros; only n differs.
+    So all such trailing variables are stripped in one step (the core keeps
+    at least X_0 and X_1), the core is certified through this function,
+    which is a cache hit when dispatch built the core's cell, and the
+    family's certificate is read off the core's summary at its own n.
     """
     _require_checkable(fam)
-    count = 0
-    worst = None
-    for hits in witnesses_by_degree(fam.rows, fam.d):
-        if hits:
-            count += len(hits)
-            least = min(hits, key=itemgetter(3))
-            if worst is None or least[3] < worst[3]:
-                worst = least
-    if worst is None or worst[3] > 0:
-        verdict = Verdict.STABLE
-    elif worst[3] == 0:
-        verdict = Verdict.SEMISTABLE
+    N, d, rows = fam.N, fam.d, fam.rows
+    m = _first_vertex_variable(rows, N, d)
+    if m <= N:
+        core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
+        core = MonomialFamily._from_valid_rows(m - 1, d, core_rows)
+        pad = (0,) * (N + 1 - m)
+        by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
     else:
-        verdict = Verdict.CRITERION_VIOLATED
-    return StabilityCertificate(verdict, fam.N, fam.d, len(fam), count, _gcd_witness(worst))
+        summary = []
+        for hits in witnesses_by_degree(rows, d):
+            if hits:
+                g, e, k, _ = max(hits, key=itemgetter(2))
+                summary.append((e, len(hits), k, g))
+        by_degree = tuple(summary)
+    return _certificate(N, d, len(rows), by_degree)
 
 
 def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
@@ -316,7 +380,7 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     report the same witness.  witness_count is the number of distinct
     nontrivial gcds of proper subsets: each such g = gcd(J) is also the gcd
     of all multiples of g, so these are exactly the witnesses check_family
-    counts.
+    counts, and by_degree summarises them per degree as check_family does.
     """
     _require_checkable(fam)
     n, d = len(fam), fam.d
@@ -354,13 +418,21 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
             witnesses.append(witness)
     # the scan's order: degree ascending, then descending exponent tuples
     worst = min(witnesses, key=lambda w: (w[3], w[1], [-v for v in w[0]]), default=None)
+    # per degree: the count, and the largest (k, g), g largest meaning first in scan order
+    tally: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    for g, e, k, _ in witnesses:
+        count, top_k, top_g = tally.get(e, (0, k, g))
+        tally[e] = (count + 1, *max((top_k, top_g), (k, g)))
+    by_degree = tuple((e, *tally[e]) for e in sorted(tally))
     if negative:
         verdict = Verdict.CRITERION_VIOLATED
     elif zero_proper:
         verdict = Verdict.SEMISTABLE
     else:
         verdict = Verdict.STABLE
-    return StabilityCertificate(verdict, fam.N, fam.d, n, len(witnesses), _gcd_witness(worst))
+    return StabilityCertificate(
+        verdict, fam.N, fam.d, n, len(witnesses), _gcd_witness(worst), by_degree
+    )
 
 
 def splitting_type_p1(fam: MonomialFamily) -> tuple[int, ...]:

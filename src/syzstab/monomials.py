@@ -3,9 +3,10 @@
 Monomials live in K[X0, ..., XN] and are plain exponent tuples.  A
 MonomialFamily holds its members as rows, the canonical (descending) tuple
 of those tuples; its constructor validates the whole family at once, and
-everything downstream reads the rows.  monomial_text writes one row as
-X0^2*X1.  Everything in this module is pure integer combinatorics; no
-floating point is used anywhere in the package.
+everything downstream reads the rows.  Rows derived from a family already
+validated (a face-vertex family's, a certified core's) skip that check.
+monomial_text writes one row as X0^2*X1.  Everything in this module is pure
+integer combinatorics; no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class Monomial:
 
     The package builds one only as a certificate's worst gcd.  The
     MonomialFamily.members view and from_monomials also use it, for
-    perfbench/; the benchmark change that drops those (ROADMAP item 2)
-    deletes this class.
+    perfbench/.  Once the benchmark stops reading them (ROADMAP item 1),
+    all three are deleted (ROADMAP item 5).
     """
 
     exponents: tuple[int, ...]
@@ -150,12 +151,31 @@ class MonomialFamily:
                     raise FamilyFormatError(f"duplicate member {monomial_text(a)}")
         object.__setattr__(self, "rows", tuple(rows))
 
+    @classmethod
+    def _from_valid_rows(
+        cls, N: int, d: int, rows: tuple[tuple[int, ...], ...]
+    ) -> "MonomialFamily":
+        """A family of rows known valid, without the constructor's checks.
+
+        rows must already be a tuple of distinct exponent tuples of degree d
+        in N+1 variables, in canonical order.  Two callers derive such rows
+        from a validated family: check_family's core (prefixes of the rows)
+        and gen_face_vertex (the inner rows padded with a zero, then the
+        vertex).
+        """
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "N", N)
+        object.__setattr__(fam, "d", d)
+        object.__setattr__(fam, "rows", rows)
+        return fam
+
     @property
     def members(self) -> tuple[Monomial, ...]:
         """The rows as Monomials, built on every read.
 
-        Nothing in the package reads this; perfbench/ does, and the view goes
-        with Monomial in the benchmark change that deletes it (ROADMAP item 2).
+        Nothing in the package reads this; perfbench/ does.  The view goes
+        with Monomial (ROADMAP item 5) once the benchmark reads rows instead
+        (ROADMAP item 1).
         """
         return tuple(map(Monomial, self.rows))
 
@@ -164,7 +184,7 @@ class MonomialFamily:
         """Build a family from Monomials, as from_exponents does from rows.
 
         Kept for perfbench/, which wraps it; it goes with Monomial (ROADMAP
-        item 2).
+        item 5) once the benchmark stops wrapping it (ROADMAP item 1).
         """
         return cls.from_exponents(m.exponents for m in monomials)
 

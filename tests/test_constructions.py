@@ -45,7 +45,7 @@ from syzstab.monomials import (
     full_family,
 )
 
-from families import faces_family, survey_225_candidates
+from families import faces_family, scan_certificate, survey_225_candidates
 
 
 def x0_dominates(fam):
@@ -324,6 +324,37 @@ class TestFaceVertex:
         assert (0, 0, 0, 4) in fam.rows
         inner = [m for m in fam.rows if m[3] == 0]
         assert len(inner) == 9
+
+    def test_vertex_families_certify_as_their_direct_scan(self, monkeypatch):
+        # check_family certifies a family whose X_N divides only X_N^d from
+        # its core; that must equal one scan over all the rows, on every
+        # default-grid family it applies to
+        built = []
+        from_valid_rows = MonomialFamily._from_valid_rows.__func__
+
+        def recorded(cls, N, d, rows):
+            fam = from_valid_rows(cls, N, d, rows)
+            built.append(fam)
+            return fam
+
+        monkeypatch.setattr(MonomialFamily, "_from_valid_rows", classmethod(recorded))
+        dispatch.cache_clear()
+        check_family.cache_clear()
+        vertex = 0
+        for N in range(2, 5):
+            for d in range(2, 7):
+                lo, hi = admissible_bounds(N, d)
+                for n in range(lo, hi + 1):
+                    _, fam = dispatch(N, d, n)
+                    if [m[N] for m in fam.rows].count(0) == n - 1:
+                        vertex += 1
+                        assert check_family(fam) == scan_certificate(fam)
+        assert vertex == 265
+        # the unvalidated families, face-vertex rows and cores alike, are
+        # the ones the validating constructor builds from the same rows
+        assert {fam.N for fam in built} == {1, 2, 3, 4}
+        for fam in built:
+            assert fam == MonomialFamily(fam.N, fam.d, fam.rows)
 
 
 class TestDecomposeFacesCase:

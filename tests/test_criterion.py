@@ -3,10 +3,11 @@ splitting-type checker on the projective line."""
 
 import dataclasses
 import itertools
+import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzstab.constructions import Route, dispatch
@@ -33,6 +34,8 @@ from syzstab.monomials import (
     enumerate_monomials,
     full_family,
 )
+
+from families import scan_certificate, with_vertices
 
 
 def fam(*rows):
@@ -216,8 +219,10 @@ def test_certificate_json_shape():
     ]
     # a certificate holds what the criterion decides, and nothing else
     assert [f.name for f in dataclasses.fields(StabilityCertificate)] == [
-        "verdict", "N", "d", "n", "witness_count", "worst",
+        "verdict", "N", "d", "n", "witness_count", "worst", "by_degree",
     ]
+    # the per-degree summary stays out of the JSON
+    assert cert.by_degree == ((1, 3, 3, (1, 0, 0)),)
 
 
 def test_criterion_violation_is_inconclusive_for_plane():
@@ -277,7 +282,7 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
     d = fam.d
     exps = fam.rows
     worst: tuple | None = None  # (g, e, k, margin), as witnesses_by_degree lists them
-    gcds: set[tuple[int, ...]] = set()
+    gcds: dict[tuple[int, ...], int] = {}  # each proper subset's gcd and its largest size
     negative = False
     zero_proper = False
 
@@ -295,7 +300,7 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
                 if margin == 0:
                     zero_proper = True
                 if e >= 1:
-                    gcds.add(h)
+                    gcds[h] = max(gcds.get(h, 0), k)
                     if worst is None or margin < worst[3]:
                         worst = h, e, k, margin
             if j + 1 < n:
@@ -309,7 +314,12 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
         verdict = Verdict.SEMISTABLE
     else:
         verdict = Verdict.STABLE
-    return StabilityCertificate(verdict, fam.N, fam.d, n, len(gcds), _gcd_witness(worst))
+    # per degree: the count, the largest k and, at that k, the largest g
+    by_e: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for g, k in gcds.items():
+        by_e.setdefault(sum(g), []).append((k, g))
+    by_degree = tuple((e, len(kg), *max(kg)) for e, kg in sorted(by_e.items()))
+    return StabilityCertificate(verdict, fam.N, fam.d, n, len(gcds), _gcd_witness(worst), by_degree)
 
 
 class TestBruteForce:
@@ -417,12 +427,76 @@ def test_oracle_agrees_with_scan(f):
     assert brute_force_check(f) == check_family(f)
 
 
+@st.composite
+def vertex_families(draw):
+    # an m-primary core, on the line or from primary_families, then one to
+    # three variables that divide only their own pure powers
+    if draw(st.booleans()):
+        core = draw(primary_families())
+    else:
+        d = draw(st.integers(min_value=2, max_value=6))
+        inner = draw(st.lists(st.sampled_from(enumerate_monomials(1, d)[1:-1]), unique=True))
+        core = MonomialFamily.from_exponents([(d, 0), (0, d), *inner])
+    return with_vertices(core, draw(st.integers(min_value=1, max_value=3)))
+
+
+# cores that certify SemistableCertified and CriterionViolated: X0 divides
+# three of the quadrics, and 15 of the 17 quintics
+SEMISTABLE_CORE = fam((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2))
+VIOLATED_CORE = MonomialFamily.from_exponents(
+    [m for m in enumerate_monomials(2, 5) if m[0]] + [(0, 5, 0), (0, 0, 5)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vertex_families())
+@example(with_vertices(SEMISTABLE_CORE, 2))
+@example(with_vertices(VIOLATED_CORE, 1))
+@example(with_vertices(VIOLATED_CORE, 3))
+def test_vertex_families_agree_with_the_oracle(f):
+    # check_family reads these off the core's certificate; the oracle
+    # enumerates every subset of the whole family
+    assert brute_force_check(f) == check_family(f)
+
+
+def test_each_vertex_adds_d_minus_e_to_every_margin():
+    # the core's summary, padded, at the larger n: X0's margin 0 becomes 1,
+    # and its -6 becomes -2, then 2
+    cases = (
+        (SEMISTABLE_CORE, [Verdict.SEMISTABLE, Verdict.STABLE], [0, 1]),
+        (VIOLATED_CORE, [Verdict.CRITERION_VIOLATED] * 2 + [Verdict.STABLE], [-6, -2, 2]),
+    )
+    for core, verdicts, margins in cases:
+        for t, (verdict, margin) in enumerate(zip(verdicts, margins)):
+            cert = check_family(with_vertices(core, t))
+            assert (cert.verdict, cert.worst.margin) == (verdict, margin)
+            assert cert.worst.gcd.exponents == (1, 0, 0) + (0,) * t
+            padded = tuple((e, c, k, g + (0,) * t) for e, c, k, g in check_family(core).by_degree)
+            assert cert.by_degree == padded
+
+
+def test_long_vertex_chains_certify_in_one_step():
+    # one call per stripped variable would recurse 600 deep
+    pures = MonomialFamily(600, 2, [(0,) * i + (2,) + (0,) * (600 - i) for i in range(601)])
+    _, plane = dispatch(2, 4, 10)
+    chain = with_vertices(plane, 600)
+    check_family.cache_clear()
+    for f in (pures, chain):
+        start = time.perf_counter()
+        cert = check_family(f)
+        assert time.perf_counter() - start < 1
+        assert cert == scan_certificate(f)
+    assert cert.N == 602 and cert.n == 610 and cert.verdict is Verdict.STABLE
+    assert check_family(pures).witness_count == 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(primary_families())
 def test_oracle_agrees_with_reference_walk(f):
     oracle, walk = brute_force_check(f), reference_oracle(f)
     assert oracle.verdict is walk.verdict
     assert oracle.witness_count == walk.witness_count
+    assert oracle.by_degree == walk.by_degree
     a = None if oracle.worst is None else oracle.worst.margin
     b = None if walk.worst is None else walk.worst.margin
     assert a == b
