@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
-from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, binomial, enumerate_monomials, full_family
+from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, binomial, enumerate_monomials
 
 
 class NoFamilyExists(Exception):
@@ -129,12 +129,12 @@ def gen_p1(d: int, n: int) -> MonomialFamily:
             f"projective line: {n - 1} does not divide {d}"
         )
     e = d // (n - 1)
-    return MonomialFamily.from_exponents((d - j * e, j * e) for j in range(n))
+    return MonomialFamily._from_valid_rows(1, d, [(d - j * e, j * e) for j in range(n)])
 
 
 def gen_full(N: int, d: int) -> MonomialFamily:
     """The full hypertetrahedron; stable for N >= 2, semistable on the line."""
-    return full_family(N, d)
+    return MonomialFamily._from_valid_rows(N, d, enumerate_monomials(N, d))
 
 
 def gen_case326() -> MonomialFamily:
@@ -152,7 +152,7 @@ def gen_case326() -> MonomialFamily:
         (1, 1, 0, 0),
         (0, 0, 1, 1),
     ]
-    return MonomialFamily.from_exponents(rows)
+    return MonomialFamily._from_valid_rows(3, 2, rows)
 
 
 def gen_225_semistable() -> MonomialFamily:
@@ -163,7 +163,7 @@ def gen_225_semistable() -> MonomialFamily:
     the canonically first semistable subset.
     """
     rows = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
-    return MonomialFamily.from_exponents(rows)
+    return MonomialFamily._from_valid_rows(2, 2, rows)
 
 
 def _least_net_change(live: int, gains: dict[int, list[int]], losses: dict[int, list[int]]) -> int:
@@ -277,7 +277,7 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
         best = pool[bit.bit_length() - 1]
         chosen.append(best)
         add(best)
-    return MonomialFamily.from_exponents(chosen)
+    return MonomialFamily._from_valid_rows(2, d, chosen)
 
 
 def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
@@ -287,14 +287,17 @@ def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
     every subset margin by at least d - d_J > 0, so the result is stable.
     Covers N+1 <= n <= C(d+N-1, N-1) + 1, except (3, 2, 6) whose inner cell
     (2, 2, 5) admits no stable family, and the cells whose inner cell is
-    refused.
+    refused.  Only the chain's base, its first inner cell (N-k, d, n-k) on
+    another route, is dispatched: its rows padded with k zeros, plus the k
+    vertices X_{N-k+1}^d..X_N^d, are the family every level would build.
     """
-    _, inner = dispatch(N - 1, d, n - 1)
-    # padding keeps the inner rows valid and in canonical order, and the
-    # vertex is the least row
-    rows = [m + (0,) for m in inner.rows]
-    rows.append((0,) * N + (d,))
-    return MonomialFamily._from_valid_rows(N, d, tuple(rows))
+    k = 1
+    while classify_route(N - k, d, n - k) is Route.FACE_VERTEX:
+        k += 1
+    _, base = dispatch(N - k, d, n - k)
+    rows = [m + (0,) * k for m in base.rows]
+    rows += [(0,) * i + (d,) + (0,) * (N - i) for i in range(N - k + 1, N + 1)]
+    return MonomialFamily._from_valid_rows(N, d, rows)
 
 
 def _last_faces_count(N: int, d: int, r: int) -> int:
@@ -349,7 +352,7 @@ def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
     # f also avoids X_N: a trailing zero keeps canonical order, so these
     # are the canonical first i
     rows += layer(d - r - l, [(*f, 0) for f in enumerate_monomials(N - 2, l + 1)[:i]])
-    return MonomialFamily.from_exponents(rows)
+    return MonomialFamily._from_valid_rows(N, d, rows)
 
 
 def _face_rows(N: int, d: int) -> list[tuple[int, ...]]:
@@ -365,7 +368,7 @@ def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
     """
     rows = _face_rows(N, d)
     rows += [(1,) * j + (d - N,) + (1,) * (N - j) for j in range(n - len(rows))]
-    return MonomialFamily.from_exponents(rows)
+    return MonomialFamily._from_valid_rows(N, d, rows)
 
 
 def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
@@ -379,7 +382,7 @@ def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
     rows = _face_rows(N, d)
     _, inner = dispatch(N, d - N - 1, n - len(rows))
     rows += [tuple(e + 1 for e in m) for m in inner.rows]
-    return MonomialFamily.from_exponents(rows)
+    return MonomialFamily._from_valid_rows(N, d, rows)
 
 
 def classify_route(N: int, d: int, n: int) -> Route:
@@ -464,11 +467,8 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
         fam = gen_faces_and_dots(N, d, n)
     else:
         fam = gen_brenner(N, d, n)
-    if (fam.N, fam.d, len(fam)) != (N, d, n):
-        raise InternalConsistencyError(
-            f"route {route.value} built a ({fam.N}, {fam.d}, {len(fam)}) family "
-            f"for cell ({N}, {d}, {n})"
-        )
+    if len(fam) != n:
+        raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
     cert = check_family(fam)
     expected = expected_verdict(N, d, n)
     if cert.verdict is not expected:

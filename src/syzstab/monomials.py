@@ -2,9 +2,10 @@
 
 Monomials live in K[X0, ..., XN] and are plain exponent tuples.  A
 MonomialFamily holds its members as rows, the canonical (descending) tuple
-of those tuples; its constructor validates the whole family at once, and
-everything downstream reads the rows.  Rows derived from a family already
-validated (a face-vertex family's, a certified core's) skip that check.
+of those tuples, and everything downstream reads the rows.  Rows that come
+from outside the package (files, library callers) are validated as a whole
+by the constructor; rows the package builds itself (every route's, a
+certified family's core) are valid by construction and only sorted.
 monomial_text writes one row as X0^2*X1.  Everything in this module is pure
 integer combinatorics; no floating point is used anywhere in the package.
 """
@@ -26,9 +27,9 @@ class FamilyFormatError(ValueError):
 
 
 # Admission ceiling on C(d+N, N), the number of degree-d monomials.  Routes
-# enumerate up to all of them, and the face-vertex chain recurses once per
-# dimension: at d = 2 it overflows the default stack from N = 329
-# (C = 54,615), while N = 139 (C = 9,870) fits even under a call tracer.
+# enumerate up to all of them, and classify_route checks a face-vertex chain
+# by recursing once per dimension: at d = 2 it overflows the default stack
+# from N = 500 (C = 125,751), while N = 139 (C = 9,870) is far from it.
 # The checker derives its own refusal from it (criterion._require_checkable).
 MAX_DEGREE_MONOMIALS = 10_000
 
@@ -152,21 +153,18 @@ class MonomialFamily:
         object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
-    def _from_valid_rows(
-        cls, N: int, d: int, rows: tuple[tuple[int, ...], ...]
-    ) -> "MonomialFamily":
-        """A family of rows known valid, without the constructor's checks.
+    def _from_valid_rows(cls, N: int, d: int, rows: Iterable[tuple[int, ...]]) -> "MonomialFamily":
+        """A family of rows the package built, sorted but not checked.
 
-        rows must already be a tuple of distinct exponent tuples of degree d
-        in N+1 variables, in canonical order.  Two callers derive such rows
-        from a validated family: check_family's core (prefixes of the rows)
-        and gen_face_vertex (the inner rows padded with a zero, then the
-        vertex).
+        rows must be distinct exponent tuples of degree d in N+1 variables;
+        they are sorted into canonical order and nothing else is checked.
+        Every route builds its family here, with its cell's N and d, and
+        check_family its core (the rows cut to the leading variables).
         """
         fam = object.__new__(cls)
         object.__setattr__(fam, "N", N)
         object.__setattr__(fam, "d", d)
-        object.__setattr__(fam, "rows", rows)
+        object.__setattr__(fam, "rows", tuple(sorted(rows, reverse=True)))
         return fam
 
     @property

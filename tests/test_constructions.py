@@ -45,7 +45,7 @@ from syzstab.monomials import (
     full_family,
 )
 
-from families import faces_family, scan_certificate, survey_225_candidates
+from families import faces_family, scan_certificate, survey_225_candidates, with_vertices
 
 
 def x0_dominates(fam):
@@ -180,7 +180,8 @@ def test_plane_work_bound_refuses_without_searching(monkeypatch):
 
 
 def test_deepest_admitted_face_vertex_chain_fits_the_stack():
-    # (139, 2, 140) recurses once per dimension down to (2, 2, 3)
+    # (139, 2, 140) is a face-vertex chain down to (2, 2, 3), and
+    # classify_route recurses once per level
     route, fam = dispatch(139, 2, 140)
     assert route is Route.FACE_VERTEX and len(fam) == 140
 
@@ -325,19 +326,10 @@ class TestFaceVertex:
         inner = [m for m in fam.rows if m[3] == 0]
         assert len(inner) == 9
 
-    def test_vertex_families_certify_as_their_direct_scan(self, monkeypatch):
+    def test_vertex_families_certify_as_their_direct_scan(self):
         # check_family certifies a family whose X_N divides only X_N^d from
         # its core; that must equal one scan over all the rows, on every
         # default-grid family it applies to
-        built = []
-        from_valid_rows = MonomialFamily._from_valid_rows.__func__
-
-        def recorded(cls, N, d, rows):
-            fam = from_valid_rows(cls, N, d, rows)
-            built.append(fam)
-            return fam
-
-        monkeypatch.setattr(MonomialFamily, "_from_valid_rows", classmethod(recorded))
         dispatch.cache_clear()
         check_family.cache_clear()
         vertex = 0
@@ -350,11 +342,56 @@ class TestFaceVertex:
                         vertex += 1
                         assert check_family(fam) == scan_certificate(fam)
         assert vertex == 265
-        # the unvalidated families, face-vertex rows and cores alike, are
-        # the ones the validating constructor builds from the same rows
-        assert {fam.N for fam in built} == {1, 2, 3, 4}
-        for fam in built:
-            assert fam == MonomialFamily(fam.N, fam.d, fam.rows)
+
+    def test_a_chain_builds_only_its_base(self):
+        # the levels between (139, 2, 5000) and its base are neither built
+        # nor cached
+        dispatch.cache_clear()
+        check_family.cache_clear()
+        dispatch(139, 2, 5000)
+        assert dispatch.cache_info().currsize == 2
+
+
+def face_vertex_base(N, d, n):
+    """The first inner cell of a face-vertex chain on another route, and its depth k."""
+    k = 1
+    while classify_route(N - k, d, n - k) is Route.FACE_VERTEX:
+        k += 1
+    return (N - k, d, n - k), k
+
+
+def assert_route_rows_are_valid(cells):
+    # routes build their rows unchecked: each family must be the one the
+    # validating constructor makes of the same rows, and a face-vertex
+    # family its base family with the vertices added
+    routes = set()
+    for cell in cells:
+        route, fam = dispatch(*cell)
+        routes.add(route)
+        assert fam == MonomialFamily(fam.N, fam.d, fam.rows), cell
+        if route is Route.FACE_VERTEX:
+            base, k = face_vertex_base(*cell)
+            assert fam == with_vertices(dispatch(*base)[1], k), cell
+    return routes
+
+
+def test_route_rows_are_valid_on_the_default_grid():
+    # every route, the line cells with no family left out
+    cells = []
+    for N in range(1, 5):
+        for d in range(2, 7):
+            lo, hi = admissible_bounds(N, d)
+            cells += [(N, d, n) for n in range(lo, hi + 1) if N > 1 or d % (n - 1) == 0]
+    assert assert_route_rows_are_valid(cells) == set(Route)
+
+
+def test_route_rows_are_valid_on_the_extreme_cells():
+    # N = 139 (two face-vertex chains, PropFaces and the full set), the top
+    # Brenner cell at d = 19, the slowest plane search and the line at its
+    # top degree
+    cells = [(139, 2, 141), (139, 2, 5000), (139, 2, 9869), (139, 2, 9870)]
+    cells += [(3, 19, 856), (2, 15, 131), (1, 9998, 3)]
+    assert_route_rows_are_valid(cells)
 
 
 class TestDecomposeFacesCase:
