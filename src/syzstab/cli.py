@@ -9,6 +9,7 @@ main maps it to an exit code and one stderr line through REFUSALS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -288,7 +289,14 @@ def cmd_audit(args) -> int:
     return EX_OK if summary.violations == 0 else EX_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Building it takes longer than parsing most command lines, so a process
+    that calls main many times builds it once.  Callers must not mutate the
+    shared parser.
+    """
     parser = _Parser(prog="syzstab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-n", type=int, required=True, help="family size")
     gen.add_argument("-o", "--output", help="write the family file here instead of stdout")
     gen.add_argument("--json", action="store_true", help="certificate as JSON")
-    gen.set_defaults(func=cmd_generate)
 
     chk = sub.add_parser("check", help="certify a family file")
     chk.add_argument("path", help="family file in the plain text format")
@@ -308,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--oracle", action="store_true",
                      help="cross-check against every subset (work-bounded)")
     chk.add_argument("--json", action="store_true", help="certificate as JSON")
-    chk.set_defaults(func=cmd_check)
 
     swp = sub.add_parser("sweep", help="certify every admissible cell of a grid")
     swp.add_argument("--Nmax", type=int, default=4)
@@ -316,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--jobs", type=int, default=1,
                      help="worker processes, from 1 to the CPU count")
     swp.add_argument("--report", help="write the JSON report here")
-    swp.set_defaults(func=cmd_sweep)
 
     aud = sub.add_parser("audit", help="positivity audit of one bound function")
     aud.add_argument("function", choices=sorted(FUNCTIONS))
@@ -326,14 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="random tuples for the P audit")
     aud.add_argument("--seed", type=int, default=0)
     aud.add_argument("--json", action="store_true", help="summary as JSON")
-    aud.set_defaults(func=cmd_audit)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a wrapper on a cmd_ function takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except Exception as exc:
         for classes, code, prefix in REFUSALS:
             if isinstance(exc, classes):

@@ -290,9 +290,10 @@ def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
     refused.  Only the chain's base, its first inner cell (N-k, d, n-k) on
     another route, is dispatched: its rows padded with k zeros, plus the k
     vertices X_{N-k+1}^d..X_N^d, are the family every level would build.
+    dispatch has checked the whole chain, so each level is only looked up.
     """
     k = 1
-    while classify_route(N - k, d, n - k) is Route.FACE_VERTEX:
+    while _route(N - k, d, n - k)[0] is Route.FACE_VERTEX:
         k += 1
     _, base = dispatch(N - k, d, n - k)
     rows = [m + (0,) * k for m in base.rows]
@@ -388,45 +389,50 @@ def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
 def classify_route(N: int, d: int, n: int) -> Route:
     """Which generator covers the cell (N, d, n); raises RoutingError off-grid.
 
-    The full-set test precedes the bracket routes because for d <= N the top
-    cell n = C(d+N, N) lies inside the face-layer range but is generated
-    directly.  The remaining ranges are disjoint and cover everything.  A
-    recursive route is refused with InnerCellRefused, naming the chain of
+    A recursive route is refused with InnerCellRefused, naming the chain of
     cells down to the refused one, when its inner cell is refused; nothing
     is built to find out.
+    """
+    route, inner = _route(N, d, n)
+    if inner is not None:
+        try:
+            classify_route(*inner)
+        except InnerCellRefused as exc:
+            raise InnerCellRefused(((N, d, n), *exc.chain), exc.reason) from None
+        except RoutingError as exc:
+            raise InnerCellRefused(((N, d, n), inner), str(exc)) from None
+    return route
+
+
+def _route(N: int, d: int, n: int) -> tuple[Route, tuple[int, int, int] | None]:
+    """The route covering (N, d, n) and its inner cell, None unless recursive.
+
+    Raises RoutingError for the cell itself but checks nothing below it.
+    The full-set test precedes the bracket routes because for d <= N the top
+    cell n = C(d+N, N) lies inside the face-layer range but is generated
+    directly.  The remaining ranges are disjoint and cover everything.
     """
     lo, hi = admissible_bounds(N, d)
     if not lo <= n <= hi:
         why = " (the plane search work bound)" if N == 2 and hi < n <= binomial(d + 2, 2) else ""
         raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d}){why}")
     if N == 1:
-        return Route.P1_FAMILY
+        return Route.P1_FAMILY, None
     if N == 2:
-        return Route.SEARCH_2_2_5 if (d, n) == (2, 5) else Route.N2_SEARCH
+        return (Route.SEARCH_2_2_5 if (d, n) == (2, 5) else Route.N2_SEARCH), None
     if (N, d, n) == (3, 2, 6):
-        return Route.CASE_3_2_6
+        return Route.CASE_3_2_6, None
     total = binomial(d + N, N)
     if n == total and d <= N + 1:
-        return Route.FULL_SET
+        return Route.FULL_SET, None
     if n <= binomial(d + N - 1, N - 1) + 1:
-        _check_inner_cell((N, d, n), (N - 1, d, n - 1))
-        return Route.FACE_VERTEX
+        return Route.FACE_VERTEX, (N - 1, d, n - 1)
     faces = total - binomial(d - 1, N)
     if n <= faces:
-        return Route.PROP_FACES
+        return Route.PROP_FACES, None
     if n <= faces + N + 1:
-        return Route.FACES_AND_DOTS
-    _check_inner_cell((N, d, n), (N, d - N - 1, n - faces))
-    return Route.BRENNER_RECURSION
-
-
-def _check_inner_cell(cell: tuple[int, int, int], inner: tuple[int, int, int]) -> None:
-    try:
-        classify_route(*inner)
-    except InnerCellRefused as exc:
-        raise InnerCellRefused((cell, *exc.chain), exc.reason) from None
-    except RoutingError as exc:
-        raise InnerCellRefused((cell, inner), str(exc)) from None
+        return Route.FACES_AND_DOTS, None
+    return Route.BRENNER_RECURSION, (N, d - N - 1, n - faces)
 
 
 def expected_verdict(N: int, d: int, n: int) -> Verdict:

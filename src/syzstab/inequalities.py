@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomials import binomial
 
@@ -178,10 +178,13 @@ FUNCTIONS: dict[str, FunctionSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class InequalityTrace:
+class InequalityTrace(NamedTuple):
     """One grid point; value is None outside the proof range, where the
-    closed form is not evaluated (it may not even be defined there)."""
+    closed form is not evaluated (it may not even be defined there).
+
+    A NamedTuple: an audit builds one per point, and a tuple is built
+    without a __setattr__ call per field, as a frozen dataclass needs.
+    """
 
     function: str
     arguments: tuple[int, ...]
@@ -252,18 +255,29 @@ def sample_P(count: int, seed: int) -> list[tuple[int, int, int, int, int, int]]
     draw the geometric parameters uniformly, then a subset size k' up to its
     admissible maximum and an ambient size n' >= k'.
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+
+    def randint(lo: int, hi: int) -> int:
+        # Random.randint's own draw (randrange's _randbelow): k random bits,
+        # redrawn until below the width, so every seed gives the same tuples
+        width = hi - lo + 1
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return lo + r
+
     out = []
     while len(out) < count:
-        N = rng.randint(3, 5)
-        d = rng.randint(N + 2, 12)
-        e = rng.randint(1, d - 1)
-        i = rng.randint(max(0, N + 1 - e), N)
+        N = randint(3, 5)
+        d = randint(N + 2, 12)
+        e = randint(1, d - 1)
+        i = randint(max(0, N + 1 - e), N)
         k_max = binomial(d - e + N - i, N)
         if k_max < 1:
             continue
-        k_prime = rng.randint(1, k_max)
-        n_prime = k_prime + rng.randint(0, 60)
+        k_prime = randint(1, k_max)
+        n_prime = k_prime + randint(0, 60)
         out.append((n_prime, k_prime, N, d, e, i))
     return out
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from syzstab import cli
 from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, _sweep_cell, main
 from syzstab.constructions import InternalConsistencyError, admissible_bounds, dispatch
 from syzstab.criterion import (
@@ -507,6 +508,19 @@ def test_audit_p_samples(capsys):
     assert json.loads(stdout)["count"] == 300
 
 
+def test_audit_p_default_summary_is_pinned(capsys):
+    code, stdout, _ = run(["audit", "P", "--json"], capsys)
+    assert code == EX_OK
+    assert json.loads(stdout) == {
+        "function": "P",
+        "count": 10000,
+        "flagged": 0,
+        "violations": 0,
+        "min": "1",
+        "argmin": [1, 1, 3, 6, 3, 3],
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -558,6 +572,48 @@ def test_bad_span_is_usage_error(capsys):
         main(["audit", "T", "--N", "3-5"])
     capsys.readouterr()
     assert exc.value.code == EX_USAGE
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main, a usage error's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    family = tmp_path / "semistable.txt"
+    run(["generate", "-N", "2", "-d", "2", "-n", "5", "-o", str(family)], capsys)
+    argvs = [
+        ["check", str(family), "--strict"],
+        ["check", str(family)],
+        ["audit", "T", "--N", "3"],
+        ["audit", "T", "--N", "3..3"],
+        ["audit", "T"],
+    ]
+    # each argv on a freshly built parser
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [outcome(argv, capsys) for argv in argvs]
+    monkeypatch.undo()
+    assert [code for code, _, _ in fresh] == [EX_FAIL, EX_OK, EX_USAGE, EX_OK, EX_OK]
+
+    shared = cli.build_parser()
+    calls = []
+    original = cli.cmd_audit
+    for k, argv in enumerate(argvs):
+        assert outcome(argv, capsys) == fresh[k]
+        assert cli.build_parser() is shared
+        if k == 0:
+            # a wrapper installed after the parser was built still runs
+            def recording(args):
+                calls.append(args.function)
+                return original(args)
+
+            monkeypatch.setattr(cli, "cmd_audit", recording)
+    assert calls == ["T", "T"]
 
 
 def test_entry_point_runs():

@@ -5,6 +5,7 @@ identities relating neighbouring arguments, and the margin decomposition that
 ties Q and P back to actual witness margins of generated families.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,30 @@ class TestP:
         for args in tuples:
             assert fn.in_range(args)
             assert eval_P(*args) >= 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 11])
+    def test_sample_stream_is_randints(self, seed):
+        # the stream sample_P drew through random.Random.randint
+        rng = random.Random(seed)
+        reference = []
+        while len(reference) < 3000:
+            N = rng.randint(3, 5)
+            d = rng.randint(N + 2, 12)
+            e = rng.randint(1, d - 1)
+            i = rng.randint(max(0, N + 1 - e), N)
+            k_max = binomial(d - e + N - i, N)
+            if k_max < 1:
+                continue
+            k_prime = rng.randint(1, k_max)
+            reference.append((k_prime + rng.randint(0, 60), k_prime, N, d, e, i))
+        assert sample_P(3000, seed) == reference
+
+    def test_traces_are_immutable_named_fields(self):
+        trace = audit("V", range(3, 4), range(5, 6))[0][0]
+        assert (trace.function, trace.arguments, trace.in_range) == ("V", (5, 1, 3), True)
+        assert trace.value == eval_V(5, 1, 3)
+        with pytest.raises(AttributeError):
+            trace.value = 0
 
     def test_sampling_is_deterministic(self):
         assert sample_P(50, seed=3) == sample_P(50, seed=3)
