@@ -13,8 +13,12 @@ subsets for stability.  Subsets with trivial gcd never bind (their margin is
 d*(n-k) and the whole family itself always sits at margin zero), so the
 checker scans gcd candidates of degree 1..d-1 and evaluates each candidate's
 full multiple-set, which is the worst subset sharing that gcd.  The one scan
-kernel, witnesses_by_degree, and the oracle both read the family's exponent
-rows; the only Monomial built here is a certificate's worst gcd.
+kernel, _degree_tallies, keeps a per-degree tally (count, largest k, first g
+with it) inside its walk, and check_family reads the certificate off that
+tally; witnesses_by_degree is the same walk collecting every hit, a listing
+only the tests and CI read.  The kernel and the oracle both read the
+family's exponent rows; the only Monomial built here is a certificate's
+worst gcd.
 
 The test is sufficient, not necessary, for N >= 2: CriterionViolated makes no
 claim of non-semistability there.  On the projective line the splitting type
@@ -180,18 +184,23 @@ def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> l
     return ge
 
 
-def witnesses_by_degree(
-    rows: Sequence[tuple[int, ...]], d: int
-) -> Iterator[list[tuple[tuple[int, ...], int, int, int]]]:
-    """For each degree e = 1..d-1, the list of (g, e, k, margin) over every
-    maximal multiple-set among the rows whose gcd has degree e.
+def _degree_tallies(
+    rows: Sequence[tuple[int, ...]], d: int, collect: bool = False
+) -> Iterator[tuple[int, int, int, tuple[int, ...] | None, list | None]]:
+    """The scan kernel: for each degree e = 1..d-1, (e, count, k, g, hits).
 
-    g is the gcd's exponent tuple, e its degree and k the number of rows it
-    divides.  A g counts only when at least two rows are divisible by g and
-    g is exactly the gcd of those rows (otherwise the same subset reappears
-    at the larger true gcd, with a smaller margin).  Margins are those of a
-    family of len(rows) generators.  Each list is in canonical (descending)
-    order of g, and only one degree's list is held at a time.
+    count is the number of witnesses of degree e among the rows, that is of
+    maximal multiple-sets whose gcd has degree e; k is their largest
+    multiple count (0 when there are none) and g the first gcd in scan order
+    with that k (None when there are none).  A witness's gcd counts only
+    when at least two rows are divisible by it and it is exactly the gcd of
+    those rows (otherwise the same subset reappears at the larger true gcd,
+    with a smaller margin).  Scan order is canonical (descending) order of
+    the gcd's exponent tuple.  The walk keeps this tally as it goes: a hit
+    adds one to the count and builds its gcd's exponent tuple only when its
+    k is strictly the largest so far, so a tie keeps the earlier gcd.  With
+    collect, hits is also the degree's list of (g, k) in scan order, else
+    None; only one degree's list is held at a time.
 
     Rows (all of degree d) are held as bitmasks: ge[i][t] has bit j set when
     row j has X_i-exponent >= t, so the multiples of g are the AND of
@@ -207,9 +216,8 @@ def witnesses_by_degree(
     """
     if not rows:
         return
-    n = len(rows)
     last = len(rows[0]) - 1
-    everyone = (1 << n) - 1
+    everyone = (1 << len(rows)) - 1
     ge = _exponent_masks(rows, last + 1, d)
     # rows with a positive X_i-exponent, and the all-zero exponents
     positive = [at[1] for at in ge]
@@ -217,24 +225,28 @@ def witnesses_by_degree(
     # the X_i-exponents rows have, descending: where ge[i] steps down
     values = [[t for t in range(d, -1, -1) if at[t] != at[t + 1]] for at in ge]
 
-    def walk(
-        i: int, rest: int, mask: int, prefix: tuple[int, ...], highs: tuple[int, ...], out: list
-    ) -> None:
+    def walk(i: int, rest: int, mask: int, prefix: tuple[int, ...], highs: tuple[int, ...]) -> None:
         # highs holds ge[j][g_j + 1] for the coordinates of prefix
+        nonlocal count, top_k, top_g
         at = ge[i]
         if i + 1 < last:
             if not rest:
                 for high in (*highs, *positive[i:]):
                     if mask & high == mask:
                         return
-                out.append(((*prefix, *zero_exps[i:]), mask.bit_count()))
+                k = mask.bit_count()
+                count += 1
+                if k > top_k:
+                    top_k, top_g = k, (*prefix, *zero_exps[i:])
+                if hits is not None:
+                    hits.append(((*prefix, *zero_exps[i:]), k))
                 return
             for v in values[i]:
                 if v > rest:
                     continue
                 sub = mask & at[v]
                 if sub.bit_count() >= 2:
-                    walk(i + 1, rest - v, sub, (*prefix, v), (*highs, at[v + 1]), out)
+                    walk(i + 1, rest - v, sub, (*prefix, v), (*highs, at[v + 1]))
             return
         # the last coordinate takes what is left of the degree
         tail = ge[last]
@@ -243,17 +255,41 @@ def witnesses_by_degree(
                 continue
             w = rest - v
             sub = mask & at[v] & tail[w]
-            if sub.bit_count() < 2 or sub & at[v + 1] == sub or sub & tail[w + 1] == sub:
+            k = sub.bit_count()
+            if k < 2 or sub & at[v + 1] == sub or sub & tail[w + 1] == sub:
                 continue
             for high in highs:
                 if sub & high == sub:
                     break
             else:
-                out.append(((*prefix, v, w), sub.bit_count()))
+                count += 1
+                if k > top_k:
+                    top_k, top_g = k, (*prefix, v, w)
+                if hits is not None:
+                    hits.append(((*prefix, v, w), k))
 
     for e in range(1, d):
-        hits: list[tuple[tuple[int, ...], int]] = []
-        walk(0, e, everyone, (), (), hits)
+        count = top_k = 0
+        top_g = None
+        hits = [] if collect else None
+        walk(0, e, everyone, (), ())
+        yield e, count, top_k, top_g, hits
+
+
+def witnesses_by_degree(
+    rows: Sequence[tuple[int, ...]], d: int
+) -> Iterator[list[tuple[tuple[int, ...], int, int, int]]]:
+    """For each degree e = 1..d-1, the list of (g, e, k, margin) over every
+    witness of degree e among the rows, in scan order.
+
+    g is the gcd's exponent tuple, e its degree, k the number of rows it
+    divides and the margin that of a family of len(rows) generators.  This
+    is the kernel's walk asked to collect its hits as well as tally them;
+    check_family reads the tally alone, and this per-witness listing is for
+    the tests and CI.
+    """
+    n = len(rows)
+    for e, _, _, _, hits in _degree_tallies(rows, d, collect=True):
         yield [(g, e, k, (d - e) * n + e - d * k) for g, k in hits]
 
 
@@ -316,10 +352,10 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     from the strictness requirement.  The worst witness is the first of
     least margin in scan order.
 
-    The scan keeps only the certificate's by_degree summary, and the verdict
-    and worst witness are read off it: a margin (d - e) * n + e - d * k
-    depends on the witness only through (e, k), so the summary gives the
-    worst witness at any n.
+    The scan builds no witness list: its walk keeps the certificate's
+    by_degree summary as it goes, and the verdict and worst witness are read
+    off it.  A margin (d - e) * n + e - d * k depends on the witness only
+    through (e, k), so the summary gives the worst witness at any n.
 
     Vertex lemma: if each of X_m..X_N divides only its own pure power, then
     any subset holding one of those powers and another member has gcd 1.
@@ -339,12 +375,9 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         pad = (0,) * (N + 1 - m)
         by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
     else:
-        summary = []
-        for hits in witnesses_by_degree(rows, d):
-            if hits:
-                g, e, k, _ = max(hits, key=itemgetter(2))
-                summary.append((e, len(hits), k, g))
-        by_degree = tuple(summary)
+        by_degree = tuple(
+            (e, count, k, g) for e, count, k, g, _ in _degree_tallies(rows, d) if count
+        )
     return _certificate(N, d, len(rows), by_degree)
 
 

@@ -3,9 +3,9 @@
 The package ships the (2, 2, 5) family and the face rows its routes need
 as literals or private helpers; these rebuild them from scratch so the
 tests can check the shipped versions against an exhaustive construction.
-scan_certificate reads a certificate straight off the scan kernel, with no
-core stripped, for the tests (and CI) that check check_family's vertex
-lemma.
+scan_certificate reads a certificate off the scan's per-witness listing,
+with no core stripped, for the tests (and CI) that check check_family's
+in-walk tally and its vertex lemma.
 """
 
 import itertools

@@ -139,6 +139,30 @@ def reference_scan(exps, d):
             yield gexp, e, count, margin
 
 
+def reference_certificate(f: MonomialFamily) -> StabilityCertificate:
+    """check_family's certificate, derived from reference_scan's witness list."""
+    witnesses = list(reference_scan(f.rows, f.d))
+    by_degree = []
+    for e in range(1, f.d):
+        of_e = [w for w in witnesses if w[1] == e]
+        if of_e:
+            k = max(w[2] for w in of_e)
+            # the first witness of the degree with its largest k, in scan order
+            g = next(w[0] for w in of_e if w[2] == k)
+            by_degree.append((e, len(of_e), k, g))
+    least = min((w[3] for w in witnesses), default=1)
+    worst = next((w for w in witnesses if w[3] == least), None)
+    if least > 0:
+        verdict = Verdict.STABLE
+    elif least == 0:
+        verdict = Verdict.SEMISTABLE
+    else:
+        verdict = Verdict.CRITERION_VIOLATED
+    return StabilityCertificate(
+        verdict, f.N, f.d, len(f), len(witnesses), _gcd_witness(worst), tuple(by_degree)
+    )
+
+
 @st.composite
 def member_sets(draw):
     # any non-empty set in any order, m-primary or not
@@ -166,6 +190,19 @@ def test_scan_matches_reference_loop_on_full_families():
         assert got == list(reference_scan(family.rows, d))
         assert got
         assert check_family(family).witness_count == len(got)
+
+
+def test_tally_keeps_the_first_gcd_with_its_degrees_largest_k():
+    # at degree 1 the scan meets X0 (k 2), then X1 (k 3), then X2 (k 3):
+    # X1 reaches the largest k first and X2's tie does not replace it
+    f = fam((3, 0, 0), (1, 1, 1), (0, 3, 0), (0, 2, 1), (0, 0, 3))
+    assert [[(g, k) for g, _, k, _ in hits] for hits in witnesses_by_degree(f.rows, 3)] == [
+        [((1, 0, 0), 2), ((0, 1, 0), 3), ((0, 0, 1), 3)],
+        [((0, 2, 0), 2), ((0, 1, 1), 2)],
+    ]
+    cert = check_family(f)
+    assert cert.by_degree == ((1, 3, 3, (0, 1, 0)), (2, 2, 2, (0, 2, 0)))
+    assert cert == reference_certificate(f)
 
 
 def reference_masks(rows, num_vars, d):
@@ -392,30 +429,31 @@ class TestBruteForce:
 
     def test_answers_without_the_scan(self, monkeypatch):
         # the oracle is an independent check only while it shares no code
-        # with the scan
-        def scan(*args):
+        # with the scan; the walk is patched, so check_family and the
+        # per-witness listing both go through it
+        def scan(*args, **kwargs):
             raise AssertionError("the oracle called the scan")
 
         f = full_family(2, 3)
         cert = check_family(f)
         check_family.cache_clear()
-        monkeypatch.setattr("syzstab.criterion.witnesses_by_degree", scan)
+        monkeypatch.setattr("syzstab.criterion._degree_tallies", scan)
         assert brute_force_check(f) == cert
         with pytest.raises(AssertionError, match="called the scan"):
             check_family(f)
 
 
 @st.composite
-def primary_families(draw):
-    N = draw(st.integers(min_value=2, max_value=4))
-    d = draw(st.integers(min_value=2, max_value=5))
+def primary_families(draw, max_N=4, max_d=5, max_members=14):
+    N = draw(st.integers(min_value=2, max_value=max_N))
+    d = draw(st.integers(min_value=2, max_value=max_d))
     pool = enumerate_monomials(N, d)
     pures = [m for m in pool if d in m]
     others = [m for m in pool if d not in m]
     if draw(st.booleans()):
         # members heavy on X0 crowd its multiples: many CriterionViolated
         others = [m for m in others if m[0] >= 1]
-    extra = draw(st.integers(min_value=0, max_value=min(len(others), 14 - len(pures))))
+    extra = draw(st.integers(min_value=0, max_value=min(len(others), max_members - len(pures))))
     chosen = draw(st.permutations(others))[:extra]
     return MonomialFamily.from_exponents(pures + list(chosen))
 
@@ -425,6 +463,14 @@ def primary_families(draw):
 def test_oracle_agrees_with_scan(f):
     # the certificates are equal field by field, the worst witness included
     assert brute_force_check(f) == check_family(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(primary_families(max_N=5, max_d=7, max_members=40))
+def test_certificate_matches_the_reference_loop(f):
+    # the whole certificate, by_degree included, against the candidate x
+    # member loop; families heavy on X0 give CriterionViolated
+    assert check_family(f) == reference_certificate(f)
 
 
 @st.composite
