@@ -12,8 +12,10 @@ family.  The cells are covered by disjoint n-ranges:
   d > N+1         all faces plus interior diagonal points, or all faces plus
                   an interior copy of a degree-(d-N-1) family (recursion in d)
 
-classify_route alone knows these ranges; each generator assumes it is called
-on a cell that classify_route assigned to it, and checks nothing itself.
+_route alone knows these ranges, and only dispatch recurses: it walks a
+cell's chain of inner cells in one loop and hands a recursive route's
+generator the family of the inner cell it builds from.  Each generator
+assumes _route assigned it the cell, and checks nothing itself.
 """
 
 from __future__ import annotations
@@ -33,20 +35,6 @@ class NoFamilyExists(Exception):
 
 class RoutingError(ValueError):
     """The requested (N, d, n) is outside the generator's admissible range."""
-
-
-class InnerCellRefused(RoutingError):
-    """A recursive cell is refused because a cell it recurses into is refused.
-
-    chain runs from the requested cell down to the refused one, and reason is
-    that cell's own RoutingError message.
-    """
-
-    def __init__(self, chain: tuple[tuple[int, int, int], ...], reason: str):
-        self.chain = chain
-        self.reason = reason
-        path = " -> ".join(map(str, chain))
-        super().__init__(f"(N, d, n) = {chain[0]} is refused: it recurses along {path}, and {reason}")
 
 
 class InternalConsistencyError(RuntimeError):
@@ -280,22 +268,19 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(2, d, chosen)
 
 
-def gen_face_vertex(N: int, d: int, n: int) -> MonomialFamily:
+def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     """A stable family one dimension down, embedded, plus the vertex X_N^d.
 
     Adding the opposite vertex to a (semi)stable family in X0..X_{N-1} relaxes
     every subset margin by at least d - d_J > 0, so the result is stable.
     Covers N+1 <= n <= C(d+N-1, N-1) + 1, except (3, 2, 6) whose inner cell
     (2, 2, 5) admits no stable family, and the cells whose inner cell is
-    refused.  Only the chain's base, its first inner cell (N-k, d, n-k) on
-    another route, is dispatched: its rows padded with k zeros, plus the k
-    vertices X_{N-k+1}^d..X_N^d, are the family every level would build.
-    dispatch has checked the whole chain, so each level is only looked up.
+    refused.  A chain of k such levels is built in one step from its base,
+    the family of its first inner cell (N-k, d, n-k) on another route: the
+    base's rows padded with k zeros, plus the k vertices
+    X_{N-k+1}^d..X_N^d, are the family every level would build.
     """
-    k = 1
-    while _route(N - k, d, n - k)[0] is Route.FACE_VERTEX:
-        k += 1
-    _, base = dispatch(N - k, d, n - k)
+    d, k = base.d, N - base.N
     rows = [m + (0,) * k for m in base.rows]
     rows += [(0,) * i + (d,) + (0,) * (N - i) for i in range(N - k + 1, N + 1)]
     return MonomialFamily._from_valid_rows(N, d, rows)
@@ -372,7 +357,7 @@ def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
+def gen_brenner(N: int, d: int, inner: MonomialFamily) -> MonomialFamily:
     """All faces plus an interior copy of a lower-degree family (recursion in d).
 
     The complement of the faces is X0...XN times the degree-(d-N-1)
@@ -381,27 +366,40 @@ def gen_brenner(N: int, d: int, n: int) -> MonomialFamily:
     lifted subsets' margins with room to spare, and the union is stable.
     """
     rows = _face_rows(N, d)
-    _, inner = dispatch(N, d - N - 1, n - len(rows))
     rows += [tuple(e + 1 for e in m) for m in inner.rows]
     return MonomialFamily._from_valid_rows(N, d, rows)
+
+
+def _chain(N: int, d: int, n: int) -> list[tuple[Route, tuple[int, int, int]]]:
+    """The (route, cell) pairs from (N, d, n) down through its inner cells.
+
+    Raises RoutingError, naming the chain when the refused cell is below
+    (N, d, n); nothing is built to find out.
+    """
+    chain = []
+    cell = (N, d, n)
+    while cell is not None:
+        try:
+            route, inner = _route(*cell)
+        except RoutingError as exc:
+            if not chain:
+                raise
+            path = " -> ".join(str(c) for _, c in chain)
+            raise RoutingError(
+                f"(N, d, n) = {(N, d, n)} is refused: it recurses along {path} -> {cell}, and {exc}"
+            ) from None
+        chain.append((route, cell))
+        cell = inner
+    return chain
 
 
 def classify_route(N: int, d: int, n: int) -> Route:
     """Which generator covers the cell (N, d, n); raises RoutingError off-grid.
 
-    A recursive route is refused with InnerCellRefused, naming the chain of
-    cells down to the refused one, when its inner cell is refused; nothing
-    is built to find out.
+    A recursive route is refused, naming the chain of cells down to the
+    refused one, when a cell below it is refused.
     """
-    route, inner = _route(N, d, n)
-    if inner is not None:
-        try:
-            classify_route(*inner)
-        except InnerCellRefused as exc:
-            raise InnerCellRefused(((N, d, n), *exc.chain), exc.reason) from None
-        except RoutingError as exc:
-            raise InnerCellRefused(((N, d, n), inner), str(exc)) from None
-    return route
+    return _chain(N, d, n)[0][0]
 
 
 def _route(N: int, d: int, n: int) -> tuple[Route, tuple[int, int, int] | None]:
@@ -448,13 +446,17 @@ def expected_verdict(N: int, d: int, n: int) -> Verdict:
 def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     """Generate and certify a family for the cell (N, d, n).
 
+    A recursive route builds from the family dispatched here for its inner
+    cell: the chain's next cell, or for FaceVertex its base.
+
     Returns the route taken and the family; raises NoFamilyExists for the
     projective-line cells with (n-1) not dividing d, RoutingError off-grid,
     and InternalConsistencyError if the constructed family fails to certify
     at its expected verdict (which would be a bug, and is tested not to
     happen on the supported grid).
     """
-    route = classify_route(N, d, n)
+    chain = _chain(N, d, n)
+    route = chain[0][0]
     if route is Route.P1_FAMILY:
         fam = gen_p1(d, n)
     elif route is Route.SEARCH_2_2_5:
@@ -466,13 +468,14 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     elif route is Route.FULL_SET:
         fam = gen_full(N, d)
     elif route is Route.FACE_VERTEX:
-        fam = gen_face_vertex(N, d, n)
+        base = next(cell for r, cell in chain if r is not Route.FACE_VERTEX)
+        fam = gen_face_vertex(N, dispatch(*base)[1])
     elif route is Route.PROP_FACES:
         fam = gen_prop_faces(N, d, n)
     elif route is Route.FACES_AND_DOTS:
         fam = gen_faces_and_dots(N, d, n)
     else:
-        fam = gen_brenner(N, d, n)
+        fam = gen_brenner(N, d, dispatch(*chain[1][1])[1])
     if len(fam) != n:
         raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
     cert = check_family(fam)

@@ -293,26 +293,16 @@ def witnesses_by_degree(
         yield [(g, e, k, (d - e) * n + e - d * k) for g, k in hits]
 
 
-def _first_vertex_variable(rows: Sequence[tuple[int, ...]], N: int, d: int) -> int:
+def _first_vertex_variable(rows: Sequence[tuple[int, ...]], N: int) -> int:
     """The first of the trailing variables X_m..X_N that each divide only
     their own pure power, with m >= 2, or N + 1 when X_N divides another row.
 
-    The rows are an m-primary family in canonical order, so those pure powers
-    are the last rows, X_N^d last, and j counts them from the end.  The other
-    rows must hold none of those variables: of their tails read from X_N
-    down, (r_N, ..., r_m), the largest has its first nonzero at the last
-    variable any of them holds, and the run stops above it.
+    The rows are m-primary, so every variable's pure power is a row, and a
+    variable that only one row holds divides only that power.
     """
-    j = 0
-    while j < N - 1 and rows[-j - 1][N - j] == d:
-        j += 1
-    if not j:
-        return N + 1
-    m = N + 1 - j
-    top = max(map(itemgetter(slice(N, m - 1, -1)), rows[:-j]))
-    for i, v in enumerate(top):
-        if v:
-            return N + 1 - i
+    m = N + 1
+    while m > 2 and [r[m - 1] for r in rows].count(0) == len(rows) - 1:
+        m -= 1
     return m
 
 
@@ -368,7 +358,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     """
     _require_checkable(fam)
     N, d, rows = fam.N, fam.d, fam.rows
-    m = _first_vertex_variable(rows, N, d)
+    m = _first_vertex_variable(rows, N)
     if m <= N:
         core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
         core = MonomialFamily._from_valid_rows(m - 1, d, core_rows)

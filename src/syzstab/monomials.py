@@ -26,11 +26,9 @@ class FamilyFormatError(ValueError):
     """Family data, in memory or on disk, violates the family invariants."""
 
 
-# Admission ceiling on C(d+N, N), the number of degree-d monomials.  Routes
-# enumerate up to all of them, and classify_route checks a face-vertex chain
-# by recursing once per dimension: at d = 2 it overflows the default stack
-# from N = 500 (C = 125,751), while N = 139 (C = 9,870) is far from it.
-# The checker derives its own refusal from it (criterion._require_checkable).
+# Admission ceiling on C(d+N, N), the number of degree-d monomials, which
+# routes enumerate up to all of.  The checker derives its own refusal from
+# it (criterion._require_checkable).
 MAX_DEGREE_MONOMIALS = 10_000
 
 

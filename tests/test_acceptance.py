@@ -220,8 +220,9 @@ def test_criterion_8_structural_identities():
 
     top_ok = True
     for N, d in ((3, 6), (3, 7), (3, 8), (4, 7)):
-        n = binomial(d + N, N)
-        if gen_brenner(N, d, n).exponent_set() != full_family(N, d).exponent_set():
+        # the faces leave the top cell of degree d - N - 1 inside them
+        inner = dispatch(N, d - N - 1, binomial(d - 1, N))[1]
+        if gen_brenner(N, d, inner).exponent_set() != full_family(N, d).exponent_set():
             top_ok = False
 
     tiling_ok = True

@@ -111,6 +111,14 @@ def test_generate_names_the_chain_to_a_refused_inner_cell(capsys):
     assert "(N, d, n) = (3, 19, 857) is refused" in stderr
     assert "(3, 19, 857) -> (3, 15, 133) -> (2, 15, 132)" in stderr
     assert "n=132 outside [3, 131] for (N, d) = (2, 15) (the plane search work bound)" in stderr
+    # a face-vertex chain two levels deep, in full
+    code, _, stderr = run(["generate", "-N", "4", "-d", "15", "-n", "134"], capsys)
+    assert code == EX_USAGE
+    assert stderr == (
+        "error: (N, d, n) = (4, 15, 134) is refused: it recurses along "
+        "(4, 15, 134) -> (3, 15, 133) -> (2, 15, 132), and n=132 outside [3, 131] "
+        "for (N, d) = (2, 15) (the plane search work bound)\n"
+    )
 
 
 def test_generate_unwritable_output_is_runtime_error(tmp_path, capsys):

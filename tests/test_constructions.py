@@ -1,6 +1,7 @@
 """Tests for the cell generators, the route classifier, and the dispatcher."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -180,10 +181,54 @@ def test_plane_work_bound_refuses_without_searching(monkeypatch):
 
 
 def test_deepest_admitted_face_vertex_chain_fits_the_stack():
-    # (139, 2, 140) is a face-vertex chain down to (2, 2, 3), and
-    # classify_route recurses once per level
-    route, fam = dispatch(139, 2, 140)
+    # (139, 2, 140) is a face-vertex chain 137 levels down to (2, 2, 3). It
+    # is walked in one loop and only its base is dispatched below it, so
+    # with about 60 frames to spare, classifying and dispatching it returns
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert classify_route(139, 2, 140) is Route.FACE_VERTEX
+        route, fam = dispatch(139, 2, 140)
+        assert dispatch(139, 2, 141)[0] is Route.FACE_VERTEX
+    finally:
+        sys.setrecursionlimit(limit)
     assert route is Route.FACE_VERTEX and len(fam) == 140
+
+
+def test_classify_route_answers_are_pinned():
+    # every route and refusal message on N 2..7, d 12..21: plane cells past
+    # the search bound, face-vertex and Brenner chains into them, and the
+    # (N, d) pairs past the admission ceiling
+    digest = hashlib.sha256()
+    for N in range(2, 8):
+        for d in range(12, 22):
+            top = binomial(d + N, N)
+            for n in range(N, (top if top <= MAX_DEGREE_MONOMIALS else N) + 2):
+                try:
+                    line = classify_route(N, d, n).value
+                except RoutingError as exc:
+                    line = f"! {exc}"
+                digest.update(f"{N} {d} {n} {line}\n".encode())
+    assert digest.hexdigest() == "ab3b0aec45df2de9ad9ab71a9ab11b3075bb396e2d5001e32847c498f78fb87f"
+
+
+def test_recursive_generators_build_from_the_family_they_are_handed(monkeypatch):
+    # (4, 4, 11) is a face-vertex chain on the base (2, 4, 9), and
+    # (3, 7, 105) lifts (3, 3, 5) inside its faces
+    base, vertex = dispatch(2, 4, 9)[1], dispatch(4, 4, 11)[1]
+    inner, brenner = dispatch(3, 3, 5)[1], dispatch(3, 7, 105)[1]
+
+    def refuse(*args):
+        raise AssertionError("a generator dispatched")
+
+    monkeypatch.setattr("syzstab.constructions.dispatch", refuse)
+    assert gen_face_vertex(4, base) == vertex
+    assert gen_brenner(3, 7, inner) == brenner
 
 
 def test_routes_partition_every_admissible_cell():
@@ -321,7 +366,7 @@ class TestN2Search:
 
 class TestFaceVertex:
     def test_vertex_is_added(self):
-        fam = gen_face_vertex(3, 4, 10)
+        fam = gen_face_vertex(3, dispatch(2, 4, 9)[1])
         assert (0, 0, 0, 4) in fam.rows
         inner = [m for m in fam.rows if m[3] == 0]
         assert len(inner) == 9
@@ -465,7 +510,8 @@ def test_faces_and_dots_members():
 
 class TestBrennerRecursion:
     def test_interior_lift(self):
-        fam = gen_brenner(3, 7, 105)
+        # the 100 faces leave (3, 3, 5) to lift inside them
+        fam = gen_brenner(3, 7, dispatch(3, 3, 5)[1])
         faces = faces_family(3, 7)
         interior = [m for m in fam.rows if all(e >= 1 for e in m)]
         assert len(fam) == 105
@@ -475,8 +521,9 @@ class TestBrennerRecursion:
 
     def test_top_of_range_equals_full_set(self):
         for N, d in [(3, 6), (3, 7), (3, 8), (4, 7)]:
-            n = binomial(d + N, N)
-            fam = gen_brenner(N, d, n)
+            # the faces leave the top cell of degree d - N - 1 inside them
+            fam = gen_brenner(N, d, dispatch(N, d - N - 1, binomial(d - 1, N))[1])
+            assert len(fam) == binomial(d + N, N)
             assert fam.exponent_set() == full_family(N, d).exponent_set()
 
 
