@@ -14,11 +14,9 @@ d*(n-k) and the whole family itself always sits at margin zero), so the
 checker scans gcd candidates of degree 1..d-1 and evaluates each candidate's
 full multiple-set, which is the worst subset sharing that gcd.  The one scan
 kernel, _degree_tallies, keeps a per-degree tally (count, largest k, first g
-with it) inside its walk, and check_family reads the certificate off that
-tally; witnesses_by_degree is the same walk collecting every hit, a listing
-only the tests and CI read.  The kernel and the oracle both read the
-family's exponent rows; the only Monomial built here is a certificate's
-worst gcd.
+with it) inside its walk and yields only that tally, and check_family reads
+the certificate off it.  The kernel and the oracle both read the family's
+exponent rows; the only Monomial built here is a certificate's worst gcd.
 
 The test is sufficient, not necessary, for N >= 2: CriterionViolated makes no
 claim of non-semistability there.  On the projective line the splitting type
@@ -39,9 +37,11 @@ from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, Monomi
 # n * 2^n at n = 20: the most componentwise minima the oracle may take
 MAX_ORACLE_WORK = 20 * 2**20
 
-# The scan costs about (N + 1) * d^2.  The largest value over the cells that
-# generate admits is on the line at d = MAX_DEGREE_MONOMIALS - 1; no other
-# admitted cell has both N + 1 and d that large.
+# The largest (N + 1) * d^2 of any cell generate admits: the line at
+# d = MAX_DEGREE_MONOMIALS - 1, since no other admitted cell has both N + 1
+# and d that large.  It does not bound the walk's nodes, which grow with the
+# candidate gcds: a 3000-row plane file at d = 800 passes it and takes about
+# 100 s to check on a 2-core host.
 MAX_SCAN_WORK = 2 * (MAX_DEGREE_MONOMIALS - 1) ** 2
 
 
@@ -185,22 +185,20 @@ def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> l
 
 
 def _degree_tallies(
-    rows: Sequence[tuple[int, ...]], d: int, collect: bool = False
-) -> Iterator[tuple[int, int, int, tuple[int, ...] | None, list | None]]:
-    """The scan kernel: for each degree e = 1..d-1, (e, count, k, g, hits).
+    rows: Sequence[tuple[int, ...]], d: int
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """The scan kernel: (e, count, k, g) for each degree e in 1..d-1 that has a witness.
 
     count is the number of witnesses of degree e among the rows, that is of
     maximal multiple-sets whose gcd has degree e; k is their largest
-    multiple count (0 when there are none) and g the first gcd in scan order
-    with that k (None when there are none).  A witness's gcd counts only
-    when at least two rows are divisible by it and it is exactly the gcd of
-    those rows (otherwise the same subset reappears at the larger true gcd,
-    with a smaller margin).  Scan order is canonical (descending) order of
-    the gcd's exponent tuple.  The walk keeps this tally as it goes: a hit
-    adds one to the count and builds its gcd's exponent tuple only when its
-    k is strictly the largest so far, so a tie keeps the earlier gcd.  With
-    collect, hits is also the degree's list of (g, k) in scan order, else
-    None; only one degree's list is held at a time.
+    multiple count and g the first gcd in scan order with that k.  A
+    witness's gcd counts only when at least two rows are divisible by it and
+    it is exactly the gcd of those rows (otherwise the same subset reappears
+    at the larger true gcd, with a smaller margin).  Scan order is canonical
+    (descending) order of the gcd's exponent tuple.  The walk keeps this
+    tally as it goes: a hit adds one to the count and builds its gcd's
+    exponent tuple only when its k is strictly the largest so far, so a tie
+    keeps the earlier gcd.
 
     Rows (all of degree d) are held as bitmasks: ge[i][t] has bit j set when
     row j has X_i-exponent >= t, so the multiples of g are the AND of
@@ -238,8 +236,6 @@ def _degree_tallies(
                 count += 1
                 if k > top_k:
                     top_k, top_g = k, (*prefix, *zero_exps[i:])
-                if hits is not None:
-                    hits.append(((*prefix, *zero_exps[i:]), k))
                 return
             for v in values[i]:
                 if v > rest:
@@ -265,32 +261,13 @@ def _degree_tallies(
                 count += 1
                 if k > top_k:
                     top_k, top_g = k, (*prefix, v, w)
-                if hits is not None:
-                    hits.append(((*prefix, v, w), k))
 
     for e in range(1, d):
         count = top_k = 0
         top_g = None
-        hits = [] if collect else None
         walk(0, e, everyone, (), ())
-        yield e, count, top_k, top_g, hits
-
-
-def witnesses_by_degree(
-    rows: Sequence[tuple[int, ...]], d: int
-) -> Iterator[list[tuple[tuple[int, ...], int, int, int]]]:
-    """For each degree e = 1..d-1, the list of (g, e, k, margin) over every
-    witness of degree e among the rows, in scan order.
-
-    g is the gcd's exponent tuple, e its degree, k the number of rows it
-    divides and the margin that of a family of len(rows) generators.  This
-    is the kernel's walk asked to collect its hits as well as tally them;
-    check_family reads the tally alone, and this per-witness listing is for
-    the tests and CI.
-    """
-    n = len(rows)
-    for e, _, _, _, hits in _degree_tallies(rows, d, collect=True):
-        yield [(g, e, k, (d - e) * n + e - d * k) for g, k in hits]
+        if count:
+            yield e, count, top_k, top_g
 
 
 def _first_vertex_variable(rows: Sequence[tuple[int, ...]], N: int) -> int:
@@ -342,10 +319,10 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     from the strictness requirement.  The worst witness is the first of
     least margin in scan order.
 
-    The scan builds no witness list: its walk keeps the certificate's
-    by_degree summary as it goes, and the verdict and worst witness are read
-    off it.  A margin (d - e) * n + e - d * k depends on the witness only
-    through (e, k), so the summary gives the worst witness at any n.
+    The scan builds no witness list: its walk yields the certificate's
+    by_degree summary, and the verdict and worst witness are read off it.
+    A margin (d - e) * n + e - d * k depends on the witness only through
+    (e, k), so the summary gives the worst witness at any n.
 
     Vertex lemma: if each of X_m..X_N divides only its own pure power, then
     any subset holding one of those powers and another member has gcd 1.
@@ -365,9 +342,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         pad = (0,) * (N + 1 - m)
         by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
     else:
-        by_degree = tuple(
-            (e, count, k, g) for e, count, k, g, _ in _degree_tallies(rows, d) if count
-        )
+        by_degree = tuple(_degree_tallies(rows, d))
     return _certificate(N, d, len(rows), by_degree)
 
 
@@ -375,7 +350,7 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     """Independent oracle: apply the margin inequality to every subset J with |J| >= 2.
 
     The margin of J depends only on the pair (gcd(J), |J|), so the oracle
-    collects those pairs for all 2^n - 1 non-empty subsets without visiting
+    gathers those pairs for all 2^n - 1 non-empty subsets without visiting
     each subset.  It takes the members one at a time and keeps, for each gcd
     of a subset of the members taken so far, the sizes of the subsets that
     have it, as an int with bit k set for size k.  Taking member x keeps
@@ -419,7 +394,7 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
             h = tuple(map(min, g, x))
             sizes_by_gcd[h] = sizes_by_gcd.get(h, 0) | sizes << 1
         sizes_by_gcd[x] = sizes_by_gcd.get(x, 0) | 0b10
-    witnesses = []  # (g, e, k, margin), as witnesses_by_degree lists them
+    witnesses = []  # (g, e, k, margin): each nontrivial gcd at its largest proper subset
     negative = False
     zero_proper = False
     for g, sizes in sizes_by_gcd.items():

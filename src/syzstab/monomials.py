@@ -62,8 +62,7 @@ class Monomial:
 
     The package builds one only as a certificate's worst gcd.  The
     MonomialFamily.members view and from_monomials also use it, for
-    perfbench/.  Once the benchmark stops reading them (ROADMAP item 1),
-    all three are deleted (ROADMAP item 5).
+    perfbench/; all three are deleted once perfbench/ stops reading them.
     """
 
     exponents: tuple[int, ...]
@@ -170,8 +169,7 @@ class MonomialFamily:
         """The rows as Monomials, built on every read.
 
         Nothing in the package reads this; perfbench/ does.  The view goes
-        with Monomial (ROADMAP item 5) once the benchmark reads rows instead
-        (ROADMAP item 1).
+        with Monomial once perfbench/ stops reading it.
         """
         return tuple(map(Monomial, self.rows))
 
@@ -179,8 +177,8 @@ class MonomialFamily:
     def from_monomials(cls, monomials: Iterable[Monomial]) -> "MonomialFamily":
         """Build a family from Monomials, as from_exponents does from rows.
 
-        Kept for perfbench/, which wraps it; it goes with Monomial (ROADMAP
-        item 5) once the benchmark stops wrapping it (ROADMAP item 1).
+        Kept for perfbench/, which wraps it; it goes with Monomial once
+        perfbench/ stops reading it.
         """
         return cls.from_exponents(m.exponents for m in monomials)
 
@@ -259,8 +257,3 @@ def _reject_row(N: int, d: int, rows: list[tuple]) -> None:
             raise FamilyFormatError(
                 f"member {monomial_text(exps)} has degree {sum(exps)}, family expects {d}"
             )
-
-
-def full_family(N: int, d: int) -> MonomialFamily:
-    """Every monomial of degree d in X0..XN (the full hypertetrahedron)."""
-    return MonomialFamily(N, d, enumerate_monomials(N, d))

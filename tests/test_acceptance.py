@@ -24,14 +24,12 @@ from syzstab.criterion import (
     check_family,
     is_semistable_p1,
     splitting_type_p1,
-    witnesses_by_degree,
 )
 from syzstab.inequalities import audit
 from syzstab.monomials import (
     MonomialFamily,
     binomial,
     enumerate_monomials,
-    full_family,
 )
 
 from families import faces_family, survey_225_candidates
@@ -178,7 +176,8 @@ def test_criterion_6_exceptional_quadric_family():
         and cert.worst is not None
         and cert.worst.margin == 3
         and hand_margin == 3
-        and min(margin for hits in witnesses_by_degree(fam.rows, 2) for *_, margin in hits) == 3
+        # every witness has degree 1 and k at most 2: the hand margin is the least
+        and [(e, k) for e, _, k, _ in cert.by_degree] == [(1, 2)]
     )
     _report(6, ok, "the six-quadric family in four variables is stable with worst margin 3")
     assert ok
@@ -222,7 +221,7 @@ def test_criterion_8_structural_identities():
     for N, d in ((3, 6), (3, 7), (3, 8), (4, 7)):
         # the faces leave the top cell of degree d - N - 1 inside them
         inner = dispatch(N, d - N - 1, binomial(d - 1, N))[1]
-        if gen_brenner(N, d, inner).exponent_set() != full_family(N, d).exponent_set():
+        if gen_brenner(N, d, inner).exponent_set() != set(enumerate_monomials(N, d)):
             top_ok = False
 
     tiling_ok = True

@@ -37,16 +37,20 @@ from syzstab.criterion import (
     brute_force_check,
     check_family,
     is_m_primary,
-    witnesses_by_degree,
 )
 from syzstab.monomials import (
     MonomialFamily,
     binomial,
     enumerate_monomials,
-    full_family,
 )
 
-from families import faces_family, scan_certificate, survey_225_candidates, with_vertices
+from families import (
+    faces_family,
+    reference_certificate,
+    reference_scan,
+    survey_225_candidates,
+    with_vertices,
+)
 
 
 def x0_dominates(fam):
@@ -259,7 +263,9 @@ def test_case326_members_and_margins():
     assert cert.verdict is Verdict.STABLE
     assert cert.witness_count == 4
     assert brute_force_check(fam).witness_count == 4
-    assert [[margin for *_, margin in hits] for hits in witnesses_by_degree(fam.rows, 2)] == [[3, 3, 3, 3]]
+    # all four witnesses have degree 1 and k at most 2, so every margin is 3
+    assert cert.by_degree == ((1, 4, 2, (1, 0, 0, 0)),)
+    assert cert.worst.margin == 3
 
 
 class TestSearch225:
@@ -290,9 +296,7 @@ def _margin_profile(rows: list[tuple[int, ...]], d: int, target_n: int) -> list:
     family with fewer binding witnesses win over an extension of it.
     """
     # the witnesses of the partial family, scored at the target size
-    margins = sorted(
-        (d - e) * target_n + e - d * k for hits in witnesses_by_degree(rows, d) for _, e, k, _ in hits
-    )
+    margins = sorted((d - e) * target_n + e - d * k for _, e, k, _ in reference_scan(rows, d))
     margins.append(inf)
     return margins
 
@@ -385,7 +389,7 @@ class TestFaceVertex:
                     _, fam = dispatch(N, d, n)
                     if [m[N] for m in fam.rows].count(0) == n - 1:
                         vertex += 1
-                        assert check_family(fam) == scan_certificate(fam)
+                        assert check_family(fam) == reference_certificate(fam)
         assert vertex == 265
 
     def test_a_chain_builds_only_its_base(self):
@@ -524,7 +528,7 @@ class TestBrennerRecursion:
             # the faces leave the top cell of degree d - N - 1 inside them
             fam = gen_brenner(N, d, dispatch(N, d - N - 1, binomial(d - 1, N))[1])
             assert len(fam) == binomial(d + N, N)
-            assert fam.exponent_set() == full_family(N, d).exponent_set()
+            assert fam.exponent_set() == set(enumerate_monomials(N, d))
 
 
 def test_expected_verdict():

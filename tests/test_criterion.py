@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syzstab.constructions import Route, dispatch
+from syzstab.constructions import Route, dispatch, gen_full
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
@@ -18,6 +18,8 @@ from syzstab.criterion import (
     PreconditionError,
     StabilityCertificate,
     Verdict,
+    _certificate,
+    _degree_tallies,
     _exponent_masks,
     _gcd_witness,
     brute_force_check,
@@ -25,17 +27,15 @@ from syzstab.criterion import (
     is_m_primary,
     is_semistable_p1,
     splitting_type_p1,
-    witnesses_by_degree,
 )
 from syzstab.monomials import (
     DimensionMismatch,
     MonomialFamily,
     binomial,
     enumerate_monomials,
-    full_family,
 )
 
-from families import scan_certificate, with_vertices
+from families import reference_certificate, reference_scan, reference_tallies, with_vertices
 
 
 def fam(*rows):
@@ -52,7 +52,7 @@ def degree_30_family(size=21):
 
 
 def test_is_m_primary():
-    assert is_m_primary(full_family(2, 2))
+    assert is_m_primary(gen_full(2, 2))
     assert not is_m_primary(fam((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)))
 
 
@@ -96,7 +96,7 @@ def test_rank_one_bundle_is_stable_by_convention():
 
 def test_full_quadrics_plane_worst_witness():
     # six quadrics in three variables: each variable divides three of them
-    cert = check_family(full_family(2, 2))
+    cert = check_family(gen_full(2, 2))
     assert cert.verdict is Verdict.STABLE
     assert cert.worst is not None
     assert cert.worst.gcd.exponents == (1, 0, 0)
@@ -105,62 +105,12 @@ def test_full_quadrics_plane_worst_witness():
     assert cert.witness_count == 3
 
 
-def scan(rows, d):
-    """Every witness of the rows, in scan order."""
-    return [w for hits in witnesses_by_degree(rows, d) for w in hits]
-
-
 def test_scan_skips_non_maximal_gcds():
-    # in {X0^3, X0^2 X1, X1^3} the multiples of X0 have gcd X0^2, so only
-    # X0^2 is reported as a witness gcd
+    # in {X0^3, X0^2 X1, X1^3} the multiples of X0 have gcd X0^2, so the
+    # kernel reports X0^2 at degree 2 and, at degree 1, only X1
     rows = [(3, 0), (2, 1), (0, 3)]
-    gcds = {g for g, *_ in scan(rows, 3)}
-    assert (2, 0) in gcds
-    assert (1, 0) not in gcds
-
-
-def reference_scan(exps, d):
-    """The candidate x member divisibility loop the bitmask kernel replaced."""
-    if not exps:
-        return
-    N = len(exps[0]) - 1
-    n = len(exps)
-    for e in range(1, d):
-        for gexp in enumerate_monomials(N, e):
-            count = 0
-            running: tuple[int, ...] | None = None
-            for mexp in exps:
-                if all(a <= b for a, b in zip(gexp, mexp)):
-                    count += 1
-                    running = mexp if running is None else tuple(map(min, running, mexp))
-            if count < 2 or running != gexp:
-                continue
-            margin = (d - e) * n + e - d * count
-            yield gexp, e, count, margin
-
-
-def reference_certificate(f: MonomialFamily) -> StabilityCertificate:
-    """check_family's certificate, derived from reference_scan's witness list."""
-    witnesses = list(reference_scan(f.rows, f.d))
-    by_degree = []
-    for e in range(1, f.d):
-        of_e = [w for w in witnesses if w[1] == e]
-        if of_e:
-            k = max(w[2] for w in of_e)
-            # the first witness of the degree with its largest k, in scan order
-            g = next(w[0] for w in of_e if w[2] == k)
-            by_degree.append((e, len(of_e), k, g))
-    least = min((w[3] for w in witnesses), default=1)
-    worst = next((w for w in witnesses if w[3] == least), None)
-    if least > 0:
-        verdict = Verdict.STABLE
-    elif least == 0:
-        verdict = Verdict.SEMISTABLE
-    else:
-        verdict = Verdict.CRITERION_VIOLATED
-    return StabilityCertificate(
-        verdict, f.N, f.d, len(f), len(witnesses), _gcd_witness(worst), tuple(by_degree)
-    )
+    assert tuple(_degree_tallies(rows, 3)) == ((1, 1, 2, (0, 1)), (2, 1, 2, (2, 0)))
+    assert [g for g, *_ in reference_scan(rows, 3)] == [(0, 1), (2, 0)]
 
 
 @st.composite
@@ -176,29 +126,28 @@ def member_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(member_sets())
 def test_scan_matches_reference_loop(case):
+    # the kernel's per-degree tally, entry for entry, against the one built
+    # from the flat candidate loop's listing
     rows, d = case
-    # one list per degree 1..d-1, each holding that degree's witnesses
-    by_degree = list(witnesses_by_degree(rows, d))
-    assert [{w[1] for w in hits} <= {e} for e, hits in enumerate(by_degree, 1)] == [True] * (d - 1)
-    assert scan(rows, d) == list(reference_scan(rows, d))
+    assert tuple(_degree_tallies(rows, d)) == reference_tallies(reference_scan(rows, d))
 
 
 def test_scan_matches_reference_loop_on_full_families():
     for N, d in ((1, 9), (2, 8), (3, 6), (4, 5)):
-        family = full_family(N, d)
-        got = scan(family.rows, d)
-        assert got == list(reference_scan(family.rows, d))
-        assert got
-        assert check_family(family).witness_count == len(got)
+        family = gen_full(N, d)
+        listing = list(reference_scan(family.rows, d))
+        assert listing
+        assert tuple(_degree_tallies(family.rows, d)) == reference_tallies(listing)
+        assert check_family(family).witness_count == len(listing)
 
 
 def test_tally_keeps_the_first_gcd_with_its_degrees_largest_k():
     # at degree 1 the scan meets X0 (k 2), then X1 (k 3), then X2 (k 3):
     # X1 reaches the largest k first and X2's tie does not replace it
     f = fam((3, 0, 0), (1, 1, 1), (0, 3, 0), (0, 2, 1), (0, 0, 3))
-    assert [[(g, k) for g, _, k, _ in hits] for hits in witnesses_by_degree(f.rows, 3)] == [
-        [((1, 0, 0), 2), ((0, 1, 0), 3), ((0, 0, 1), 3)],
-        [((0, 2, 0), 2), ((0, 1, 1), 2)],
+    assert [(g, e, k) for g, e, k, _ in reference_scan(f.rows, 3)] == [
+        ((1, 0, 0), 1, 2), ((0, 1, 0), 1, 3), ((0, 0, 1), 1, 3),
+        ((0, 2, 0), 2, 2), ((0, 1, 1), 2, 2),
     ]
     cert = check_family(f)
     assert cert.by_degree == ((1, 3, 3, (0, 1, 0)), (2, 2, 2, (0, 2, 0)))
@@ -242,14 +191,14 @@ def test_exponent_masks_match_per_entry_reference(case):
 
 
 def test_witness_json_keys():
-    cert = check_family(full_family(2, 2))
+    cert = check_family(gen_full(2, 2))
     blob = cert.worst.to_json()
     assert set(blob) == {"g", "d_J", "k", "margin"}
     assert blob == {"g": [1, 0, 0], "d_J": 1, "k": 3, "margin": 1}
 
 
 def test_certificate_json_shape():
-    cert = check_family(full_family(2, 2))
+    cert = check_family(gen_full(2, 2))
     blob = cert.to_json()
     assert list(blob) == [
         "verdict", "N", "d", "n", "primary", "conclusive", "witness_count", "worst",
@@ -282,8 +231,8 @@ def test_zero_margin_is_semistable_not_stable():
 
 
 def test_check_family_is_memoized():
-    f = full_family(2, 3)
-    assert check_family(f) is check_family(full_family(2, 3))
+    f = gen_full(2, 3)
+    assert check_family(f) is check_family(gen_full(2, 3))
 
 
 def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertificate:
@@ -318,7 +267,7 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
         raise PreconditionError("family is not m-primary: some pure power X_i^d is missing")
     d = fam.d
     exps = fam.rows
-    worst: tuple | None = None  # (g, e, k, margin), as witnesses_by_degree lists them
+    worst: tuple | None = None  # (g, e, k, margin), as reference_scan lists them
     gcds: dict[tuple[int, ...], int] = {}  # each proper subset's gcd and its largest size
     negative = False
     zero_proper = False
@@ -362,7 +311,7 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
 class TestBruteForce:
     def test_admits_families_beyond_twenty_members(self):
         # 35 members, but at most C(8, 4) = 70 distinct subset gcds
-        f = full_family(3, 4)
+        f = gen_full(3, 4)
         assert len(f) == 35
         assert brute_force_check(f) == check_family(f)
 
@@ -386,7 +335,7 @@ class TestBruteForce:
         # proper subsets with trivial gcd can have smaller margins than any
         # divisor-defined subset; the reported worst ignores them, matching
         # the scanning checker
-        f, o = full_family(2, 2), brute_force_check(full_family(2, 2))
+        f, o = gen_full(2, 2), brute_force_check(gen_full(2, 2))
         cert = check_family(f)
         assert o.worst == cert.worst
         assert o.worst.gcd_degree >= 1
@@ -400,7 +349,7 @@ class TestBruteForce:
         assert o.worst.gcd.exponents == (2, 0, 0) and o.worst.margin == 0
         assert reference_oracle(f).worst.gcd.exponents == (3, 0, 0)
         # X0, X1 and X2 tie at degree 1: the larger exponent tuple comes first
-        assert brute_force_check(full_family(2, 2)).worst.gcd.exponents == (1, 0, 0)
+        assert brute_force_check(gen_full(2, 2)).worst.gcd.exponents == (1, 0, 0)
 
     def test_memory_stays_linear(self):
         # a 2^n gcd table would take megabytes at n = 16
@@ -429,12 +378,11 @@ class TestBruteForce:
 
     def test_answers_without_the_scan(self, monkeypatch):
         # the oracle is an independent check only while it shares no code
-        # with the scan; the walk is patched, so check_family and the
-        # per-witness listing both go through it
+        # with the scan; the walk is patched, and check_family goes through it
         def scan(*args, **kwargs):
             raise AssertionError("the oracle called the scan")
 
-        f = full_family(2, 3)
+        f = gen_full(2, 3)
         cert = check_family(f)
         check_family.cache_clear()
         monkeypatch.setattr("syzstab.criterion._degree_tallies", scan)
@@ -531,7 +479,9 @@ def test_long_vertex_chains_certify_in_one_step():
         start = time.perf_counter()
         cert = check_family(f)
         assert time.perf_counter() - start < 1
-        assert cert == scan_certificate(f)
+        # the kernel over all the rows, no core stripped; the flat reference
+        # loop would try C(605, 3) degree-3 candidates in the chain
+        assert cert == _certificate(f.N, f.d, len(f), tuple(_degree_tallies(f.rows, f.d)))
     assert cert.N == 602 and cert.n == 610 and cert.verdict is Verdict.STABLE
     assert check_family(pures).witness_count == 0
 
@@ -574,7 +524,7 @@ class TestSplittingType:
 
     def test_requires_line(self):
         with pytest.raises(DimensionMismatch):
-            splitting_type_p1(full_family(2, 2))
+            splitting_type_p1(gen_full(2, 2))
 
     def test_requires_m_primary(self):
         with pytest.raises(PreconditionError):
@@ -583,7 +533,7 @@ class TestSplittingType:
 
 def test_strategy_x0_on_full_family():
     # in every degree e, no monomial divides more members than X0^e does
-    fam = full_family(3, 3)
+    fam = gen_full(3, 3)
     exps = fam.rows
     for e in range(1, fam.d):
         x0_count = sum(1 for m in exps if m[0] >= e)

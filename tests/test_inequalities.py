@@ -17,7 +17,6 @@ from syzstab.constructions import (
     decompose_faces_case,
     dispatch,
 )
-from syzstab.criterion import witnesses_by_degree
 from syzstab.inequalities import (
     FUNCTIONS,
     audit,
@@ -33,7 +32,7 @@ from syzstab.inequalities import (
 )
 from syzstab.monomials import binomial
 
-from families import faces_family
+from families import faces_family, reference_scan
 
 
 class TestSpotValues:
@@ -163,7 +162,7 @@ def margin_decomposition_holds(N, d, n):
     n_faces = len(faces_family(N, d))
     n_prime = n - n_faces
     d_prime = d - N - 1
-    for g, e, k, _ in (w for hits in witnesses_by_degree(fam.rows, d) for w in hits):
+    for g, e, k, _ in reference_scan(fam.rows, d):
         i = sum(1 for x in g if x == 0)
         k_prime = k - (binomial(d - e + N, N) - binomial(d - e + N - i, N))
         delta = e - N - 1 + i
@@ -203,7 +202,7 @@ def test_generated_witnesses_respect_their_bounds():
             lo, hi = admissible_bounds(N, d)
             for n in range(lo, hi + 1):
                 route, fam = dispatch(N, d, n)
-                witnesses = [w for hits in witnesses_by_degree(fam.rows, d) for w in hits]
+                witnesses = list(reference_scan(fam.rows, d))
                 if route is Route.PROP_FACES:
                     case = decompose_faces_case(N, d, n)
                     for g, e, k, margin in witnesses:

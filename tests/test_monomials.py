@@ -13,7 +13,6 @@ from syzstab.monomials import (
     MonomialFamily,
     binomial,
     enumerate_monomials,
-    full_family,
     monomial_text,
 )
 
@@ -80,7 +79,7 @@ def test_enumerate_monomials_edge_cases():
 def test_full_family_size():
     for N in (1, 2, 3):
         for d in (1, 2, 3):
-            assert len(full_family(N, d)) == binomial(d + N, N)
+            assert len(MonomialFamily(N, d, enumerate_monomials(N, d))) == binomial(d + N, N)
 
 
 def test_faces_family_size_formula():
@@ -125,12 +124,12 @@ class TestMonomialFamily:
             MonomialFamily.from_exponents([(2, 0), (0, 2, 0)])
 
     def test_contains_and_exponent_set(self):
-        fam = full_family(2, 2)
+        fam = MonomialFamily(2, 2, enumerate_monomials(2, 2))
         assert (1, 1, 0) in fam.rows
         assert (2, 0, 0) in fam.exponent_set()
 
     def test_text_round_trip(self):
-        fam = full_family(2, 3)
+        fam = MonomialFamily(2, 3, enumerate_monomials(2, 3))
         again = MonomialFamily.from_text(fam.to_text())
         assert again == fam
 
