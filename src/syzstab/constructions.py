@@ -21,7 +21,7 @@ assumes _route assigned it the cell, and checks nothing itself.
 from __future__ import annotations
 
 import enum
-import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,7 +74,7 @@ class CaseDecomposition:
 # variables.  It admits every plane cell with d <= 14 (at most 1,360,476, at
 # (2, 14, 120)) and shrinks the range above that.  The search no longer walks
 # those pairs, and the slowest admitted cell, (2, 15, 131), dispatches in
-# about 0.2 s on a 2-core host.
+# 0.05-0.08 s on a 2-core host.
 MAX_PLANE_SEARCH_WORK = 2_000_000
 
 
@@ -154,17 +154,18 @@ def gen_225_semistable() -> MonomialFamily:
     return MonomialFamily._from_valid_rows(2, 2, rows)
 
 
-def _least_net_change(live: int, gains: dict[int, list[int]], losses: dict[int, list[int]]) -> int:
+def _least_net_change(live: int, gains: Mapping[int, Iterable[int]], losses: Mapping[int, Iterable[int]]) -> int:
     """The plane search's pick among the candidates in live, as a single bit.
 
-    gains[v] and losses[v] are masks of candidates whose witness count at
-    margin v rises or falls by one for each mask that holds them.  Walking
-    the margins in ascending order, keep the candidates with the smallest net
-    change at each; stop when one is left, and let a tie go to the lowest bit.
-    Adding the number of losses to every net change at v leaves a count, the
-    gains that hold c plus the losses that do not, kept as bit planes (plane
-    b holds bit b of every candidate's count).  A mask that holds all or
-    none of the kept candidates shifts them all alike and is skipped.
+    gains[v] and losses[v] are iterables of masks of candidates whose
+    witness count at margin v rises or falls by one for each mask that holds
+    them; the order of the masks does not matter.  Walking the margins in
+    ascending order, keep the candidates with the smallest net change at
+    each; stop when one is left, and let a tie go to the lowest bit.  Adding
+    the number of losses to every net change at v leaves a count, the gains
+    that hold c plus the losses that do not, kept as bit planes (plane b
+    holds bit b of every candidate's count).  A mask that holds all or none
+    of the kept candidates shifts them all alike and is skipped.
     """
     keep = live
     for v in sorted(gains.keys() | losses.keys()):
@@ -217,50 +218,80 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     == g also needs c_i == g_i wherever low[g]_i > g_i, which removes
     ge[i][g_i + 1].
 
-    The search scans no witnesses; dispatch certifies the family it returns.
-    Output is a pure function of (d, n).
+    The search keeps k and low[g] for every divisor of a chosen member, and
+    buckets gains[v] and losses[v] mapping each divisor whose mask is not
+    empty to its mask; g sits in gains at m(k) - d, and a witness also in
+    losses at m(k), so k and low[g] locate its entries.  A pick c changes only
+    its own divisors: their k, low and margin move, and c's bit leaves live,
+    which only their masks hold.  So each step moves the entries of c's
+    (c_0 + 1)(c_1 + 1)(c_2 + 1) divisors and leaves every other entry as it
+    is.  The search scans no witnesses; dispatch certifies the family it
+    returns.  Output is a pure function of (d, n).
     """
-    count: dict[tuple[int, ...], int] = {}
-    low: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def add(c: tuple[int, ...]) -> None:
-        for g in itertools.product(*(range(x + 1) for x in c)):
-            if 0 < sum(g) < d:
-                k = count.get(g, 0)
-                count[g] = k + 1
-                low[g] = tuple(map(min, low[g], c)) if k else c
-
     pool = [c for c in enumerate_monomials(2, d) if d not in c]
     ge0, ge1, ge2 = _exponent_masks(pool, 3, d)
     live = (1 << len(pool)) - 1
+    # g -> (k, low[g]); margin -> {g: mask}
+    state: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    gains: dict[int, dict[tuple[int, ...], int]] = {}
+    losses: dict[int, dict[tuple[int, ...], int]] = {}
+
+    def drop(buckets: dict[int, dict[tuple[int, ...], int]], margin: int, g: tuple[int, ...]) -> None:
+        # a divisor whose mask was empty sits in no bucket
+        bucket = buckets.get(margin)
+        if bucket and bucket.pop(g, 0) and not bucket:
+            del buckets[margin]
+
+    def add(c: tuple[int, ...]) -> None:
+        # c's bit has left live: move the entries of c's divisors alone
+        c0, c1, c2 = c
+        for g0 in range(c0 + 1):
+            for g1 in range(c1 + 1):
+                ge01 = live & ge0[g0] & ge1[g1]
+                for g2 in range(c2 + 1):
+                    e = g0 + g1 + g2
+                    if not 0 < e < d:
+                        continue
+                    g = (g0, g1, g2)
+                    margin = (d - e) * n + e
+                    if g in state:
+                        k, lo = state[g]
+                        margin -= d * k
+                        drop(gains, margin - d, g)
+                        if lo == g:
+                            drop(losses, margin, g)
+                        l0, l1, l2 = lo
+                        lo = (l0 if l0 < c0 else c0, l1 if l1 < c1 else c1, l2 if l2 < c2 else c2)
+                    else:
+                        k, lo = 0, c
+                    state[g] = k + 1, lo
+                    margin -= d
+                    mask = ge01 & ge2[g2]
+                    if not mask:
+                        continue
+                    if lo == g:
+                        # a witness: k >= 2, as a lone member is its own minimum
+                        losses.setdefault(margin, {})[g] = mask
+                    else:
+                        if lo[0] > g0:
+                            mask &= ~ge0[g0 + 1]
+                        if lo[1] > g1:
+                            mask &= ~ge1[g1 + 1]
+                        if lo[2] > g2:
+                            mask &= ~ge2[g2 + 1]
+                        if not mask:
+                            continue
+                    gains.setdefault(margin - d, {})[g] = mask
+
     chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
     for c in chosen:
         add(c)
     while len(chosen) < n:
-        gains: dict[int, list[int]] = {}
-        losses: dict[int, list[int]] = {}
-        for g, k in count.items():
-            g0, g1, g2 = g
-            mask = live & ge0[g0] & ge1[g1] & ge2[g2]
-            if not mask:
-                continue
-            e = g0 + g1 + g2
-            margin = (d - e) * n + e - d * k
-            lo = low[g]
-            if lo == g:
-                # already a witness: k >= 2, as a lone member is its own minimum
-                losses.setdefault(margin, []).append(mask)
-            else:
-                if lo[0] > g0:
-                    mask &= ~ge0[g0 + 1]
-                if lo[1] > g1:
-                    mask &= ~ge1[g1 + 1]
-                if lo[2] > g2:
-                    mask &= ~ge2[g2 + 1]
-                if not mask:
-                    continue
-            gains.setdefault(margin - d, []).append(mask)
-        bit = _least_net_change(live, gains, losses)
+        bit = _least_net_change(
+            live,
+            {v: bucket.values() for v, bucket in gains.items()},
+            {v: bucket.values() for v, bucket in losses.items()},
+        )
         live ^= bit
         best = pool[bit.bit_length() - 1]
         chosen.append(best)

@@ -357,6 +357,16 @@ class TestN2Search:
         best = min((j for j in range(10) if live >> j & 1), key=nets)
         assert _least_net_change(live, gains, losses) == 1 << best
 
+    def test_families_past_the_admission_bound_are_pinned(self):
+        # margins collide densely at these sizes, so many picks move a divisor
+        # out of a bucket that other divisors still share
+        digest = hashlib.sha256()
+        for d, n in ((20, 150), (25, 200), (30, 300)):
+            digest.update(gen_n2_search(d, n).to_text().encode())
+        assert digest.hexdigest() == (
+            "834dc664a7f4752d5c1dd19523e071307832fa405963fa73240a59054320d409"
+        )
+
     def test_greedy_certifies_across_grid(self):
         for d in range(2, 7):
             lo, hi = admissible_bounds(2, d)
