@@ -23,7 +23,6 @@ from .constructions import (
     NoFamilyExists,
     RoutingError,
     admissible_bounds,
-    classify_route,
     dispatch,
 )
 from .criterion import (
@@ -167,8 +166,12 @@ def cmd_check(args) -> int:
     return status
 
 
-def _sweep_cell(cell: tuple[int, int, int]) -> dict:
-    """Dispatch one grid cell; returns a plain row dict (picklable)."""
+def _sweep_cell(cell: tuple[int, int, int]) -> dict | None:
+    """Dispatch one grid cell; returns a plain row dict (picklable).
+
+    Returns None for a cell that generate refuses: within admissible_bounds,
+    that is a recursive cell whose chain reaches a refused cell.
+    """
     N, d, n = cell
     row = {
         "N": N, "d": d, "n": n, "route": None, "verdict": None,
@@ -177,6 +180,8 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict:
     start = time.perf_counter()
     try:
         route, fam = dispatch(N, d, n)
+    except RoutingError:
+        return None
     except NoFamilyExists:
         row["route"], row["verdict"] = "P1Family", "NoFamilyExists"
     except Exception as exc:
@@ -209,15 +214,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"the grid has {total} cells, above the sweep budget of {SWEEP_CELL_LIMIT}"
         )
-    cells = []
-    for N, d, lo, hi in bounds:
-        for n in range(lo, hi + 1):
-            try:
-                # generate refuses a recursive cell whose inner cell is refused
-                classify_route(N, d, n)
-            except RoutingError:
-                continue
-            cells.append((N, d, n))
+    cells = [(N, d, n) for N, d, lo, hi in bounds for n in range(lo, hi + 1)]
     # opened before any cell runs, so a bad path is refused at once
     report_file = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
     with report_file as fh:
@@ -231,6 +228,7 @@ def cmd_sweep(args) -> int:
                 rows = list(pool.map(_sweep_cell, cells, chunksize=8))
         else:
             rows = [_sweep_cell(cell) for cell in cells]
+        rows = [row for row in rows if row is not None]
         failures = [row for row in rows if row["failure"] is not None]
         if fh is not None:
             report = {
@@ -246,8 +244,8 @@ def cmd_sweep(args) -> int:
         f"sweep: {len(rows)} cells, {generated} families certified, "
         f"{skipped} nonexistent, {len(failures)} failures"
     )
-    if len(cells) < total:
-        print(f"  left out {total - len(cells)} cells whose recursion reaches a refused cell")
+    if len(rows) < total:
+        print(f"  left out {total - len(rows)} cells whose recursion reaches a refused cell")
     for row in failures:
         print(f"  FAIL ({row['N']}, {row['d']}, {row['n']}): {row['failure']}")
     return EX_OK if not failures else EX_FAIL

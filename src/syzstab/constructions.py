@@ -21,7 +21,7 @@ assumes _route assigned it the cell, and checks nothing itself.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,7 +74,7 @@ class CaseDecomposition:
 # variables.  It admits every plane cell with d <= 14 (at most 1,360,476, at
 # (2, 14, 120)) and shrinks the range above that.  The search no longer walks
 # those pairs, and the slowest admitted cell, (2, 15, 131), dispatches in
-# 0.05-0.08 s on a 2-core host.
+# about 0.07 s on a 2-core host.
 MAX_PLANE_SEARCH_WORK = 2_000_000
 
 
@@ -154,35 +154,35 @@ def gen_225_semistable() -> MonomialFamily:
     return MonomialFamily._from_valid_rows(2, 2, rows)
 
 
-def _least_net_change(live: int, gains: Mapping[int, Iterable[int]], losses: Mapping[int, Iterable[int]]) -> int:
+def _least_net_change(live: int, buckets: Mapping[int, Mapping[tuple[int, ...], int]]) -> int:
     """The plane search's pick among the candidates in live, as a single bit.
 
-    gains[v] and losses[v] are iterables of masks of candidates whose
-    witness count at margin v rises or falls by one for each mask that holds
-    them; the order of the masks does not matter.  Walking the margins in
-    ascending order, keep the candidates with the smallest net change at
-    each; stop when one is left, and let a tie go to the lowest bit.  Adding
-    the number of losses to every net change at v leaves a count, the gains
-    that hold c plus the losses that do not, kept as bit planes (plane b
-    holds bit b of every candidate's count).  A mask that holds all or none
-    of the kept candidates shifts them all alike and is skipped.
+    buckets[v] holds the entries at margin v, each a mask of candidates: a
+    gain holds those whose witness count at v rises by one, a loss is the
+    complement of the mask of those whose count falls by one.  So an entry
+    counts +1 for each candidate it holds, and a candidate's count is its
+    net change at v plus the number of losses there, the same for all.
+    Walking the margins in ascending order, keep the candidates with the
+    least count at each; stop when one is left, and let a tie go to the
+    lowest bit.  The order of the entries does not matter; the counts are
+    kept as bit planes (plane b holds bit b of every candidate's count).  An
+    entry that holds all or none of the kept candidates shifts them all
+    alike and is skipped.
     """
     keep = live
-    for v in sorted(gains.keys() | losses.keys()):
+    for v in sorted(buckets):
         planes: list[int] = []
-        for masks, flip in ((gains.get(v, ()), 0), (losses.get(v, ()), keep)):
-            for mask in masks:
-                carry = mask & keep
-                if not carry or carry == keep:
-                    continue
-                carry ^= flip
-                for b, plane in enumerate(planes):
-                    planes[b] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    planes.append(carry)
+        for mask in buckets[v].values():
+            carry = mask & keep
+            if not carry or carry == keep:
+                continue
+            for b, plane in enumerate(planes):
+                planes[b] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
         for plane in reversed(planes):
             if keep & ~plane:
                 keep &= ~plane
@@ -219,24 +219,25 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     ge[i][g_i + 1].
 
     The search keeps k and low[g] for every divisor of a chosen member, and
-    buckets gains[v] and losses[v] mapping each divisor whose mask is not
-    empty to its mask; g sits in gains at m(k) - d, and a witness also in
-    losses at m(k), so k and low[g] locate its entries.  A pick c changes only
-    its own divisors: their k, low and margin move, and c's bit leaves live,
-    which only their masks hold.  So each step moves the entries of c's
-    (c_0 + 1)(c_1 + 1)(c_2 + 1) divisors and leaves every other entry as it
-    is.  The search scans no witnesses; dispatch certifies the family it
-    returns.  Output is a pure function of (d, n).
+    one map buckets[v] from each divisor whose mask is not empty to its
+    entry at margin v: g's gain, its mask, at m(k) - d, and a witness's
+    loss, stored as its mask's complement, at m(k).  The two margins are d
+    apart, so no bucket holds both of g's entries, and k and low[g] locate
+    them.  A pick c changes only its own divisors: their k, low and margin
+    move, and c's bit leaves live, which only their masks hold.  So each
+    step moves the entries of c's (c_0 + 1)(c_1 + 1)(c_2 + 1) divisors and
+    leaves every other entry as it is.  The search scans no witnesses;
+    dispatch certifies the family it returns.  Output is a pure function of
+    (d, n).
     """
     pool = [c for c in enumerate_monomials(2, d) if d not in c]
     ge0, ge1, ge2 = _exponent_masks(pool, 3, d)
     live = (1 << len(pool)) - 1
-    # g -> (k, low[g]); margin -> {g: mask}
+    # g -> (k, low[g]); margin -> {g: gain mask, or the complement of a loss mask}
     state: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    gains: dict[int, dict[tuple[int, ...], int]] = {}
-    losses: dict[int, dict[tuple[int, ...], int]] = {}
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
 
-    def drop(buckets: dict[int, dict[tuple[int, ...], int]], margin: int, g: tuple[int, ...]) -> None:
+    def drop(margin: int, g: tuple[int, ...]) -> None:
         # a divisor whose mask was empty sits in no bucket
         bucket = buckets.get(margin)
         if bucket and bucket.pop(g, 0) and not bucket:
@@ -257,9 +258,9 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
                     if g in state:
                         k, lo = state[g]
                         margin -= d * k
-                        drop(gains, margin - d, g)
+                        drop(margin - d, g)
                         if lo == g:
-                            drop(losses, margin, g)
+                            drop(margin, g)
                         l0, l1, l2 = lo
                         lo = (l0 if l0 < c0 else c0, l1 if l1 < c1 else c1, l2 if l2 < c2 else c2)
                     else:
@@ -271,7 +272,7 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
                         continue
                     if lo == g:
                         # a witness: k >= 2, as a lone member is its own minimum
-                        losses.setdefault(margin, {})[g] = mask
+                        buckets.setdefault(margin, {})[g] = ~mask
                     else:
                         if lo[0] > g0:
                             mask &= ~ge0[g0 + 1]
@@ -281,17 +282,13 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
                             mask &= ~ge2[g2 + 1]
                         if not mask:
                             continue
-                    gains.setdefault(margin - d, {})[g] = mask
+                    buckets.setdefault(margin - d, {})[g] = mask
 
     chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
     for c in chosen:
         add(c)
     while len(chosen) < n:
-        bit = _least_net_change(
-            live,
-            {v: bucket.values() for v, bucket in gains.items()},
-            {v: bucket.values() for v, bucket in losses.items()},
-        )
+        bit = _least_net_change(live, buckets)
         live ^= bit
         best = pool[bit.bit_length() - 1]
         chosen.append(best)

@@ -401,26 +401,35 @@ def test_sweep_cell_budget_admits_the_wider_grid(capsys, monkeypatch):
     assert stdout.startswith("sweep: 4865 cells, 4865 families certified")
 
 
-def test_sweep_lists_only_the_cells_generate_admits(capsys, monkeypatch):
-    # (3, 15, 133..137) recurse into plane cells above the work bound
+def test_sweep_lists_only_the_cells_generate_admits(tmp_path, capsys, monkeypatch):
+    # (3, 15, 133) recurses into (2, 15, 132), above the plane work bound,
+    # and is refused before any family is built
+    def search(d, n):
+        raise AssertionError("gen_n2_search called")
+
+    monkeypatch.setattr("syzstab.constructions.gen_n2_search", search)
+    assert _sweep_cell((3, 15, 133)) is None
+
+    refused = {(3, 15, n) for n in range(133, 138)}
     listed = []
 
     def stub(cell):
         listed.append(cell)
+        if cell in refused:
+            return None
         N, d, n = cell
         return {"N": N, "d": d, "n": n, "route": None, "verdict": "StableCertified",
                 "worst_margin": None, "wall_time": 0.0, "failure": None}
 
-    def search(d, n):
-        raise AssertionError("gen_n2_search called")
-
     monkeypatch.setattr("syzstab.cli._sweep_cell", stub)
-    monkeypatch.setattr("syzstab.constructions.gen_n2_search", search)
-    code, stdout, _ = run(["sweep", "--Nmax", "3", "--dmax", "15"], capsys)
+    report = tmp_path / "report.json"
+    code, stdout, _ = run(["sweep", "--Nmax", "3", "--dmax", "15", "--report", str(report)], capsys)
     assert code == EX_OK
-    assert (3, 15, 132) in listed
-    assert not {(3, 15, n) for n in range(133, 138)} & set(listed)
-    assert f"sweep: {len(listed)} cells" in stdout
+    assert refused <= set(listed)
+    rows = json.loads(report.read_text())["rows"]
+    assert len(rows) == len(listed) - 5
+    assert not refused & {(r["N"], r["d"], r["n"]) for r in rows}
+    assert f"sweep: {len(rows)} cells" in stdout
     assert "left out 5 cells" in stdout
 
 

@@ -343,9 +343,11 @@ class TestN2Search:
     )
     def test_ranking_picks_the_least_net_vector(self, live, entries):
         # the candidate whose nets over ascending margins are least, the lowest on a tie
-        gains, losses = {}, {}
-        for v, loss, mask in entries:
+        gains, losses, buckets = {}, {}, {}
+        for i, (v, loss, mask) in enumerate(entries):
             (losses if loss else gains).setdefault(v, []).append(mask & live)
+            # the search's encoding: a loss is stored as its mask's complement
+            buckets.setdefault(v, {})[i] = ~(mask & live) if loss else mask & live
         margins = sorted(gains.keys() | losses.keys())
 
         def nets(j):
@@ -355,7 +357,7 @@ class TestN2Search:
             ]
 
         best = min((j for j in range(10) if live >> j & 1), key=nets)
-        assert _least_net_change(live, gains, losses) == 1 << best
+        assert _least_net_change(live, buckets) == 1 << best
 
     def test_families_past_the_admission_bound_are_pinned(self):
         # margins collide densely at these sizes, so many picks move a divisor
