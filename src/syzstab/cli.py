@@ -21,6 +21,7 @@ from itertools import islice
 from .constructions import (
     InternalConsistencyError,
     NoFamilyExists,
+    Route,
     RoutingError,
     admissible_bounds,
     dispatch,
@@ -183,7 +184,7 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict | None:
     except RoutingError:
         return None
     except NoFamilyExists:
-        row["route"], row["verdict"] = "P1Family", "NoFamilyExists"
+        row["route"], row["verdict"] = Route.P1_FAMILY.value, "NoFamilyExists"
     except Exception as exc:
         row["failure"] = f"{type(exc).__name__}: {exc}"
     else:

@@ -5,7 +5,7 @@ dispatch time, so a construction bug cannot silently ship an uncertified
 family.  The cells are covered by disjoint n-ranges:
 
   N = 1           step families on the projective line (exist iff (n-1) | d)
-  N = 2           deterministic search, plus the one strictly semistable cell
+  N = 2           deterministic search; at (2, 2, 5) its family is semistable
   N >= 3, small n stable family one dimension down, plus the opposite vertex
   middle n        whole faces plus one partial layer and a capped sub-layer
   top n           the full hypertetrahedron, reached directly or by recursion
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
@@ -51,22 +50,6 @@ class Route(enum.Enum):
     CASE_3_2_6 = "Case326"
     N2_SEARCH = "N2Search"
     SEARCH_2_2_5 = "Search225"
-
-
-@dataclass(frozen=True)
-class CaseDecomposition:
-    """Layer coordinates (r, l, i) locating n inside the face-layer brackets.
-
-    r counts whole faces taken, l the depth of the partial layer, i how many
-    monomials of the capped sub-layer are included.  l = -1 is the degenerate
-    bottom bracket: the partial layer is empty and the sub-layer contributes
-    the single monomial X_{N-r+1}...X_{N-1}*X_N^{d-r+1}.  Without it the
-    brackets would skip n = |I'_r| + 1 for every r >= 2.
-    """
-
-    r: int
-    l: int
-    i: int
 
 
 # Admission rule for a plane cell (2, d, n): (n - 3) * C(d+5, 5) may be at
@@ -143,17 +126,6 @@ def gen_case326() -> MonomialFamily:
     return MonomialFamily._from_valid_rows(3, 2, rows)
 
 
-def gen_225_semistable() -> MonomialFamily:
-    """The canonical strictly semistable family at (N, d, n) = (2, 2, 5).
-
-    {X0^2, X0*X1, X0*X2, X1^2, X2^2}: X0 divides three members, a witness
-    at margin 0.  No 5-subset of the six quadrics is stable, and this one is
-    the canonically first semistable subset.
-    """
-    rows = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
-    return MonomialFamily._from_valid_rows(2, 2, rows)
-
-
 def _least_net_change(live: int, buckets: Mapping[int, Mapping[tuple[int, ...], int]]) -> int:
     """The plane search's pick among the candidates in live, as a single bit.
 
@@ -192,7 +164,7 @@ def _least_net_change(live: int, buckets: Mapping[int, Mapping[tuple[int, ...], 
 
 
 def gen_n2_search(d: int, n: int) -> MonomialFamily:
-    """Deterministic greedy search for a stable family of n degree-d monomials, N = 2.
+    """Deterministic greedy search for a family of n degree-d monomials, N = 2.
 
     Seeds with the three pure powers, then adds one monomial at a time: the
     one whose family has the lexicographically largest margin profile (its
@@ -229,6 +201,13 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     leaves every other entry as it is.  The search scans no witnesses;
     dispatch certifies the family it returns.  Output is a pure function of
     (d, n).
+
+    The family is stable on every admitted cell but (2, 2, 5), where no
+    5-subset of the six quadrics is stable.  There both picks are ties,
+    first among the three mixed quadrics and then between X0*X2 and X1*X2,
+    and each goes to the lower bit: {X0^2, X0*X1, X0*X2, X1^2, X2^2}, the
+    canonically first semistable subset, with X0 dividing three members at
+    margin 0.
     """
     pool = [c for c in enumerate_monomials(2, d) if d not in c]
     ge0, ge1, ge2 = _exponent_masks(pool, 3, d)
@@ -319,14 +298,19 @@ def _last_faces_count(N: int, d: int, r: int) -> int:
     return binomial(d + N, N) - binomial(d - r + N, N)
 
 
-def decompose_faces_case(N: int, d: int, n: int) -> CaseDecomposition:
-    """Locate n in the face-layer brackets, scanning r then l ascending.
+def decompose_faces_case(N: int, d: int, n: int) -> tuple[int, int, int]:
+    """Layer coordinates (r, l, i) locating n in the face-layer brackets.
 
-    The bracket for (r, l) is
+    r counts whole faces taken, l the depth of the partial layer, i how many
+    monomials of the capped sub-layer are included.  The bracket for (r, l) is
         |I'_r| + C(l+N-1, N-1) < n <= |I'_r| + C(l+N, N-1)
     with |I'_r| = C(d+N, N) - C(d-r+N, N), for 1 <= r <= min(d-1, N) and
-    -1 <= l <= d-r-1.  These tile the admissible range exactly; the scan
-    still verifies membership and raises InternalConsistencyError on a gap.
+    -1 <= l <= d-r-1.  l = -1 is the degenerate bottom bracket: the partial
+    layer is empty and the sub-layer contributes the single monomial
+    X_{N-r+1}...X_{N-1}*X_N^{d-r+1}.  Without it the brackets would skip
+    n = |I'_r| + 1 for every r >= 2.  These tile the admissible range
+    exactly; scanning r then l ascending still verifies membership and
+    raises InternalConsistencyError on a gap.
     """
     for r in range(1, min(d - 1, N) + 1):
         base = _last_faces_count(N, d, r)
@@ -334,7 +318,7 @@ def decompose_faces_case(N: int, d: int, n: int) -> CaseDecomposition:
             lo = base + binomial(l + N - 1, N - 1)
             hi = base + binomial(l + N, N - 1)
             if lo < n <= hi:
-                return CaseDecomposition(r, l, n - lo)
+                return r, l, n - lo
     raise InternalConsistencyError(
         f"face-layer brackets do not cover n={n} at (N, d) = ({N}, {d})"
     )
@@ -352,8 +336,7 @@ def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
               avoiding X_{N-r} and X_N, taking the first i such f in
               canonical order (largest X0-exponent first).
     """
-    case = decompose_faces_case(N, d, n)
-    r, l, i = case.r, case.l, case.i
+    r, l, i = decompose_faces_case(N, d, n)
     rows = [m for m in enumerate_monomials(N, d) if 0 in m[N - r + 1:]]
 
     def layer(xn_exponent: int, pool: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -487,9 +470,7 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     route = chain[0][0]
     if route is Route.P1_FAMILY:
         fam = gen_p1(d, n)
-    elif route is Route.SEARCH_2_2_5:
-        fam = gen_225_semistable()
-    elif route is Route.N2_SEARCH:
+    elif route in (Route.N2_SEARCH, Route.SEARCH_2_2_5):
         fam = gen_n2_search(d, n)
     elif route is Route.CASE_3_2_6:
         fam = gen_case326()

@@ -72,10 +72,6 @@ class Monomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.exponents)
-
     def __str__(self) -> str:
         return monomial_text(self.exponents)
 

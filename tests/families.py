@@ -1,8 +1,9 @@
 """Reference families, listings and certificates that the tests build from scratch.
 
-The package ships the (2, 2, 5) family and the face rows its routes need
-as literals or private helpers; these rebuild them from scratch so the
-tests can check the shipped versions against an exhaustive construction.
+The package builds the (2, 2, 5) family by its plane search and the face
+rows its routes need in private helpers; these rebuild them from scratch
+so the tests can check the shipped versions against an exhaustive
+construction.
 reference_scan lists every witness of a set of rows by a flat loop over
 all candidate gcds, sharing nothing with the scan kernel but its exponent
 masks; reference_tallies and reference_certificate read the kernel's

@@ -12,7 +12,6 @@ from math import inf
 from syzstab.constructions import (
     MAX_DEGREE_MONOMIALS,
     MAX_PLANE_SEARCH_WORK,
-    CaseDecomposition,
     NoFamilyExists,
     Route,
     RoutingError,
@@ -22,7 +21,6 @@ from syzstab.constructions import (
     decompose_faces_case,
     dispatch,
     expected_verdict,
-    gen_225_semistable,
     gen_brenner,
     gen_case326,
     gen_face_vertex,
@@ -277,15 +275,17 @@ class TestSearch225:
         assert all(cert.verdict is Verdict.SEMISTABLE for cert in primaries)
 
     def test_canonical_semistable_family(self):
-        fam = gen_225_semistable()
+        # the search's two tied picks land on the canonically first
+        # semistable 5-subset, and dispatch keeps the cell's own route name
+        fam = gen_n2_search(2, 5)
         assert fam.exponent_set() == {
             (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2),
         }
         assert check_family(fam).worst.margin == 0
-        # the literal is the canonically first semistable 5-subset
         first = next(f for f, cert in survey_225_candidates()
                      if cert is not None and cert.verdict is Verdict.SEMISTABLE)
         assert fam == first
+        assert dispatch(2, 2, 5) == (Route.SEARCH_2_2_5, first)
 
 
 def _margin_profile(rows: list[tuple[int, ...]], d: int, target_n: int) -> list:
@@ -330,11 +330,9 @@ class TestN2Search:
         cells = 0
         for d in range(2, 9):
             for n in range(3, binomial(d + 2, 2) + 1):
-                if (d, n) == (2, 5):
-                    continue
                 assert gen_n2_search(d, n).rows == reference_greedy(d, n).rows, (d, n)
                 cells += 1
-        assert cells == 146
+        assert cells == 147
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -373,11 +371,9 @@ class TestN2Search:
         for d in range(2, 7):
             lo, hi = admissible_bounds(2, d)
             for n in range(lo, hi + 1):
-                if (d, n) == (2, 5):
-                    continue
                 fam = gen_n2_search(d, n)
                 assert len(fam) == n
-                assert check_family(fam).verdict is Verdict.STABLE
+                assert check_family(fam).verdict is expected_verdict(2, d, n)
 
 
 class TestFaceVertex:
@@ -467,8 +463,7 @@ class TestDecomposeFacesCase:
         ],
     )
     def test_known_coordinates(self, cell, coords):
-        case = decompose_faces_case(*cell)
-        assert (case.r, case.l, case.i) == coords
+        assert decompose_faces_case(*cell) == coords
 
     def test_brackets_tile_their_range(self):
         # every n in the layer range has exactly one (r, l, i); i recovers n
@@ -479,14 +474,14 @@ class TestDecomposeFacesCase:
                 for n in range(low + 1, top + 1):
                     if n == binomial(d + N, N):
                         continue
-                    case = decompose_faces_case(N, d, n)
-                    base = binomial(d + N, N) - binomial(d - case.r + N, N)
-                    lo = base + binomial(case.l + N - 1, N - 1)
-                    hi = base + binomial(case.l + N, N - 1)
+                    r, l, i = decompose_faces_case(N, d, n)
+                    base = binomial(d + N, N) - binomial(d - r + N, N)
+                    lo = base + binomial(l + N - 1, N - 1)
+                    hi = base + binomial(l + N, N - 1)
                     assert lo < n <= hi
-                    assert case.i == n - lo
-                    assert 1 <= case.r <= min(d - 1, N)
-                    assert -1 <= case.l <= d - case.r - 1
+                    assert i == n - lo
+                    assert 1 <= r <= min(d - 1, N)
+                    assert -1 <= l <= d - r - 1
 
 
 class TestPropFaces:
@@ -608,8 +603,3 @@ def test_generated_families_are_pinned():
     assert digest.hexdigest() == (
         "2c7ba0da4198f214b5aa69c40ee2e294a3580733d9e021612613cdf8864eed68"
     )
-
-
-def test_case_decomposition_is_plain_data():
-    case = CaseDecomposition(2, -1, 1)
-    assert (case.r, case.l, case.i) == (2, -1, 1)

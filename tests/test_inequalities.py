@@ -204,9 +204,9 @@ def test_generated_witnesses_respect_their_bounds():
                 route, fam = dispatch(N, d, n)
                 witnesses = list(reference_scan(fam.rows, d))
                 if route is Route.PROP_FACES:
-                    case = decompose_faces_case(N, d, n)
+                    r, l, _ = decompose_faces_case(N, d, n)
                     for g, e, k, margin in witnesses:
-                        if T.in_range(args := (N, d, e, case.r, case.l)):
+                        if T.in_range(args := (N, d, e, r, l)):
                             paired["T"] += 1
                             assert margin >= T.evaluate(*args), (N, d, n, g)
                     if fam == faces:
