@@ -57,7 +57,7 @@ class Route(enum.Enum):
 # variables.  It admits every plane cell with d <= 14 (at most 1,360,476, at
 # (2, 14, 120)) and shrinks the range above that.  The search no longer walks
 # those pairs, and the slowest admitted cell, (2, 15, 131), dispatches in
-# about 0.07 s on a 2-core host.
+# about 0.05 s on a 2-core host.
 MAX_PLANE_SEARCH_WORK = 2_000_000
 
 
@@ -126,7 +126,7 @@ def gen_case326() -> MonomialFamily:
     return MonomialFamily._from_valid_rows(3, 2, rows)
 
 
-def _least_net_change(live: int, buckets: Mapping[int, Mapping[tuple[int, ...], int]]) -> int:
+def _least_net_change(live: int, buckets: Mapping[int, Mapping[int, int]]) -> int:
     """The plane search's pick among the candidates in live, as a single bit.
 
     buckets[v] holds the entries at margin v, each a mask of candidates: a
@@ -190,17 +190,22 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     == g also needs c_i == g_i wherever low[g]_i > g_i, which removes
     ge[i][g_i + 1].
 
-    The search keeps k and low[g] for every divisor of a chosen member, and
-    one map buckets[v] from each divisor whose mask is not empty to its
-    entry at margin v: g's gain, its mask, at m(k) - d, and a witness's
-    loss, stored as its mask's complement, at m(k).  The two margins are d
-    apart, so no bucket holds both of g's entries, and k and low[g] locate
-    them.  A pick c changes only its own divisors: their k, low and margin
-    move, and c's bit leaves live, which only their masks hold.  So each
-    step moves the entries of c's (c_0 + 1)(c_1 + 1)(c_2 + 1) divisors and
-    leaves every other entry as it is.  The search scans no witnesses;
-    dispatch certifies the family it returns.  Output is a pure function of
-    (d, n).
+    The search keeps, for every divisor g of a chosen member, one record
+    [k, low0, low1, low2] in a dict keyed by the int
+    (g_0 * (d + 1) + g_1) * (d + 1) + g_2, and one map buckets[v] from the
+    key of each divisor whose mask is not empty to its entry at margin v:
+    g's gain, its mask, at m(k) - d, and a witness's loss, stored as its
+    mask's complement, at m(k).  The two margins are d apart, so no bucket
+    holds both of g's entries, and k and low[g] locate them.  A pick c
+    changes only its own divisors: their k, low and margin move, and c's
+    bit leaves live, which only their masks hold.  So each step updates the
+    records of c's (c_0 + 1)(c_1 + 1)(c_2 + 1) divisors in place, moves
+    their entries and leaves every other entry as it is.  The dict holds
+    only the divisors the search touches, a small share of the (d + 1)^3
+    keys when n is small and d large, so memory follows the picks and not
+    d.  With n <= 3 there is no pick, and the pure powers are returned
+    before any candidate is built.  The search scans no witnesses; dispatch
+    certifies the family it returns.  Output is a pure function of (d, n).
 
     The family is stable on every admitted cell but (2, 2, 5), where no
     5-subset of the six quadrics is stable.  There both picks are ties,
@@ -209,18 +214,16 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     canonically first semistable subset, with X0 dividing three members at
     margin 0.
     """
+    chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
+    if n <= 3:
+        return MonomialFamily._from_valid_rows(2, d, chosen)
     pool = [c for c in enumerate_monomials(2, d) if d not in c]
     ge0, ge1, ge2 = _exponent_masks(pool, 3, d)
     live = (1 << len(pool)) - 1
-    # g -> (k, low[g]); margin -> {g: gain mask, or the complement of a loss mask}
-    state: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    buckets: dict[int, dict[tuple[int, ...], int]] = {}
-
-    def drop(margin: int, g: tuple[int, ...]) -> None:
-        # a divisor whose mask was empty sits in no bucket
-        bucket = buckets.get(margin)
-        if bucket and bucket.pop(g, 0) and not bucket:
-            del buckets[margin]
+    # key of g -> [k, low0, low1, low2]; margin -> {key of g: gain mask, or
+    # the complement of a loss mask}
+    state: dict[int, list[int]] = {}
+    buckets: dict[int, dict[int, int]] = {}
 
     def add(c: tuple[int, ...]) -> None:
         # c's bit has left live: move the entries of c's divisors alone
@@ -228,42 +231,67 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
         for g0 in range(c0 + 1):
             for g1 in range(c1 + 1):
                 ge01 = live & ge0[g0] & ge1[g1]
+                key01 = (g0 * (d + 1) + g1) * (d + 1)
                 for g2 in range(c2 + 1):
                     e = g0 + g1 + g2
                     if not 0 < e < d:
                         continue
-                    g = (g0, g1, g2)
-                    margin = (d - e) * n + e
-                    if g in state:
-                        k, lo = state[g]
-                        margin -= d * k
-                        drop(margin - d, g)
-                        if lo == g:
-                            drop(margin, g)
-                        l0, l1, l2 = lo
-                        lo = (l0 if l0 < c0 else c0, l1 if l1 < c1 else c1, l2 if l2 < c2 else c2)
-                    else:
-                        k, lo = 0, c
-                    state[g] = k + 1, lo
-                    margin -= d
+                    key = key01 + g2
+                    # g's margin with c in: m(1) here, m(k + 1) on a revisit
+                    margin = (d - e) * n + e - d
                     mask = ge01 & ge2[g2]
+                    rec = state.get(key)
+                    if rec is None:
+                        # a lone member is its own minimum, so g is no witness
+                        state[key] = [1, c0, c1, c2]
+                        l0, l1, l2 = c0, c1, c2
+                        witness = False
+                    else:
+                        k, l0, l1, l2 = rec
+                        rec[0] = k + 1
+                        margin -= d * k
+                        # g's old gain sits at margin, an old witness's loss
+                        # at margin + d; a divisor whose mask was empty sits in
+                        # no bucket
+                        if l0 == g0 and l1 == g1 and l2 == g2:
+                            bucket = buckets.get(margin + d)
+                            if bucket and bucket.pop(key, 0) and not bucket:
+                                del buckets[margin + d]
+                            witness = True
+                        else:
+                            if c0 < l0:
+                                rec[1] = l0 = c0
+                            if c1 < l1:
+                                rec[2] = l1 = c1
+                            if c2 < l2:
+                                rec[3] = l2 = c2
+                            witness = l0 == g0 and l1 == g1 and l2 == g2
+                        bucket = buckets.get(margin)
+                        if witness and mask:
+                            # the witness's loss takes the old gain's place
+                            if bucket is None:
+                                buckets[margin] = {key: ~mask}
+                            else:
+                                bucket[key] = ~mask
+                        elif bucket and bucket.pop(key, 0) and not bucket:
+                            del buckets[margin]
                     if not mask:
                         continue
-                    if lo == g:
-                        # a witness: k >= 2, as a lone member is its own minimum
-                        buckets.setdefault(margin, {})[g] = ~mask
-                    else:
-                        if lo[0] > g0:
+                    if not witness:
+                        if l0 > g0:
                             mask &= ~ge0[g0 + 1]
-                        if lo[1] > g1:
+                        if l1 > g1:
                             mask &= ~ge1[g1 + 1]
-                        if lo[2] > g2:
+                        if l2 > g2:
                             mask &= ~ge2[g2 + 1]
                         if not mask:
                             continue
-                    buckets.setdefault(margin - d, {})[g] = mask
+                    bucket = buckets.get(margin - d)
+                    if bucket is None:
+                        buckets[margin - d] = {key: mask}
+                    else:
+                        bucket[key] = mask
 
-    chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
     for c in chosen:
         add(c)
     while len(chosen) < n:

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +357,34 @@ class TestN2Search:
 
         best = min((j for j in range(10) if live >> j & 1), key=nets)
         assert _least_net_change(live, buckets) == 1 << best
+
+    def test_pure_powers_build_no_pool(self, monkeypatch):
+        # n = 3 picks nothing, so the search returns the seed before it
+        # builds its candidates; every FaceVertex cell (N, d, N + 1) ends here
+        def refuse(*args):
+            raise AssertionError("the search built its pool")
+
+        monkeypatch.setattr("syzstab.constructions.enumerate_monomials", refuse)
+        monkeypatch.setattr("syzstab.constructions._exponent_masks", refuse)
+        dispatch.cache_clear()
+        powers = MonomialFamily.from_exponents([(139, 0, 0), (0, 139, 0), (0, 0, 139)])
+        assert dispatch(2, 139, 3) == (Route.N2_SEARCH, powers)
+
+    def test_search_memory_follows_the_divisors_it_touches(self):
+        # the admitted plane cell with the largest d that makes a pick: the
+        # search touches a few thousand of the (d + 1)^3 = 91,125 divisor keys
+        assert admissible_bounds(2, 44) == (3, 4)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            gen_n2_search(44, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_families_past_the_admission_bound_are_pinned(self):
         # margins collide densely at these sizes, so many picks move a divisor
