@@ -21,9 +21,9 @@ from itertools import islice
 from .constructions import (
     InternalConsistencyError,
     NoFamilyExists,
-    Route,
     RoutingError,
     admissible_bounds,
+    classify_route,
     dispatch,
 )
 from .criterion import (
@@ -184,7 +184,7 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict | None:
     except RoutingError:
         return None
     except NoFamilyExists:
-        row["route"], row["verdict"] = Route.P1_FAMILY.value, "NoFamilyExists"
+        row["route"], row["verdict"] = classify_route(N, d, n).value, "NoFamilyExists"
     except Exception as exc:
         row["failure"] = f"{type(exc).__name__}: {exc}"
     else:

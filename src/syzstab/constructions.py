@@ -2,20 +2,11 @@
 
 Each generator returns a family whose stability certificate is checked at
 dispatch time, so a construction bug cannot silently ship an uncertified
-family.  The cells are covered by disjoint n-ranges:
-
-  N = 1           step families on the projective line (exist iff (n-1) | d)
-  N = 2           deterministic search; at (2, 2, 5) its family is semistable
-  N >= 3, small n stable family one dimension down, plus the opposite vertex
-  middle n        whole faces plus one partial layer and a capped sub-layer
-  top n           the full hypertetrahedron, reached directly or by recursion
-  d > N+1         all faces plus interior diagonal points, or all faces plus
-                  an interior copy of a degree-(d-N-1) family (recursion in d)
-
-_route alone knows these ranges, and only dispatch recurses: it walks a
+family.  _ROUTES is the one list of routes: each row holds a route's test for
+a cell, its inner cell and its builder.  Only dispatch recurses: it walks a
 cell's chain of inner cells in one loop and hands a recursive route's
 generator the family of the inner cell it builds from.  Each generator
-assumes _route assigned it the cell, and checks nothing itself.
+assumes its row was chosen for the cell, and checks nothing itself.
 """
 
 from __future__ import annotations
@@ -23,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from functools import lru_cache
+from math import comb
 
 from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
 from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, binomial, enumerate_monomials
@@ -75,7 +67,7 @@ def admissible_bounds(N: int, d: int) -> tuple[int, int]:
         raise RoutingError(f"d must be at least 1, got {d}")
     # C(d+N, N) > max(N, d), so a huge argument is refused before the
     # binomial, which alone would take seconds to compute
-    if max(N, d) >= MAX_DEGREE_MONOMIALS or binomial(d + N, N) > MAX_DEGREE_MONOMIALS:
+    if max(N, d) >= MAX_DEGREE_MONOMIALS or (top := comb(d + N, N)) > MAX_DEGREE_MONOMIALS:
         raise RoutingError(
             f"(N, d) = ({N}, {d}) has more than {MAX_DEGREE_MONOMIALS} degree-d "
             "monomials, the admission ceiling on C(d+N, N)"
@@ -83,8 +75,8 @@ def admissible_bounds(N: int, d: int) -> tuple[int, int]:
     if N == 1:
         return 2, d + 1
     if N == 2:
-        return 3, min(binomial(d + 2, 2), 3 + MAX_PLANE_SEARCH_WORK // binomial(d + 5, 5))
-    return N + 1, binomial(d + N, N)
+        return 3, min(top, 3 + MAX_PLANE_SEARCH_WORK // comb(d + 5, 5))
+    return N + 1, top
 
 
 def gen_p1(d: int, n: int) -> MonomialFamily:
@@ -409,8 +401,58 @@ def gen_brenner(N: int, d: int, inner: MonomialFamily) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-def _chain(N: int, d: int, n: int) -> list[tuple[Route, tuple[int, int, int]]]:
-    """The (route, cell) pairs from (N, d, n) down through its inner cells.
+# The routes, tried in order: the first row whose test holds covers an
+# admitted cell (N, d, n).  A row is (route, test, inner, build, chains).
+# test(N, d, n, top, faces) gets top = C(d+N, N) and faces = top - C(d-1, N),
+# computed once a cell (math.comb is 0 at d <= N); inner(N, d, n, faces) is
+# the cell a recursive route builds from, None if it builds directly; build(N,
+# d, n, fam) gets that cell's family; a route that chains builds a run of its
+# cells in one step, from the first cell below the run.  Classifying the whole
+# theorem range makes 18.3 million lookups, 16.8 million of them face-vertex
+# cells, so the N > 2 rows that catch those come first.  Case326 precedes
+# FaceVertex, whose range holds (3, 2, 6), and FullSet the brackets, whose
+# ranges hold the top cell when d <= N + 1.  Builders call generators by
+# module-level name, so a patched or wrapped generator is the one that runs.
+_ROUTES = (
+    (Route.CASE_3_2_6, lambda N, d, n, top, faces: (N, d, n) == (3, 2, 6),
+     None, lambda N, d, n, fam: gen_case326(), False),
+    (Route.FULL_SET, lambda N, d, n, top, faces: N > 2 and n == top and d <= N + 1,
+     None, lambda N, d, n, fam: gen_full(N, d), False),
+    (Route.FACE_VERTEX, lambda N, d, n, top, faces: N > 2 and n <= comb(d + N - 1, N - 1) + 1,
+     lambda N, d, n, faces: (N - 1, d, n - 1), lambda N, d, n, fam: gen_face_vertex(N, fam), True),
+    (Route.P1_FAMILY, lambda N, d, n, top, faces: N == 1,
+     None, lambda N, d, n, fam: gen_p1(d, n), False),
+    (Route.SEARCH_2_2_5, lambda N, d, n, top, faces: (N, d, n) == (2, 2, 5),
+     None, lambda N, d, n, fam: gen_n2_search(d, n), False),
+    (Route.N2_SEARCH, lambda N, d, n, top, faces: N == 2,
+     None, lambda N, d, n, fam: gen_n2_search(d, n), False),
+    (Route.PROP_FACES, lambda N, d, n, top, faces: n <= faces,
+     None, lambda N, d, n, fam: gen_prop_faces(N, d, n), False),
+    (Route.FACES_AND_DOTS, lambda N, d, n, top, faces: n <= faces + N + 1,
+     None, lambda N, d, n, fam: gen_faces_and_dots(N, d, n), False),
+    (Route.BRENNER_RECURSION, lambda N, d, n, top, faces: True,
+     lambda N, d, n, faces: (N, d - N - 1, n - faces), lambda N, d, n, fam: gen_brenner(N, d, fam), False),
+)
+
+
+def _route(N: int, d: int, n: int) -> tuple[tuple, tuple[int, int, int] | None]:
+    """The row of _ROUTES covering (N, d, n) and its inner cell, None unless recursive.
+
+    Raises RoutingError for the cell itself but checks nothing below it.
+    """
+    lo, hi = admissible_bounds(N, d)
+    if not lo <= n <= hi:
+        why = " (the plane search work bound)" if N == 2 and hi < n <= binomial(d + 2, 2) else ""
+        raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d}){why}")
+    top = comb(d + N, N)
+    faces = top - comb(d - 1, N)
+    for row in _ROUTES:
+        if row[1](N, d, n, top, faces):
+            return row, None if row[2] is None else row[2](N, d, n, faces)
+
+
+def _chain(N: int, d: int, n: int) -> list[tuple[tuple, tuple[int, int, int]]]:
+    """The (row, cell) pairs from (N, d, n) down through its inner cells.
 
     Raises RoutingError, naming the chain when the refused cell is below
     (N, d, n); nothing is built to find out.
@@ -419,7 +461,7 @@ def _chain(N: int, d: int, n: int) -> list[tuple[Route, tuple[int, int, int]]]:
     cell = (N, d, n)
     while cell is not None:
         try:
-            route, inner = _route(*cell)
+            row, inner = _route(*cell)
         except RoutingError as exc:
             if not chain:
                 raise
@@ -427,7 +469,7 @@ def _chain(N: int, d: int, n: int) -> list[tuple[Route, tuple[int, int, int]]]:
             raise RoutingError(
                 f"(N, d, n) = {(N, d, n)} is refused: it recurses along {path} -> {cell}, and {exc}"
             ) from None
-        chain.append((route, cell))
+        chain.append((row, cell))
         cell = inner
     return chain
 
@@ -438,38 +480,8 @@ def classify_route(N: int, d: int, n: int) -> Route:
     A recursive route is refused, naming the chain of cells down to the
     refused one, when a cell below it is refused.
     """
-    return _chain(N, d, n)[0][0]
-
-
-def _route(N: int, d: int, n: int) -> tuple[Route, tuple[int, int, int] | None]:
-    """The route covering (N, d, n) and its inner cell, None unless recursive.
-
-    Raises RoutingError for the cell itself but checks nothing below it.
-    The full-set test precedes the bracket routes because for d <= N the top
-    cell n = C(d+N, N) lies inside the face-layer range but is generated
-    directly.  The remaining ranges are disjoint and cover everything.
-    """
-    lo, hi = admissible_bounds(N, d)
-    if not lo <= n <= hi:
-        why = " (the plane search work bound)" if N == 2 and hi < n <= binomial(d + 2, 2) else ""
-        raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d}){why}")
-    if N == 1:
-        return Route.P1_FAMILY, None
-    if N == 2:
-        return (Route.SEARCH_2_2_5 if (d, n) == (2, 5) else Route.N2_SEARCH), None
-    if (N, d, n) == (3, 2, 6):
-        return Route.CASE_3_2_6, None
-    total = binomial(d + N, N)
-    if n == total and d <= N + 1:
-        return Route.FULL_SET, None
-    if n <= binomial(d + N - 1, N - 1) + 1:
-        return Route.FACE_VERTEX, (N - 1, d, n - 1)
-    faces = total - binomial(d - 1, N)
-    if n <= faces:
-        return Route.PROP_FACES, None
-    if n <= faces + N + 1:
-        return Route.FACES_AND_DOTS, None
-    return Route.BRENNER_RECURSION, (N, d - N - 1, n - faces)
+    row, _ = _chain(N, d, n)[0]
+    return row[0]
 
 
 def expected_verdict(N: int, d: int, n: int) -> Verdict:
@@ -486,7 +498,8 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     """Generate and certify a family for the cell (N, d, n).
 
     A recursive route builds from the family dispatched here for its inner
-    cell: the chain's next cell, or for FaceVertex its base.
+    cell: the chain's next cell, or for a chaining route (FaceVertex) the
+    first cell below its run, the base.
 
     Returns the route taken and the family; raises NoFamilyExists for the
     projective-line cells with (n-1) not dividing d, RoutingError off-grid,
@@ -495,24 +508,10 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     happen on the supported grid).
     """
     chain = _chain(N, d, n)
-    route = chain[0][0]
-    if route is Route.P1_FAMILY:
-        fam = gen_p1(d, n)
-    elif route in (Route.N2_SEARCH, Route.SEARCH_2_2_5):
-        fam = gen_n2_search(d, n)
-    elif route is Route.CASE_3_2_6:
-        fam = gen_case326()
-    elif route is Route.FULL_SET:
-        fam = gen_full(N, d)
-    elif route is Route.FACE_VERTEX:
-        base = next(cell for r, cell in chain if r is not Route.FACE_VERTEX)
-        fam = gen_face_vertex(N, dispatch(*base)[1])
-    elif route is Route.PROP_FACES:
-        fam = gen_prop_faces(N, d, n)
-    elif route is Route.FACES_AND_DOTS:
-        fam = gen_faces_and_dots(N, d, n)
-    else:
-        fam = gen_brenner(N, d, dispatch(*chain[1][1])[1])
+    first = chain[0][0]
+    route, _, _, build, chains = first
+    inner = next((cell for row, cell in chain[1:] if not chains or row is not first), None)
+    fam = build(N, d, n, None if inner is None else dispatch(*inner)[1])
     if len(fam) != n:
         raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
     cert = check_family(fam)

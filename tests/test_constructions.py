@@ -234,6 +234,37 @@ def test_recursive_generators_build_from_the_family_they_are_handed(monkeypatch)
     assert gen_brenner(3, 7, inner) == brenner
 
 
+@pytest.mark.parametrize(
+    "cell, route, generator",
+    [
+        ((1, 6, 4), Route.P1_FAMILY, "gen_p1"),
+        ((2, 4, 9), Route.N2_SEARCH, "gen_n2_search"),
+        ((2, 2, 5), Route.SEARCH_2_2_5, "gen_n2_search"),
+        ((3, 2, 6), Route.CASE_3_2_6, "gen_case326"),
+        ((3, 4, 35), Route.FULL_SET, "gen_full"),
+        ((4, 4, 11), Route.FACE_VERTEX, "gen_face_vertex"),
+        ((3, 4, 20), Route.PROP_FACES, "gen_prop_faces"),
+        ((3, 5, 53), Route.FACES_AND_DOTS, "gen_faces_and_dots"),
+        ((3, 7, 105), Route.BRENNER_RECURSION, "gen_brenner"),
+    ],
+)
+def test_every_route_reaches_its_generator_by_name(monkeypatch, cell, route, generator):
+    # a route calls its generator through the module attribute, so a
+    # generator patched or wrapped there (by a test or a tracer) is the one
+    # that builds the cell
+    class Reached(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Reached(generator)
+
+    assert classify_route(*cell) is route
+    dispatch.cache_clear()
+    monkeypatch.setattr(f"syzstab.constructions.{generator}", sentinel)
+    with pytest.raises(Reached):
+        dispatch(*cell)
+
+
 def test_routes_partition_every_admissible_cell():
     for N in (3, 4, 5):
         for d in range(2, 9):
