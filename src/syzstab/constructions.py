@@ -6,7 +6,10 @@ family.  _ROUTES is the one list of routes: each row holds a route's test for
 a cell, its inner cell and its builder.  Only dispatch recurses: it walks a
 cell's chain of inner cells in one loop and hands a recursive route's
 generator the family of the inner cell it builds from.  Each generator
-assumes its row was chosen for the cell, and checks nothing itself.
+assumes its row was chosen for the cell, and checks nothing itself.  Nine
+routes run seven builders: both plane routes run the plane search, and
+PropFaces and FacesAndDots both take a prefix of one order of the face
+monomials (gen_prop_faces), so their families nest along n.
 """
 
 from __future__ import annotations
@@ -72,8 +75,6 @@ def admissible_bounds(N: int, d: int) -> tuple[int, int]:
             f"(N, d) = ({N}, {d}) has more than {MAX_DEGREE_MONOMIALS} degree-d "
             "monomials, the admission ceiling on C(d+N, N)"
         )
-    if N == 1:
-        return 2, d + 1
     if N == 2:
         return 3, min(top, 3 + MAX_PLANE_SEARCH_WORK // comb(d + 5, 5))
     return N + 1, top
@@ -313,77 +314,33 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-def _last_faces_count(N: int, d: int, r: int) -> int:
-    # monomials lying on at least one of the last r faces
-    return binomial(d + N, N) - binomial(d - r + N, N)
-
-
-def decompose_faces_case(N: int, d: int, n: int) -> tuple[int, int, int]:
-    """Layer coordinates (r, l, i) locating n in the face-layer brackets.
-
-    r counts whole faces taken, l the depth of the partial layer, i how many
-    monomials of the capped sub-layer are included.  The bracket for (r, l) is
-        |I'_r| + C(l+N-1, N-1) < n <= |I'_r| + C(l+N, N-1)
-    with |I'_r| = C(d+N, N) - C(d-r+N, N), for 1 <= r <= min(d-1, N) and
-    -1 <= l <= d-r-1.  l = -1 is the degenerate bottom bracket: the partial
-    layer is empty and the sub-layer contributes the single monomial
-    X_{N-r+1}...X_{N-1}*X_N^{d-r+1}.  Without it the brackets would skip
-    n = |I'_r| + 1 for every r >= 2.  These tile the admissible range
-    exactly; scanning r then l ascending still verifies membership and
-    raises InternalConsistencyError on a gap.
-    """
-    for r in range(1, min(d - 1, N) + 1):
-        base = _last_faces_count(N, d, r)
-        for l in range(-1, d - r):
-            lo = base + binomial(l + N - 1, N - 1)
-            hi = base + binomial(l + N, N - 1)
-            if lo < n <= hi:
-                return r, l, n - lo
-    raise InternalConsistencyError(
-        f"face-layer brackets do not cover n={n} at (N, d) = ({N}, {d})"
-    )
-
-
-def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
-    """Whole faces, one partial layer, and a capped sub-layer.
-
-    With (r, l, i) = decompose_faces_case(N, d, n) the family is the union of
-
-      I'_r    all monomials on one of the last r faces,
-      I''     X_{N-r+1}...X_{N-1} * X_N^(d-r-l+1) * f, f of degree l
-              avoiding X_{N-r},
-      I'''    X_{N-r+1}...X_{N-1} * X_N^(d-r-l) * f, f of degree l+1
-              avoiding X_{N-r} and X_N, taking the first i such f in
-              canonical order (largest X0-exponent first).
-    """
-    r, l, i = decompose_faces_case(N, d, n)
-    rows = [m for m in enumerate_monomials(N, d) if 0 in m[N - r + 1:]]
-
-    def layer(xn_exponent: int, pool: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        # f has an exponent for every variable but X_{N-r}; the row is f times
-        # X_{N-r+1}...X_{N-1} * X_N^xn_exponent, with X_{N-r}-exponent 0
-        base = (1,) * (r - 1) + (xn_exponent,)
-        return [(*f[:N - r], 0, *(a + b for a, b in zip(f[N - r:], base))) for f in pool]
-
-    rows += layer(d - r - l + 1, enumerate_monomials(N - 1, l))
-    # f also avoids X_N: a trailing zero keeps canonical order, so these
-    # are the canonical first i
-    rows += layer(d - r - l, [(*f, 0) for f in enumerate_monomials(N - 2, l + 1)[:i]])
-    return MonomialFamily._from_valid_rows(N, d, rows)
-
-
 def _face_rows(N: int, d: int) -> list[tuple[int, ...]]:
     # the union of all N+1 faces: exponent tuples with at least one zero
     return [m for m in enumerate_monomials(N, d) if 0 in m]
 
 
-def gen_faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
-    """All faces plus the first n - |F| interior diagonal points.
+def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
+    """The first n face monomials in face order, then interior diagonal dots.
 
-    The dot sequence is X_j^(d-N) * prod(X_t, t != j) for j = 0..N; requires
-    d > N + 1 so the dots are genuinely interior and distinct.
+    Face order sorts the face monomials stably, from canonical order, by the
+    position p of the last zero exponent counted from X_N (p = 0 when X_N is
+    absent), then by X_N-exponent descending.  Its prefixes are Brenner's
+    face-and-layer families: the rows with p < r are the whole last r faces,
+    those with a zero among X_{N-r+1}..X_N; the rows with p = r (X_{N-r}
+    absent, X_{N-r+1}..X_N present) follow, a partial layer of the largest
+    X_N-exponents and then the canonical first few of the next exponent
+    down.  Past all the faces come the diagonal dots X_j^(d-N) * prod(X_t,
+    t != j), j = 0..N, interior and distinct when d > N + 1.  So each family
+    contains the one at n - 1 throughout a column (N, d) of PropFaces and
+    FacesAndDots cells.
     """
-    rows = _face_rows(N, d)
+    faces = _face_rows(N, d)
+    # X_N's exponent is at most d, so p * (d + 1) - exponent orders as
+    # (p, -exponent); it is 0 when X_N is absent, found without the slice
+    key = [m[N] and m[::-1].index(0) * (d + 1) - m[N] for m in faces]
+    # the first n in face order, left in canonical order for the family's sort
+    first = sorted(range(len(faces)), key=key.__getitem__)[:n]
+    rows = [faces[j] for j in sorted(first)]
     rows += [(1,) * j + (d - N,) + (1,) * (N - j) for j in range(n - len(rows))]
     return MonomialFamily._from_valid_rows(N, d, rows)
 
@@ -410,9 +367,12 @@ def gen_brenner(N: int, d: int, inner: MonomialFamily) -> MonomialFamily:
 # cells in one step, from the first cell below the run.  Classifying the whole
 # theorem range makes 18.3 million lookups, 16.8 million of them face-vertex
 # cells, so the N > 2 rows that catch those come first.  Case326 precedes
-# FaceVertex, whose range holds (3, 2, 6), and FullSet the brackets, whose
-# ranges hold the top cell when d <= N + 1.  Builders call generators by
-# module-level name, so a patched or wrapped generator is the one that runs.
+# FaceVertex, whose range holds (3, 2, 6), and FullSet the face routes, one
+# of whose ranges holds the top cell when d <= N + 1.  PropFaces (part of the
+# faces) and FacesAndDots (all faces and up to N + 1 dots) are two ranges of
+# one builder, gen_prop_faces, kept apart because each names its own route.
+# Builders call generators by module-level name, so a patched or wrapped
+# generator is the one that runs.
 _ROUTES = (
     (Route.CASE_3_2_6, lambda N, d, n, top, faces: (N, d, n) == (3, 2, 6),
      None, lambda N, d, n, fam: gen_case326(), False),
@@ -429,7 +389,7 @@ _ROUTES = (
     (Route.PROP_FACES, lambda N, d, n, top, faces: n <= faces,
      None, lambda N, d, n, fam: gen_prop_faces(N, d, n), False),
     (Route.FACES_AND_DOTS, lambda N, d, n, top, faces: n <= faces + N + 1,
-     None, lambda N, d, n, fam: gen_faces_and_dots(N, d, n), False),
+     None, lambda N, d, n, fam: gen_prop_faces(N, d, n), False),
     (Route.BRENNER_RECURSION, lambda N, d, n, top, faces: True,
      lambda N, d, n, faces: (N, d - N - 1, n - faces), lambda N, d, n, fam: gen_brenner(N, d, fam), False),
 )

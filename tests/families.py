@@ -4,6 +4,10 @@ The package builds the (2, 2, 5) family by its plane search and the face
 rows its routes need in private helpers; these rebuild them from scratch
 so the tests can check the shipped versions against an exhaustive
 construction.
+layered_prop_faces is Brenner's face-and-layer family built part by part
+from the bracket coordinates of decompose_faces_case, and faces_and_dots all
+faces plus the diagonal dots: the references for the package's
+gen_prop_faces, which takes both as prefixes of one face order.
 reference_scan lists every witness of a set of rows by a flat loop over
 all candidate gcds, sharing nothing with the scan kernel but its exponent
 masks; reference_tallies and reference_certificate read the kernel's
@@ -15,6 +19,7 @@ import itertools
 from functools import lru_cache, reduce
 from operator import and_, getitem
 
+from syzstab.constructions import InternalConsistencyError
 from syzstab.criterion import (
     StabilityCertificate,
     Verdict,
@@ -23,7 +28,7 @@ from syzstab.criterion import (
     check_family,
     is_m_primary,
 )
-from syzstab.monomials import MonomialFamily, enumerate_monomials
+from syzstab.monomials import MonomialFamily, binomial, enumerate_monomials
 
 
 @lru_cache(maxsize=None)
@@ -119,3 +124,69 @@ def faces_family(N: int, d: int) -> MonomialFamily:
     points and vanishes when d <= N.
     """
     return MonomialFamily.from_exponents(m for m in enumerate_monomials(N, d) if 0 in m)
+
+
+def faces_and_dots(N: int, d: int, n: int) -> MonomialFamily:
+    """All faces plus the first n - |F| diagonal dots X_j^(d-N) * prod(X_t, t != j), j = 0..N."""
+    rows = faces_family(N, d).rows
+    dots = [(1,) * j + (d - N,) + (1,) * (N - j) for j in range(n - len(rows))]
+    return MonomialFamily.from_exponents(rows + tuple(dots))
+
+
+def _last_faces_count(N: int, d: int, r: int) -> int:
+    # monomials lying on at least one of the last r faces
+    return binomial(d + N, N) - binomial(d - r + N, N)
+
+
+def decompose_faces_case(N: int, d: int, n: int) -> tuple[int, int, int]:
+    """Layer coordinates (r, l, i) locating n in the face-layer brackets.
+
+    r counts whole faces taken, l the depth of the partial layer, i how many
+    monomials of the capped sub-layer are included.  The bracket for (r, l) is
+        |I'_r| + C(l+N-1, N-1) < n <= |I'_r| + C(l+N, N-1)
+    with |I'_r| = C(d+N, N) - C(d-r+N, N), for 1 <= r <= min(d-1, N) and
+    -1 <= l <= d-r-1.  l = -1 is the degenerate bottom bracket: the partial
+    layer is empty and the sub-layer contributes the single monomial
+    X_{N-r+1}...X_{N-1}*X_N^{d-r+1}.  Without it the brackets would skip
+    n = |I'_r| + 1 for every r >= 2.  These tile the PropFaces range
+    exactly; scanning r then l ascending still verifies membership and
+    raises InternalConsistencyError on a gap.
+    """
+    for r in range(1, min(d - 1, N) + 1):
+        base = _last_faces_count(N, d, r)
+        for l in range(-1, d - r):
+            lo = base + binomial(l + N - 1, N - 1)
+            hi = base + binomial(l + N, N - 1)
+            if lo < n <= hi:
+                return r, l, n - lo
+    raise InternalConsistencyError(
+        f"face-layer brackets do not cover n={n} at (N, d) = ({N}, {d})"
+    )
+
+
+def layered_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
+    """Brenner's face-and-layer family, built part by part as the paper states it.
+
+    With (r, l, i) = decompose_faces_case(N, d, n) the family is the union of
+
+      I'_r    all monomials on one of the last r faces,
+      I''     X_{N-r+1}...X_{N-1} * X_N^(d-r-l+1) * f, f of degree l
+              avoiding X_{N-r},
+      I'''    X_{N-r+1}...X_{N-1} * X_N^(d-r-l) * f, f of degree l+1
+              avoiding X_{N-r} and X_N, taking the first i such f in
+              canonical order (largest X0-exponent first).
+    """
+    r, l, i = decompose_faces_case(N, d, n)
+    rows = [m for m in enumerate_monomials(N, d) if 0 in m[N - r + 1:]]
+
+    def layer(xn_exponent: int, pool: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        # f has an exponent for every variable but X_{N-r}; the row is f times
+        # X_{N-r+1}...X_{N-1} * X_N^xn_exponent, with X_{N-r}-exponent 0
+        base = (1,) * (r - 1) + (xn_exponent,)
+        return [(*f[:N - r], 0, *(a + b for a, b in zip(f[N - r:], base))) for f in pool]
+
+    rows += layer(d - r - l + 1, enumerate_monomials(N - 1, l))
+    # f also avoids X_N: a trailing zero keeps canonical order, so these
+    # are the canonical first i
+    rows += layer(d - r - l, [(*f, 0) for f in enumerate_monomials(N - 2, l + 1)[:i]])
+    return MonomialFamily._from_valid_rows(N, d, rows)

@@ -19,13 +19,11 @@ from syzstab.constructions import (
     _least_net_change,
     admissible_bounds,
     classify_route,
-    decompose_faces_case,
     dispatch,
     expected_verdict,
     gen_brenner,
     gen_case326,
     gen_face_vertex,
-    gen_faces_and_dots,
     gen_n2_search,
     gen_p1,
     gen_prop_faces,
@@ -44,7 +42,10 @@ from syzstab.monomials import (
 )
 
 from families import (
+    decompose_faces_case,
+    faces_and_dots,
     faces_family,
+    layered_prop_faces,
     reference_certificate,
     reference_scan,
     survey_225_candidates,
@@ -244,7 +245,7 @@ def test_recursive_generators_build_from_the_family_they_are_handed(monkeypatch)
         ((3, 4, 35), Route.FULL_SET, "gen_full"),
         ((4, 4, 11), Route.FACE_VERTEX, "gen_face_vertex"),
         ((3, 4, 20), Route.PROP_FACES, "gen_prop_faces"),
-        ((3, 5, 53), Route.FACES_AND_DOTS, "gen_faces_and_dots"),
+        ((3, 5, 53), Route.FACES_AND_DOTS, "gen_prop_faces"),
         ((3, 7, 105), Route.BRENNER_RECURSION, "gen_brenner"),
     ],
 )
@@ -570,8 +571,31 @@ class TestPropFaces:
                 assert is_m_primary(fam)
 
 
+def test_face_order_gives_the_layered_families_nested_along_n():
+    # every PropFaces and FacesAndDots cell with N 3..6 and d <= 8: the face
+    # order's prefixes are the paper's three-part families, past the faces
+    # the dots follow in order, and down each column (N, d) the family at
+    # n + 1 contains the one at n
+    face_routes = {Route.PROP_FACES: layered_prop_faces, Route.FACES_AND_DOTS: faces_and_dots}
+    counts = dict.fromkeys(face_routes, 0)
+    for N in range(3, 7):
+        for d in range(2, 9):
+            lo, hi = admissible_bounds(N, d)
+            last = set()
+            for n in range(lo, hi + 1):
+                if (route := classify_route(N, d, n)) not in face_routes:
+                    continue
+                counts[route] += 1
+                fam = gen_prop_faces(N, d, n)
+                assert fam == face_routes[route](N, d, n), (N, d, n)
+                rows = set(fam.rows)
+                assert last < rows and len(rows) == n, (N, d, n)
+                last = rows
+    assert counts == {Route.PROP_FACES: 6062, Route.FACES_AND_DOTS: 50}
+
+
 def test_faces_and_dots_members():
-    fam = gen_faces_and_dots(3, 5, 53)
+    fam = gen_prop_faces(3, 5, 53)
     assert len(fam) == 53
     faces = faces_family(3, 5)
     assert set(faces.rows) <= set(fam.rows)

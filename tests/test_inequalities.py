@@ -14,7 +14,6 @@ from syzstab.constructions import (
     Route,
     admissible_bounds,
     classify_route,
-    decompose_faces_case,
     dispatch,
 )
 from syzstab.inequalities import (
@@ -32,7 +31,7 @@ from syzstab.inequalities import (
 )
 from syzstab.monomials import binomial
 
-from families import faces_family, reference_scan
+from families import decompose_faces_case, faces_family, reference_scan
 
 
 class TestSpotValues:
