@@ -7,9 +7,11 @@ a cell, its inner cell and its builder.  Only dispatch recurses: it walks a
 cell's chain of inner cells in one loop and hands a recursive route's
 generator the family of the inner cell it builds from.  Each generator
 assumes its row was chosen for the cell, and checks nothing itself.  Nine
-routes run seven builders: both plane routes run the plane search, and
-PropFaces and FacesAndDots both take a prefix of one order of the face
-monomials (gen_prop_faces), so their families nest along n.
+routes run five builders: both plane routes run the plane search, and the
+four face routes, FullSet, PropFaces, FacesAndDots and BrennerRecursion,
+all take a prefix of one order of the face monomials and lift an interior
+family of lower degree past it (gen_prop_faces), so the PropFaces and
+FacesAndDots families nest along n.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from math import comb
 
 from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
-from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, binomial, enumerate_monomials
+from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, enumerate_monomials
 
 
 class NoFamilyExists(Exception):
@@ -94,11 +96,6 @@ def gen_p1(d: int, n: int) -> MonomialFamily:
         )
     e = d // (n - 1)
     return MonomialFamily._from_valid_rows(1, d, [(d - j * e, j * e) for j in range(n)])
-
-
-def gen_full(N: int, d: int) -> MonomialFamily:
-    """The full hypertetrahedron; stable for N >= 2, semistable on the line."""
-    return MonomialFamily._from_valid_rows(N, d, enumerate_monomials(N, d))
 
 
 def gen_case326() -> MonomialFamily:
@@ -314,47 +311,40 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-def _face_rows(N: int, d: int) -> list[tuple[int, ...]]:
-    # the union of all N+1 faces: exponent tuples with at least one zero
-    return [m for m in enumerate_monomials(N, d) if 0 in m]
+def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) -> MonomialFamily:
+    """The first n face monomials in face order, then a lifted interior family.
 
+    Face order sorts the face monomials, those with a zero exponent, stably
+    from canonical order by the position p of the last zero exponent counted
+    from X_N (p = 0 when X_N is absent), then by X_N-exponent descending.
+    Its prefixes are Brenner's face-and-layer families: the rows with p < r
+    are the whole last r faces, those with a zero among X_{N-r+1}..X_N; the
+    rows with p = r (X_{N-r} absent, X_{N-r+1}..X_N present) follow, a
+    partial layer of the largest X_N-exponents and then the canonical first
+    few of the next exponent down.
 
-def gen_prop_faces(N: int, d: int, n: int) -> MonomialFamily:
-    """The first n face monomials in face order, then interior diagonal dots.
-
-    Face order sorts the face monomials stably, from canonical order, by the
-    position p of the last zero exponent counted from X_N (p = 0 when X_N is
-    absent), then by X_N-exponent descending.  Its prefixes are Brenner's
-    face-and-layer families: the rows with p < r are the whole last r faces,
-    those with a zero among X_{N-r+1}..X_N; the rows with p = r (X_{N-r}
-    absent, X_{N-r+1}..X_N present) follow, a partial layer of the largest
-    X_N-exponents and then the canonical first few of the next exponent
-    down.  Past all the faces come the diagonal dots X_j^(d-N) * prod(X_t,
-    t != j), j = 0..N, interior and distinct when d > N + 1.  So each family
-    contains the one at n - 1 throughout a column (N, d) of PropFaces and
-    FacesAndDots cells.
+    The interior monomials are X0...XN times those of degree d - N - 1.  Past
+    all the faces come the rows of inner, a family of that degree, each
+    exponent raised by one: its subset margins dominate the lifted subsets'
+    margins with room to spare, so the union is stable (Brenner's recursion
+    in d).  Without inner the pure powers are lifted, the diagonal dots
+    X_j^(d-N) * prod(X_t, t != j), j = 0..N, interior and distinct when
+    d > N + 1.  So each family contains the one at n - 1 throughout a column
+    (N, d) of PropFaces and FacesAndDots cells, and the whole face order,
+    with X0...XN when d = N + 1, is the full set of degree-d monomials.
     """
-    faces = _face_rows(N, d)
+    faces = [m for m in enumerate_monomials(N, d) if 0 in m]
     # X_N's exponent is at most d, so p * (d + 1) - exponent orders as
     # (p, -exponent); it is 0 when X_N is absent, found without the slice
     key = [m[N] and m[::-1].index(0) * (d + 1) - m[N] for m in faces]
     # the first n in face order, left in canonical order for the family's sort
     first = sorted(range(len(faces)), key=key.__getitem__)[:n]
     rows = [faces[j] for j in sorted(first)]
-    rows += [(1,) * j + (d - N,) + (1,) * (N - j) for j in range(n - len(rows))]
-    return MonomialFamily._from_valid_rows(N, d, rows)
-
-
-def gen_brenner(N: int, d: int, inner: MonomialFamily) -> MonomialFamily:
-    """All faces plus an interior copy of a lower-degree family (recursion in d).
-
-    The complement of the faces is X0...XN times the degree-(d-N-1)
-    hypertetrahedron, so a family of n' = n - |F| monomials of degree
-    d' = d - N - 1 lifts to the interior; its subset margins dominate the
-    lifted subsets' margins with room to spare, and the union is stable.
-    """
-    rows = _face_rows(N, d)
-    rows += [tuple(e + 1 for e in m) for m in inner.rows]
+    if inner is None:
+        inner_rows = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
+    else:
+        inner_rows = inner.rows
+    rows += [tuple(e + 1 for e in m) for m in inner_rows[:n - len(rows)]]
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
@@ -368,16 +358,19 @@ def gen_brenner(N: int, d: int, inner: MonomialFamily) -> MonomialFamily:
 # theorem range makes 18.3 million lookups, 16.8 million of them face-vertex
 # cells, so the N > 2 rows that catch those come first.  Case326 precedes
 # FaceVertex, whose range holds (3, 2, 6), and FullSet the face routes, one
-# of whose ranges holds the top cell when d <= N + 1.  PropFaces (part of the
-# faces) and FacesAndDots (all faces and up to N + 1 dots) are two ranges of
-# one builder, gen_prop_faces, kept apart because each names its own route.
+# of whose ranges holds the top cell when d <= N + 1.  FullSet (the whole face
+# order), PropFaces (part of the faces), FacesAndDots (all faces and up to
+# N + 1 dots) and BrennerRecursion (all faces and a lifted inner family) are
+# four ranges of one builder, gen_prop_faces, kept apart because each names
+# its own route; fam is None on the three that do not recurse, so past the
+# faces they lift the pure powers.
 # Builders call generators by module-level name, so a patched or wrapped
 # generator is the one that runs.
 _ROUTES = (
     (Route.CASE_3_2_6, lambda N, d, n, top, faces: (N, d, n) == (3, 2, 6),
      None, lambda N, d, n, fam: gen_case326(), False),
     (Route.FULL_SET, lambda N, d, n, top, faces: N > 2 and n == top and d <= N + 1,
-     None, lambda N, d, n, fam: gen_full(N, d), False),
+     None, lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
     (Route.FACE_VERTEX, lambda N, d, n, top, faces: N > 2 and n <= comb(d + N - 1, N - 1) + 1,
      lambda N, d, n, faces: (N - 1, d, n - 1), lambda N, d, n, fam: gen_face_vertex(N, fam), True),
     (Route.P1_FAMILY, lambda N, d, n, top, faces: N == 1,
@@ -387,11 +380,12 @@ _ROUTES = (
     (Route.N2_SEARCH, lambda N, d, n, top, faces: N == 2,
      None, lambda N, d, n, fam: gen_n2_search(d, n), False),
     (Route.PROP_FACES, lambda N, d, n, top, faces: n <= faces,
-     None, lambda N, d, n, fam: gen_prop_faces(N, d, n), False),
+     None, lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
     (Route.FACES_AND_DOTS, lambda N, d, n, top, faces: n <= faces + N + 1,
-     None, lambda N, d, n, fam: gen_prop_faces(N, d, n), False),
+     None, lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
     (Route.BRENNER_RECURSION, lambda N, d, n, top, faces: True,
-     lambda N, d, n, faces: (N, d - N - 1, n - faces), lambda N, d, n, fam: gen_brenner(N, d, fam), False),
+     lambda N, d, n, faces: (N, d - N - 1, n - faces),
+     lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
 )
 
 
@@ -402,7 +396,7 @@ def _route(N: int, d: int, n: int) -> tuple[tuple, tuple[int, int, int] | None]:
     """
     lo, hi = admissible_bounds(N, d)
     if not lo <= n <= hi:
-        why = " (the plane search work bound)" if N == 2 and hi < n <= binomial(d + 2, 2) else ""
+        why = " (the plane search work bound)" if N == 2 and hi < n <= comb(d + 2, 2) else ""
         raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d}){why}")
     top = comb(d + N, N)
     faces = top - comb(d - 1, N)

@@ -37,8 +37,9 @@ def binomial(a: int, b: int) -> int:
 
     Vanishing instead of raising is essential here: cardinality formulas such
     as C(d+N, N) - C(d-1, N) for the union of faces rely on C(d-1, N) = 0
-    whenever d <= N, and the layered face decomposition evaluates binomials
-    with negative upper index in its degenerate bottom layer.
+    whenever d <= N.  The one caller that passes a negative upper index, the
+    layered face decomposition in its degenerate bottom layer, is a test
+    reference in tests/families.py.
     """
     if a < 0 or b < 0 or b > a:
         return 0

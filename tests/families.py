@@ -1,9 +1,9 @@
 """Reference families, listings and certificates that the tests build from scratch.
 
-The package builds the (2, 2, 5) family by its plane search and the face
-rows its routes need in private helpers; these rebuild them from scratch
-so the tests can check the shipped versions against an exhaustive
-construction.
+The package builds the (2, 2, 5) family by its plane search and every face
+family by one face order; these rebuild them from scratch so the tests can
+check the shipped versions against an exhaustive construction.
+full_family is every monomial of a degree, faces_family those on a face.
 layered_prop_faces is Brenner's face-and-layer family built part by part
 from the bracket coordinates of decompose_faces_case, and faces_and_dots all
 faces plus the diagonal dots: the references for the package's
@@ -115,6 +115,11 @@ def survey_225_candidates() -> list[tuple[MonomialFamily, StabilityCertificate |
         fam = MonomialFamily.from_exponents(combo)
         out.append((fam, check_family(fam) if is_m_primary(fam) else None))
     return out
+
+
+def full_family(N: int, d: int) -> MonomialFamily:
+    """All C(d+N, N) monomials of degree d, the full hypertetrahedron."""
+    return MonomialFamily.from_exponents(enumerate_monomials(N, d))
 
 
 def faces_family(N: int, d: int) -> MonomialFamily:

@@ -14,9 +14,9 @@ from syzstab.constructions import (
     NoFamilyExists,
     admissible_bounds,
     dispatch,
-    gen_brenner,
     gen_case326,
     gen_p1,
+    gen_prop_faces,
 )
 from syzstab.criterion import (
     Verdict,
@@ -221,7 +221,7 @@ def test_criterion_8_structural_identities():
     for N, d in ((3, 6), (3, 7), (3, 8), (4, 7)):
         # the faces leave the top cell of degree d - N - 1 inside them
         inner = dispatch(N, d - N - 1, binomial(d - 1, N))[1]
-        if gen_brenner(N, d, inner).exponent_set() != set(enumerate_monomials(N, d)):
+        if gen_prop_faces(N, d, binomial(d + N, N), inner).exponent_set() != set(enumerate_monomials(N, d)):
             top_ok = False
 
     tiling_ok = True

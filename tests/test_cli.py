@@ -86,7 +86,7 @@ def test_generate_above_the_plane_work_bound_is_usage_error(cell, capsys, monkey
     def build(*args):
         raise AssertionError("a generator ran")
 
-    for name in ("gen_n2_search", "gen_face_vertex", "gen_brenner"):
+    for name in ("gen_n2_search", "gen_face_vertex", "gen_prop_faces"):
         monkeypatch.setattr(f"syzstab.constructions.{name}", build)
     N, d, n = cell
     code, _, stderr = run(["generate", "-N", N, "-d", d, "-n", n], capsys)

@@ -21,7 +21,6 @@ from syzstab.constructions import (
     classify_route,
     dispatch,
     expected_verdict,
-    gen_brenner,
     gen_case326,
     gen_face_vertex,
     gen_n2_search,
@@ -232,7 +231,7 @@ def test_recursive_generators_build_from_the_family_they_are_handed(monkeypatch)
 
     monkeypatch.setattr("syzstab.constructions.dispatch", refuse)
     assert gen_face_vertex(4, base) == vertex
-    assert gen_brenner(3, 7, inner) == brenner
+    assert gen_prop_faces(3, 7, 105, inner) == brenner
 
 
 @pytest.mark.parametrize(
@@ -242,11 +241,11 @@ def test_recursive_generators_build_from_the_family_they_are_handed(monkeypatch)
         ((2, 4, 9), Route.N2_SEARCH, "gen_n2_search"),
         ((2, 2, 5), Route.SEARCH_2_2_5, "gen_n2_search"),
         ((3, 2, 6), Route.CASE_3_2_6, "gen_case326"),
-        ((3, 4, 35), Route.FULL_SET, "gen_full"),
+        ((3, 4, 35), Route.FULL_SET, "gen_prop_faces"),
         ((4, 4, 11), Route.FACE_VERTEX, "gen_face_vertex"),
         ((3, 4, 20), Route.PROP_FACES, "gen_prop_faces"),
         ((3, 5, 53), Route.FACES_AND_DOTS, "gen_prop_faces"),
-        ((3, 7, 105), Route.BRENNER_RECURSION, "gen_brenner"),
+        ((3, 7, 105), Route.BRENNER_RECURSION, "gen_prop_faces"),
     ],
 )
 def test_every_route_reaches_its_generator_by_name(monkeypatch, cell, route, generator):
@@ -594,6 +593,53 @@ def test_face_order_gives_the_layered_families_nested_along_n():
     assert counts == {Route.PROP_FACES: 6062, Route.FACES_AND_DOTS: 50}
 
 
+def test_full_set_is_the_whole_face_order():
+    # every FullSet cell with N <= 20 below the admission ceiling: the face
+    # order with X0...XN past the faces when d = N + 1 is every monomial
+    cells = 0
+    for N in range(3, 21):
+        for d in range(1, N + 2):
+            top = binomial(d + N, N)
+            if top > MAX_DEGREE_MONOMIALS or classify_route(N, d, top) is not Route.FULL_SET:
+                continue
+            cells += 1
+            assert gen_prop_faces(N, d, top).rows == tuple(enumerate_monomials(N, d)), (N, d)
+    assert cells == 91
+
+
+def test_the_dots_are_the_lifted_pure_powers():
+    # every FacesAndDots cell with all N + 1 dots, N 3..7 and d <= N + 12:
+    # the dots are the pure powers of degree d - N - 1 lifted by X0...XN
+    cells = 0
+    for N in range(3, 8):
+        for d in range(N + 2, N + 13):
+            top = binomial(d + N, N)
+            n = top - binomial(d - 1, N) + N + 1
+            if top > MAX_DEGREE_MONOMIALS or classify_route(N, d, n) is not Route.FACES_AND_DOTS:
+                continue
+            cells += 1
+            pure_powers = dispatch(N, d - N - 1, N + 1)[1]
+            assert gen_prop_faces(N, d, n) == gen_prop_faces(N, d, n, pure_powers), (N, d, n)
+    assert cells == 32
+
+
+def test_brenner_cells_are_the_faces_and_their_lifted_inner_family():
+    # every BrennerRecursion cell of the default sweep grid, N <= 4, d <= 6
+    cells = 0
+    for N in range(3, 5):
+        for d in range(2, 7):
+            lo, hi = admissible_bounds(N, d)
+            for n in range(lo, hi + 1):
+                if classify_route(N, d, n) is not Route.BRENNER_RECURSION:
+                    continue
+                cells += 1
+                faces = faces_family(N, d).rows
+                inner = dispatch(N, d - N - 1, n - len(faces))[1]
+                lifted = [tuple(e + 1 for e in m) for m in inner.rows]
+                assert dispatch(N, d, n)[1] == MonomialFamily.from_exponents(faces + tuple(lifted)), (N, d, n)
+    assert cells == 6
+
+
 def test_faces_and_dots_members():
     fam = gen_prop_faces(3, 5, 53)
     assert len(fam) == 53
@@ -606,7 +652,7 @@ def test_faces_and_dots_members():
 class TestBrennerRecursion:
     def test_interior_lift(self):
         # the 100 faces leave (3, 3, 5) to lift inside them
-        fam = gen_brenner(3, 7, dispatch(3, 3, 5)[1])
+        fam = gen_prop_faces(3, 7, 105, dispatch(3, 3, 5)[1])
         faces = faces_family(3, 7)
         interior = [m for m in fam.rows if all(e >= 1 for e in m)]
         assert len(fam) == 105
@@ -617,7 +663,7 @@ class TestBrennerRecursion:
     def test_top_of_range_equals_full_set(self):
         for N, d in [(3, 6), (3, 7), (3, 8), (4, 7)]:
             # the faces leave the top cell of degree d - N - 1 inside them
-            fam = gen_brenner(N, d, dispatch(N, d - N - 1, binomial(d - 1, N))[1])
+            fam = gen_prop_faces(N, d, binomial(d + N, N), dispatch(N, d - N - 1, binomial(d - 1, N))[1])
             assert len(fam) == binomial(d + N, N)
             assert fam.exponent_set() == set(enumerate_monomials(N, d))
 

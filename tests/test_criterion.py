@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syzstab.constructions import Route, dispatch, gen_full
+from syzstab.constructions import Route, dispatch
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
@@ -35,7 +35,7 @@ from syzstab.monomials import (
     enumerate_monomials,
 )
 
-from families import reference_certificate, reference_scan, reference_tallies, with_vertices
+from families import full_family, reference_certificate, reference_scan, reference_tallies, with_vertices
 
 
 def fam(*rows):
@@ -52,7 +52,7 @@ def degree_30_family(size=21):
 
 
 def test_is_m_primary():
-    assert is_m_primary(gen_full(2, 2))
+    assert is_m_primary(full_family(2, 2))
     assert not is_m_primary(fam((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)))
 
 
@@ -96,7 +96,7 @@ def test_rank_one_bundle_is_stable_by_convention():
 
 def test_full_quadrics_plane_worst_witness():
     # six quadrics in three variables: each variable divides three of them
-    cert = check_family(gen_full(2, 2))
+    cert = check_family(full_family(2, 2))
     assert cert.verdict is Verdict.STABLE
     assert cert.worst is not None
     assert cert.worst.gcd.exponents == (1, 0, 0)
@@ -134,7 +134,7 @@ def test_scan_matches_reference_loop(case):
 
 def test_scan_matches_reference_loop_on_full_families():
     for N, d in ((1, 9), (2, 8), (3, 6), (4, 5)):
-        family = gen_full(N, d)
+        family = full_family(N, d)
         listing = list(reference_scan(family.rows, d))
         assert listing
         assert tuple(_degree_tallies(family.rows, d)) == reference_tallies(listing)
@@ -191,14 +191,14 @@ def test_exponent_masks_match_per_entry_reference(case):
 
 
 def test_witness_json_keys():
-    cert = check_family(gen_full(2, 2))
+    cert = check_family(full_family(2, 2))
     blob = cert.worst.to_json()
     assert set(blob) == {"g", "d_J", "k", "margin"}
     assert blob == {"g": [1, 0, 0], "d_J": 1, "k": 3, "margin": 1}
 
 
 def test_certificate_json_shape():
-    cert = check_family(gen_full(2, 2))
+    cert = check_family(full_family(2, 2))
     blob = cert.to_json()
     assert list(blob) == [
         "verdict", "N", "d", "n", "primary", "conclusive", "witness_count", "worst",
@@ -231,8 +231,8 @@ def test_zero_margin_is_semistable_not_stable():
 
 
 def test_check_family_is_memoized():
-    f = gen_full(2, 3)
-    assert check_family(f) is check_family(gen_full(2, 3))
+    f = full_family(2, 3)
+    assert check_family(f) is check_family(full_family(2, 3))
 
 
 def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertificate:
@@ -311,7 +311,7 @@ def reference_oracle(fam: MonomialFamily, limit: int = 16) -> StabilityCertifica
 class TestBruteForce:
     def test_admits_families_beyond_twenty_members(self):
         # 35 members, but at most C(8, 4) = 70 distinct subset gcds
-        f = gen_full(3, 4)
+        f = full_family(3, 4)
         assert len(f) == 35
         assert brute_force_check(f) == check_family(f)
 
@@ -335,7 +335,7 @@ class TestBruteForce:
         # proper subsets with trivial gcd can have smaller margins than any
         # divisor-defined subset; the reported worst ignores them, matching
         # the scanning checker
-        f, o = gen_full(2, 2), brute_force_check(gen_full(2, 2))
+        f, o = full_family(2, 2), brute_force_check(full_family(2, 2))
         cert = check_family(f)
         assert o.worst == cert.worst
         assert o.worst.gcd_degree >= 1
@@ -349,7 +349,7 @@ class TestBruteForce:
         assert o.worst.gcd.exponents == (2, 0, 0) and o.worst.margin == 0
         assert reference_oracle(f).worst.gcd.exponents == (3, 0, 0)
         # X0, X1 and X2 tie at degree 1: the larger exponent tuple comes first
-        assert brute_force_check(gen_full(2, 2)).worst.gcd.exponents == (1, 0, 0)
+        assert brute_force_check(full_family(2, 2)).worst.gcd.exponents == (1, 0, 0)
 
     def test_memory_stays_linear(self):
         # a 2^n gcd table would take megabytes at n = 16
@@ -382,7 +382,7 @@ class TestBruteForce:
         def scan(*args, **kwargs):
             raise AssertionError("the oracle called the scan")
 
-        f = gen_full(2, 3)
+        f = full_family(2, 3)
         cert = check_family(f)
         check_family.cache_clear()
         monkeypatch.setattr("syzstab.criterion._degree_tallies", scan)
@@ -524,7 +524,7 @@ class TestSplittingType:
 
     def test_requires_line(self):
         with pytest.raises(DimensionMismatch):
-            splitting_type_p1(gen_full(2, 2))
+            splitting_type_p1(full_family(2, 2))
 
     def test_requires_m_primary(self):
         with pytest.raises(PreconditionError):
@@ -533,7 +533,7 @@ class TestSplittingType:
 
 def test_strategy_x0_on_full_family():
     # in every degree e, no monomial divides more members than X0^e does
-    fam = gen_full(3, 3)
+    fam = full_family(3, 3)
     exps = fam.rows
     for e in range(1, fam.d):
         x0_count = sum(1 for m in exps if m[0] >= e)
