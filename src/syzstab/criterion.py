@@ -15,8 +15,13 @@ checker scans gcd candidates of degree 1..d-1 and evaluates each candidate's
 full multiple-set, which is the worst subset sharing that gcd.  The one scan
 kernel, _degree_tallies, keeps a per-degree tally (count, largest k, first g
 with it) inside its walk and yields only that tally, and check_family reads
-the certificate off it.  The kernel and the oracle both read the family's
-exponent rows; the only Monomial built here is a certificate's worst gcd.
+the certificate off it.  check_family keeps one record of the last family it
+scanned (its rows, masks and tally); a family one row larger that holds every
+recorded row, such as the next face cell of a sweep column, gets its tally by
+the added-row walk over the new row's divisors alone, and
+check_family.cache_clear() drops the record with the cache.  The kernel and
+the oracle both read the family's exponent rows; the only Monomial built here
+is a certificate's worst gcd.
 
 The test is sufficient, not necessary, for N >= 2: CriterionViolated makes no
 claim of non-semistability there.  On the projective line the splitting type
@@ -185,7 +190,7 @@ def _exponent_masks(rows: Sequence[tuple[int, ...]], num_vars: int, d: int) -> l
 
 
 def _degree_tallies(
-    rows: Sequence[tuple[int, ...]], d: int
+    ge: Sequence[Sequence[int]], d: int
 ) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
     """The scan kernel: (e, count, k, g) for each degree e in 1..d-1 that has a witness.
 
@@ -200,11 +205,12 @@ def _degree_tallies(
     exponent tuple only when its k is strictly the largest so far, so a tie
     keeps the earlier gcd.
 
-    Rows (all of degree d) are held as bitmasks: ge[i][t] has bit j set when
-    row j has X_i-exponent >= t, so the multiples of g are the AND of
-    ge[i][g_i] over i and their count is its popcount.  g is their exact gcd
-    iff, for every i, some multiple has X_i-exponent exactly g_i, that is
-    the multiples do not all lie in ge[i][g_i + 1].  Candidates are walked
+    The rows (all of degree d) come as the bitmasks _exponent_masks builds,
+    which the caller keeps: ge[i][t] has bit j set when row j has
+    X_i-exponent >= t, so the multiples of g are the AND of ge[i][g_i] over
+    i and their count is its popcount.  g is their exact gcd iff, for every
+    i, some multiple has X_i-exponent exactly g_i, that is the multiples do
+    not all lie in ge[i][g_i + 1].  Candidates are walked
     depth-first over exponent prefixes, and a prefix whose multiples number
     fewer than two is dropped with everything below it; once the prefix
     uses up the degree, the other coordinates are 0 and need no walk.  A
@@ -212,11 +218,8 @@ def _degree_tallies(
     coordinate runs only over the exponents the rows have there: on the
     line that is at most n values per degree, not d.
     """
-    if not rows:
-        return
-    last = len(rows[0]) - 1
-    everyone = (1 << len(rows)) - 1
-    ge = _exponent_masks(rows, last + 1, d)
+    last = len(ge) - 1
+    everyone = ge[0][0]
     # rows with a positive X_i-exponent, and the all-zero exponents
     positive = [at[1] for at in ge]
     zero_exps = (0,) * (last + 1)
@@ -270,6 +273,64 @@ def _degree_tallies(
             yield e, count, top_k, top_g
 
 
+def _added_row_tallies(
+    ge: Sequence[Sequence[int]],
+    by_degree: tuple[tuple[int, int, int, tuple[int, ...]], ...],
+    row: tuple[int, ...],
+    d: int,
+) -> tuple[list[list[int]], tuple[tuple[int, int, int, tuple[int, ...]], ...]]:
+    """The masks and the kernel's tally once row joins the rows that ge and by_degree describe.
+
+    Only row's divisors change: an old witness that divides row gains one
+    multiple and stays the exact gcd of its multiples, a divisor of row may
+    become a witness, and every other witness keeps its k.  So this walks
+    row's divisors alone, on the old masks with row's bit added (the bit
+    after the old rows'), and merges what it finds into the old tally.  At a
+    degree where the divisors' largest k equals the old largest k, the old
+    first gcd does not divide row, so the first of the two in scan order,
+    the larger tuple, keeps the entry.  A divisor counts as a new witness
+    unless it was one before: at least two multiples without row, and
+    exactly their gcd.  The walk goes depth-first over exponent prefixes,
+    each coordinate descending, which is scan order.  A prefix with fewer
+    than two multiples, or none of whose multiples has X_i-exponent exactly
+    g_i, is dropped with every divisor that extends it, since those have
+    fewer multiples still.
+    """
+    bit = ge[0][0] + 1
+    ge = [[*(mask | bit for mask in at[:v + 1]), *at[v + 1:]] for at, v in zip(ge, row)]
+    last = len(row) - 1
+    found: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # e: (new witnesses, k, g)
+
+    def walk(i: int, e: int, mask: int, prefix: tuple[int, ...], highs: tuple[int, ...]) -> None:
+        at = ge[i]
+        for v in range(row[i], -1, -1):
+            sub = mask & at[v]
+            high = at[v + 1]
+            if sub.bit_count() < 2 or sub & high == sub:
+                continue
+            if i < last:
+                walk(i + 1, e + v, sub, (*prefix, v), (*highs, high))
+                continue
+            if not e + v or any(sub & h == sub for h in highs):
+                continue
+            k = sub.bit_count()
+            old = sub ^ bit
+            new = k == 2 or old & high == old or any(old & h == old for h in highs)
+            fresh, top_k, top_g = found.get(e + v, (0, 0, None))
+            if k > top_k:
+                top_k, top_g = k, (*prefix, v)
+            found[e + v] = fresh + new, top_k, top_g
+
+    walk(0, 0, (bit << 1) - 1, (), ())
+    tally = {e: (count, k, g) for e, count, k, g in by_degree}
+    for e, (fresh, k, g) in found.items():
+        count, old_k, old_g = tally.get(e, (0, 0, None))
+        if k < old_k or k == old_k and old_g > g:
+            k, g = old_k, old_g
+        tally[e] = count + fresh, k, g
+    return ge, tuple((e, *tally[e]) for e in sorted(tally))
+
+
 def _first_vertex_variable(rows: Sequence[tuple[int, ...]], N: int) -> int:
     """The first of the trailing variables X_m..X_N that each divide only
     their own pure power, with m >= 2, or N + 1 when X_N divides another row.
@@ -302,6 +363,13 @@ def _certificate(
     return StabilityCertificate(verdict, N, d, n, count, _gcd_witness(worst), by_degree)
 
 
+# (N, d, rows, masks, by_degree) of the last family check_family scanned,
+# its masks holding one bit per row in the order the rows were recorded.
+# One tuple, replaced in one assignment, so a thread reads either the old
+# record or the new one, never a mix.
+_last_scan: tuple | None = None
+
+
 @lru_cache(maxsize=None)
 def check_family(fam: MonomialFamily) -> StabilityCertificate:
     """Certify the family via the gcd-candidate scan.
@@ -324,6 +392,14 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     A margin (d - e) * n + e - d * k depends on the witness only through
     (e, k), so the summary gives the worst witness at any n.
 
+    Added row: the function records the last family it scanned, with its
+    masks and summary.  A family with the same N and d, one row more and
+    every recorded row (the next cell of a face column, whose families are
+    prefixes of one face order) gets its summary from the record by a walk
+    over the new row's divisors alone, _added_row_tallies; any other family
+    gets the full walk.  check_family.cache_clear() drops the record along
+    with the cache, so a certification after it never reads an earlier one.
+
     Vertex lemma: if each of X_m..X_N divides only its own pure power, then
     any subset holding one of those powers and another member has gcd 1.
     The witnesses are then exactly those of the core, the other rows cut to
@@ -333,6 +409,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     which is a cache hit when dispatch built the core's cell, and the
     family's certificate is read off the core's summary at its own n.
     """
+    global _last_scan
     _require_checkable(fam)
     N, d, rows = fam.N, fam.d, fam.rows
     m = _first_vertex_variable(rows, N)
@@ -342,8 +419,27 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         pad = (0,) * (N + 1 - m)
         by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
     else:
-        by_degree = tuple(_degree_tallies(rows, d))
+        last = _last_scan
+        added = ()
+        if last is not None and last[:2] == (N, d) and len(rows) == len(last[2]) + 1:
+            added = set(rows).difference(last[2])
+        if len(added) == 1:
+            ge, by_degree = _added_row_tallies(last[3], last[4], *added, d)
+        else:
+            ge = _exponent_masks(rows, N + 1, d)
+            by_degree = tuple(_degree_tallies(ge, d))
+        _last_scan = N, d, rows, ge, by_degree
     return _certificate(N, d, len(rows), by_degree)
+
+
+def _clear_checks(clear=check_family.cache_clear) -> None:
+    """check_family.cache_clear: empty the cache and drop the last scan's record."""
+    global _last_scan
+    _last_scan = None
+    clear()
+
+
+check_family.cache_clear = _clear_checks
 
 
 def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -291,6 +292,24 @@ def test_sweep_row_count_and_report(tmp_path, capsys):
         (r["N"], r["d"], r["n"]) < (s["N"], s["d"], s["n"])
         for r, s in zip(rows, rows[1:])
     )
+
+
+def test_wider_sweep_certifies_with_pinned_rows(tmp_path, capsys):
+    # every cell with N <= 5, d <= 8, serially from empty caches; the digest
+    # covers every row field except wall_time
+    report = tmp_path / "wide.json"
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    try:
+        code, stdout, _ = run(["sweep", "--Nmax", "5", "--dmax", "8", "--report", str(report)], capsys)
+    finally:
+        dispatch.cache_clear()
+        check_family.cache_clear()
+    assert code == EX_OK
+    assert stdout == "sweep: 4865 cells, 4849 families certified, 16 nonexistent, 0 failures\n"
+    rows = [{k: v for k, v in row.items() if k != "wall_time"} for row in json.loads(report.read_text())["rows"]]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "fdd7d0a9ea64477a06b2b98622abc262860dda803e484c1f9153e5dbb0e12c6f"
 
 
 @pytest.fixture

@@ -3,6 +3,9 @@ splitting-type checker on the projective line."""
 
 import dataclasses
 import itertools
+import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syzstab.constructions import Route, dispatch
+from syzstab import criterion
+from syzstab.constructions import NoFamilyExists, Route, admissible_bounds, dispatch
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
@@ -40,6 +44,11 @@ from families import full_family, reference_certificate, reference_scan, referen
 
 def fam(*rows):
     return MonomialFamily.from_exponents(rows)
+
+
+def tallies(rows, d):
+    # the scan kernel over the rows' masks
+    return tuple(_degree_tallies(_exponent_masks(rows, len(rows[0]), d), d))
 
 
 def degree_30_family(size=21):
@@ -109,7 +118,7 @@ def test_scan_skips_non_maximal_gcds():
     # in {X0^3, X0^2 X1, X1^3} the multiples of X0 have gcd X0^2, so the
     # kernel reports X0^2 at degree 2 and, at degree 1, only X1
     rows = [(3, 0), (2, 1), (0, 3)]
-    assert tuple(_degree_tallies(rows, 3)) == ((1, 1, 2, (0, 1)), (2, 1, 2, (2, 0)))
+    assert tallies(rows, 3) == ((1, 1, 2, (0, 1)), (2, 1, 2, (2, 0)))
     assert [g for g, *_ in reference_scan(rows, 3)] == [(0, 1), (2, 0)]
 
 
@@ -129,7 +138,7 @@ def test_scan_matches_reference_loop(case):
     # the kernel's per-degree tally, entry for entry, against the one built
     # from the flat candidate loop's listing
     rows, d = case
-    assert tuple(_degree_tallies(rows, d)) == reference_tallies(reference_scan(rows, d))
+    assert tallies(rows, d) == reference_tallies(reference_scan(rows, d))
 
 
 def test_scan_matches_reference_loop_on_full_families():
@@ -137,7 +146,7 @@ def test_scan_matches_reference_loop_on_full_families():
         family = full_family(N, d)
         listing = list(reference_scan(family.rows, d))
         assert listing
-        assert tuple(_degree_tallies(family.rows, d)) == reference_tallies(listing)
+        assert tallies(family.rows, d) == reference_tallies(listing)
         assert check_family(family).witness_count == len(listing)
 
 
@@ -481,9 +490,160 @@ def test_long_vertex_chains_certify_in_one_step():
         assert time.perf_counter() - start < 1
         # the kernel over all the rows, no core stripped; the flat reference
         # loop would try C(605, 3) degree-3 candidates in the chain
-        assert cert == _certificate(f.N, f.d, len(f), tuple(_degree_tallies(f.rows, f.d)))
+        assert cert == _certificate(f.N, f.d, len(f), tallies(f.rows, f.d))
     assert cert.N == 602 and cert.n == 610 and cert.verdict is Verdict.STABLE
     assert check_family(pures).witness_count == 0
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """How often check_family takes the full walk and the added-row walk, from no record."""
+    counts = {"full": 0, "added": 0}
+    for name, key in (("_degree_tallies", "full"), ("_added_row_tallies", "added")):
+        def counted(*args, real=getattr(criterion, name), key=key):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(criterion, name, counted)
+    check_family.cache_clear()
+    yield counts
+    check_family.cache_clear()
+
+
+def grown(N, d, rest):
+    """The pure powers, then one family more for each row of rest, that row added."""
+    rows = [m for m in enumerate_monomials(N, d) if d in m]
+    for row in rest:
+        rows.append(row)
+        yield MonomialFamily(N, d, rows)
+
+
+def test_default_grid_in_sweep_order_certifies_as_the_reference(walks):
+    # in sweep order each face column's next family adds one row to the last
+    # one scanned, so most certificates come from the added-row walk
+    dispatch.cache_clear()
+    families = 0
+    for N in range(1, 5):
+        for d in range(2, 7):
+            lo, hi = admissible_bounds(N, d)
+            for n in range(lo, hi + 1):
+                try:
+                    _, f = dispatch(N, d, n)
+                except NoFamilyExists:
+                    continue
+                families += 1
+                assert check_family(f) == reference_certificate(f), (N, d, n)
+    assert families == 709
+    assert walks == {"full": 29, "added": 415}
+
+
+def test_chains_grown_a_row_at_a_time_match_a_fresh_walk(walks):
+    # random rows land at random canonical positions; each step is checked
+    # against a fresh kernel walk and the reference loop.  The chains must
+    # hold added rows that open a degree with no witness before, rows that
+    # lift an old witness to its degree's top k, and rows that bring a
+    # degree a new first gcd at its old top k (the tie the merge settles)
+    rng = random.Random(29)
+    opened = lifted = tied = 0
+    for N in range(1, 6):
+        for _ in range(6):
+            d = rng.randint(2, 7 if N < 4 else 5)
+            rest = [m for m in enumerate_monomials(N, d) if d not in m]
+            rng.shuffle(rest)
+            check_family.cache_clear()
+            before = None
+            for f in grown(N, d, rest[:20]):
+                added = walks["added"]
+                cert = check_family(f)
+                assert cert == _certificate(N, d, len(f), tallies(f.rows, d))
+                assert cert == reference_certificate(f)
+                if walks["added"] > added:
+                    old = {e: (k, g) for e, _, k, g in before.by_degree}
+                    witnesses = {g for g, *_ in reference_scan(before_rows, d)}
+                    for e, _, k, g in cert.by_degree:
+                        opened += e not in old
+                        lifted += e in old and k > old[e][0] and g in witnesses
+                        tied += e in old and (k, g) != old[e] and k == old[e][0]
+                before, before_rows = cert, f.rows
+    assert walks == {"full": 46, "added": 350}
+    assert opened and lifted and tied
+
+
+def test_a_family_without_the_recorded_rows_takes_the_full_walk(walks):
+    rest = [m for m in enumerate_monomials(2, 4) if 4 not in m]
+    *_, a = grown(2, 4, rest[:5])
+    # one row more than a, but a's last row swapped for two others
+    *_, b = grown(2, 4, rest[:4] + rest[5:7])
+    for f, counts in ((a, {"full": 1, "added": 0}), (b, {"full": 2, "added": 0})):
+        assert check_family(f) == reference_certificate(f)
+        assert walks == counts
+    *_, c = grown(2, 4, rest[:4] + rest[5:8])
+    assert check_family(c) == reference_certificate(c)
+    assert walks == {"full": 2, "added": 1}
+
+
+def test_cache_clear_drops_the_record(walks):
+    rest = [m for m in enumerate_monomials(3, 4) if 4 not in m]
+    *_, a, b = grown(3, 4, rest[:8])
+    check_family(a)
+    check_family.cache_clear()
+    # b adds one row to a, the last family scanned, yet gets the full walk
+    assert check_family(b) == reference_certificate(b)
+    assert walks == {"full": 2, "added": 0}
+
+
+def test_interleaved_threads_get_full_walk_certificates(walks):
+    # two chains in one (N, d) with no added row in common, certified in
+    # strict turns: each step finds the other chain's record and walks in full
+    rest = [m for m in enumerate_monomials(3, 5) if 5 not in m]
+    chains = (list(grown(3, 5, rest[0:24:2])), list(grown(3, 5, rest[1:24:2])))
+    turns = (threading.Semaphore(1), threading.Semaphore(0))
+    certs = ([], [])
+
+    def certify(me):
+        for f in chains[me]:
+            turns[me].acquire()
+            try:
+                certs[me].append(check_family(f))
+            finally:
+                turns[1 - me].release()
+
+    threads = [threading.Thread(target=certify, args=(me,)) for me in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for chain, got in zip(chains, certs):
+        assert got == [_certificate(f.N, f.d, len(f), tallies(f.rows, f.d)) for f in chain]
+    assert walks == {"full": 24, "added": 0}
+
+
+def test_threads_racing_on_the_record_get_full_walk_certificates():
+    # more threads than cores, switching often, each growing its own chain
+    # in one (N, d): whichever record a step reads, its certificate must be
+    # the full walk's
+    rest = [m for m in enumerate_monomials(3, 5) if 5 not in m]
+    chains = [list(grown(3, 5, rest[t:40:4])) for t in range(4)]
+    certs = [[] for _ in chains]
+    check_family.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda me: certs[me].extend(map(check_family, chains[me])), args=(me,))
+            for me in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        check_family.cache_clear()
+    for chain, got in zip(chains, certs):
+        assert got == [_certificate(f.N, f.d, len(f), tallies(f.rows, f.d)) for f in chain]
 
 
 @settings(max_examples=80, deadline=None)
