@@ -11,7 +11,9 @@ routes run five builders: both plane routes run the plane search, and the
 four face routes, FullSet, PropFaces, FacesAndDots and BrennerRecursion,
 all take a prefix of one order of the face monomials and lift an interior
 family of lower degree past it (gen_prop_faces), so the PropFaces and
-FacesAndDots families nest along n.
+FacesAndDots families nest along n.  That order is built once per column
+(N, d) and kept as a one-entry record, _face_order; dispatch.cache_clear()
+drops it with dispatch's cache, so a cold dispatch builds it again.
 """
 
 from __future__ import annotations
@@ -311,17 +313,36 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
+@lru_cache(maxsize=1)
+def _face_order(N: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The column's face monomials in canonical order, and their indices in face order.
+
+    The face monomials are those with a zero exponent.  A one-entry record:
+    every face cell of the column takes a prefix of the same order, so a
+    sweep that walks a column enumerates and sorts its C(d+N, N) monomials
+    once, and the column's families share their face rows.  Asking for
+    another column replaces it, and dispatch.cache_clear() drops it.
+    """
+    faces = tuple(m for m in enumerate_monomials(N, d) if 0 in m)
+    # X_N's exponent is at most d, so p * (d + 1) - exponent orders as
+    # (p, -exponent); it is 0 when X_N is absent, found without the slice
+    key = [m[N] and m[::-1].index(0) * (d + 1) - m[N] for m in faces]
+    return faces, tuple(sorted(range(len(faces)), key=key.__getitem__))
+
+
 def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) -> MonomialFamily:
     """The first n face monomials in face order, then a lifted interior family.
 
-    Face order sorts the face monomials, those with a zero exponent, stably
-    from canonical order by the position p of the last zero exponent counted
-    from X_N (p = 0 when X_N is absent), then by X_N-exponent descending.
-    Its prefixes are Brenner's face-and-layer families: the rows with p < r
-    are the whole last r faces, those with a zero among X_{N-r+1}..X_N; the
-    rows with p = r (X_{N-r} absent, X_{N-r+1}..X_N present) follow, a
-    partial layer of the largest X_N-exponents and then the canonical first
-    few of the next exponent down.
+    The cell takes the first n indices of its column's face order,
+    _face_order(N, d), and sorts only those.  Face order sorts the face
+    monomials stably from canonical order by the position p of the last
+    zero exponent counted from X_N (p = 0 when X_N is absent), then by
+    X_N-exponent descending.  Its prefixes are Brenner's face-and-layer
+    families: the rows with p < r are the whole last r faces, those with a
+    zero among X_{N-r+1}..X_N; the rows with p = r (X_{N-r} absent,
+    X_{N-r+1}..X_N present) follow, a partial layer of the largest
+    X_N-exponents and then the canonical first few of the next exponent
+    down.
 
     The interior monomials are X0...XN times those of degree d - N - 1.  Past
     all the faces come the rows of inner, a family of that degree, each
@@ -333,13 +354,9 @@ def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) 
     (N, d) of PropFaces and FacesAndDots cells, and the whole face order,
     with X0...XN when d = N + 1, is the full set of degree-d monomials.
     """
-    faces = [m for m in enumerate_monomials(N, d) if 0 in m]
-    # X_N's exponent is at most d, so p * (d + 1) - exponent orders as
-    # (p, -exponent); it is 0 when X_N is absent, found without the slice
-    key = [m[N] and m[::-1].index(0) * (d + 1) - m[N] for m in faces]
+    faces, order = _face_order(N, d)
     # the first n in face order, left in canonical order for the family's sort
-    first = sorted(range(len(faces)), key=key.__getitem__)[:n]
-    rows = [faces[j] for j in sorted(first)]
+    rows = [faces[j] for j in sorted(order[:n])]
     if inner is None:
         inner_rows = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
     else:
@@ -480,3 +497,12 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
             f"projective-line family for ({N}, {d}, {n}) has unequal twists"
         )
     return route, fam
+
+
+def _clear_dispatch(clear=dispatch.cache_clear) -> None:
+    """dispatch.cache_clear: empty the cache and drop the face order's record."""
+    _face_order.cache_clear()
+    clear()
+
+
+dispatch.cache_clear = _clear_dispatch

@@ -570,27 +570,81 @@ class TestPropFaces:
                 assert is_m_primary(fam)
 
 
+def face_cells(N, d):
+    """The PropFaces and FacesAndDots cells of the column (N, d), each with its reference."""
+    references = {Route.PROP_FACES: layered_prop_faces, Route.FACES_AND_DOTS: faces_and_dots}
+    lo, hi = admissible_bounds(N, d)
+    routes = ((n, classify_route(N, d, n)) for n in range(lo, hi + 1))
+    return [((N, d, n), references[route]) for n, route in routes if route in references]
+
+
 def test_face_order_gives_the_layered_families_nested_along_n():
     # every PropFaces and FacesAndDots cell with N 3..6 and d <= 8: the face
     # order's prefixes are the paper's three-part families, past the faces
     # the dots follow in order, and down each column (N, d) the family at
     # n + 1 contains the one at n
-    face_routes = {Route.PROP_FACES: layered_prop_faces, Route.FACES_AND_DOTS: faces_and_dots}
-    counts = dict.fromkeys(face_routes, 0)
+    counts = {layered_prop_faces: 0, faces_and_dots: 0}
     for N in range(3, 7):
         for d in range(2, 9):
-            lo, hi = admissible_bounds(N, d)
             last = set()
-            for n in range(lo, hi + 1):
-                if (route := classify_route(N, d, n)) not in face_routes:
-                    continue
-                counts[route] += 1
-                fam = gen_prop_faces(N, d, n)
-                assert fam == face_routes[route](N, d, n), (N, d, n)
+            for cell, reference in face_cells(N, d):
+                counts[reference] += 1
+                fam = gen_prop_faces(*cell)
+                assert fam == reference(*cell), cell
                 rows = set(fam.rows)
-                assert last < rows and len(rows) == n, (N, d, n)
+                assert last < rows and len(rows) == cell[2], cell
                 last = rows
-    assert counts == {Route.PROP_FACES: 6062, Route.FACES_AND_DOTS: 50}
+    assert counts == {layered_prop_faces: 6062, faces_and_dots: 50}
+
+
+def test_face_order_is_built_once_per_column(monkeypatch):
+    # every face cell of (4, 6) and of (3, 7), the columns taken in turns of
+    # four cells: each switch of column enumerates the degree once, and each
+    # family is Brenner's
+    enumerated = []
+
+    def counted(N, e):
+        enumerated.append((N, e))
+        return enumerate_monomials(N, e)
+
+    monkeypatch.setattr("syzstab.constructions.enumerate_monomials", counted)
+    columns = [face_cells(4, 6), face_cells(3, 7)]
+    assert list(map(len, columns)) == [125, 67]
+    dispatch.cache_clear()
+    switches, last = 0, None
+    for i in range(0, 125, 4):
+        for column in columns:
+            for cell, reference in column[i:i + 4]:
+                switches += cell[:2] != last
+                last = cell[:2]
+                assert gen_prop_faces(*cell) == reference(*cell), cell
+    assert len(enumerated) == switches == 35
+    # clearing dispatch drops the order too, so a cold dispatch builds it
+    # again even for the column last built
+    dispatch.cache_clear()
+    dispatch(*cell)
+    assert enumerated[switches:] == [cell[:2]]
+
+
+def test_face_families_of_a_column_share_their_rows():
+    # all 776 face families of (5, 8) held at once: each takes its rows from
+    # the column's one face order, about 5.5 MiB in all, where rows built
+    # afresh per cell took about 63 MiB
+    cells = face_cells(5, 8)
+    assert len(cells) == 776
+    dispatch.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        families = [gen_prop_faces(*cell) for cell, _ in cells]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(families) == 776
+    assert peak < 16 * 2**20
 
 
 def test_full_set_is_the_whole_face_order():
