@@ -12,8 +12,9 @@ four face routes, FullSet, PropFaces, FacesAndDots and BrennerRecursion,
 all take a prefix of one order of the face monomials and lift an interior
 family of lower degree past it (gen_prop_faces), so the PropFaces and
 FacesAndDots families nest along n.  That order is built once per column
-(N, d) and kept as a one-entry record, _face_order; dispatch.cache_clear()
-drops it with dispatch's cache, so a cold dispatch builds it again.
+(N, d) and kept, for the few columns built in last, by _face_order;
+dispatch.cache_clear() drops it with dispatch's cache, so a cold dispatch
+builds it again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import comb
 
-from .criterion import Verdict, _exponent_masks, check_family, is_semistable_p1
+from .criterion import _COLUMN_WINDOW, Verdict, _exponent_masks, check_family, is_semistable_p1
 from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, enumerate_monomials
 
 
@@ -313,15 +314,16 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=_COLUMN_WINDOW)
 def _face_order(N: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The column's face monomials in canonical order, and their indices in face order.
 
-    The face monomials are those with a zero exponent.  A one-entry record:
-    every face cell of the column takes a prefix of the same order, so a
-    sweep that walks a column enumerates and sorts its C(d+N, N) monomials
-    once, and the column's families share their face rows.  Asking for
-    another column replaces it, and dispatch.cache_clear() drops it.
+    The face monomials are those with a zero exponent.  Every face cell of
+    the column takes a prefix of the same order, so a sweep that walks a
+    column enumerates and sorts its C(d+N, N) monomials once, and the
+    column's families share their face rows.  The orders of the last
+    _COLUMN_WINDOW columns are kept, so a column whose recursive cells build
+    from other columns keeps its own; dispatch.cache_clear() drops them.
     """
     faces = tuple(m for m in enumerate_monomials(N, d) if 0 in m)
     # X_N's exponent is at most d, so p * (d + 1) - exponent orders as

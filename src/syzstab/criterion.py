@@ -15,13 +15,14 @@ checker scans gcd candidates of degree 1..d-1 and evaluates each candidate's
 full multiple-set, which is the worst subset sharing that gcd.  The one scan
 kernel, _degree_tallies, keeps a per-degree tally (count, largest k, first g
 with it) inside its walk and yields only that tally, and check_family reads
-the certificate off it.  check_family keeps one record of the last family it
-scanned (its rows, masks and tally); a family one row larger that holds every
-recorded row, such as the next face cell of a sweep column, gets its tally by
-the added-row walk over the new row's divisors alone, and
-check_family.cache_clear() drops the record with the cache.  The kernel and
-the oracle both read the family's exponent rows; the only Monomial built here
-is a certificate's worst gcd.
+the certificate off it.  check_family keeps a record of the last family it
+scanned (its rows, masks and tally) in each of the few columns (N, d) it
+scanned in last, and looks there first: a family one row larger that holds
+every recorded row, such as the next face cell of a sweep column, skips the
+preconditions and gets its tally by the added-row walk over the new row's
+divisors alone.  check_family.cache_clear() drops the records with the
+cache.  The kernel and the oracle both read the family's exponent rows; the
+only Monomial built here is a certificate's worst gcd.
 
 The test is sufficient, not necessary, for N >= 2: CriterionViolated makes no
 claim of non-semistability there.  On the projective line the splitting type
@@ -31,6 +32,7 @@ decides exactly, and both the criterion and the splitting decider agree.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -299,27 +301,39 @@ def _added_row_tallies(
     bit = ge[0][0] + 1
     ge = [[*(mask | bit for mask in at[:v + 1]), *at[v + 1:]] for at, v in zip(ge, row)]
     last = len(row) - 1
-    found: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # e: (new witnesses, k, g)
+    found: dict[int, list] = {}  # e: [new witnesses, k, g]
 
     def walk(i: int, e: int, mask: int, prefix: tuple[int, ...], highs: tuple[int, ...]) -> None:
         at = ge[i]
         for v in range(row[i], -1, -1):
             sub = mask & at[v]
             high = at[v + 1]
-            if sub.bit_count() < 2 or sub & high == sub:
+            k = sub.bit_count()
+            if k < 2 or sub & high == sub:
                 continue
             if i < last:
                 walk(i + 1, e + v, sub, (*prefix, v), (*highs, high))
                 continue
-            if not e + v or any(sub & h == sub for h in highs):
+            if not e + v:
                 continue
-            k = sub.bit_count()
+            # g is a witness unless its multiples all lie above it in one
+            # coordinate, and new unless those without row, old, were at
+            # least two with g their exact gcd
             old = sub ^ bit
-            new = k == 2 or old & high == old or any(old & h == old for h in highs)
-            fresh, top_k, top_g = found.get(e + v, (0, 0, None))
-            if k > top_k:
-                top_k, top_g = k, (*prefix, v)
-            found[e + v] = fresh + new, top_k, top_g
+            new = k == 2 or old & high == old
+            for h in highs:
+                if old & h == old:
+                    if sub & h == sub:
+                        break
+                    new = True
+            else:
+                entry = found.get(e + v)
+                if entry is None:
+                    found[e + v] = [new, k, (*prefix, v)]
+                else:
+                    entry[0] += new
+                    if k > entry[1]:
+                        entry[1:] = k, (*prefix, v)
 
     walk(0, 0, (bit << 1) - 1, (), ())
     tally = {e: (count, k, g) for e, count, k, g in by_degree}
@@ -363,11 +377,22 @@ def _certificate(
     return StabilityCertificate(verdict, N, d, n, count, _gcd_witness(worst), by_degree)
 
 
-# (N, d, rows, masks, by_degree) of the last family check_family scanned,
-# its masks holding one bit per row in the order the rows were recorded.
-# One tuple, replaced in one assignment, so a thread reads either the old
-# record or the new one, never a mix.
-_last_scan: tuple | None = None
+# How many columns (N, d) keep a record, of their last scan here and of
+# their face order in constructions.  A recursive cell certifies its inner
+# cell in another column, so a column certified in n order moves among a
+# few: 4 is the least window that gives (4, 12), (5, 9) and (3, 14) as few
+# full walks and face-order builds as 16 does.  It holds at most four scan
+# records, each (N + 1)(d + 2) masks of at most n bits (163 KiB at
+# (3, 37, 9880)), and four face orders of at most 10,000 rows each
+# (11.4 MiB at (139, 2)).
+_COLUMN_WINDOW = 4
+
+# The records, newest first, at most one per column: (N, d, rows, masks,
+# by_degree) of the last family check_family scanned in that column, its
+# masks holding one bit per row in the order the rows were recorded.  One
+# tuple, replaced in one assignment, so a thread reads either the old window
+# or the new one, never a mix, and each record is whole.
+_last_scan: tuple = ()
 
 
 @lru_cache(maxsize=None)
@@ -392,13 +417,23 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     A margin (d - e) * n + e - d * k depends on the witness only through
     (e, k), so the summary gives the worst witness at any n.
 
-    Added row: the function records the last family it scanned, with its
-    masks and summary.  A family with the same N and d, one row more and
-    every recorded row (the next cell of a face column, whose families are
-    prefixes of one face order) gets its summary from the record by a walk
-    over the new row's divisors alone, _added_row_tallies; any other family
-    gets the full walk.  check_family.cache_clear() drops the record along
-    with the cache, so a certification after it never reads an earlier one.
+    Added row, looked for first: the function keeps a record of the last
+    family it scanned in each of the _COLUMN_WINDOW columns (N, d) it scanned
+    in most recently, with its masks and summary.  A family with one row
+    more than its column's record and every recorded row (the next cell of
+    a face column, whose families are prefixes of one face order) gets its
+    summary from the record by a walk over the new row's divisors alone,
+    _added_row_tallies.  The new row is found by bisection, the first
+    position where the rows differ, and two slice comparisons confirm that
+    it is the only difference.  Such a family skips the preconditions and
+    the vertex test, and rightly: the record holds only families that
+    passed every precondition and had no vertex variable.  One row more
+    keeps the pure powers, so the family stays m-primary, with n >= 3 and
+    the same (N + 1) * d^2; X_N still divides a row other than its own
+    pure power, so the family still has no vertex variable.  Any other
+    family is checked and gets the full walk.  check_family.cache_clear()
+    drops the records along with the cache, so a certification after it
+    never reads an earlier one.
 
     Vertex lemma: if each of X_m..X_N divides only its own pure power, then
     any subset holding one of those powers and another member has gcd 1.
@@ -410,32 +445,39 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     family's certificate is read off the core's summary at its own n.
     """
     global _last_scan
-    _require_checkable(fam)
     N, d, rows = fam.N, fam.d, fam.rows
-    m = _first_vertex_variable(rows, N)
-    if m <= N:
-        core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
-        core = MonomialFamily._from_valid_rows(m - 1, d, core_rows)
-        pad = (0,) * (N + 1 - m)
-        by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
+    n = len(rows)
+    window = _last_scan
+    record = next((r for r in window if r[0] == N and r[1] == d), None)
+    added = None
+    if record is not None and len(record[2]) == n - 1:
+        old = record[2]
+        # the first position where rows and old differ
+        i = bisect_left(range(n - 1), True, key=lambda j: rows[j] != old[j])
+        if rows[:i] == old[:i] and rows[i + 1:] == old[i:]:
+            added = rows[i]
+    if added is not None:
+        ge, by_degree = _added_row_tallies(record[3], record[4], added, d)
     else:
-        last = _last_scan
-        added = ()
-        if last is not None and last[:2] == (N, d) and len(rows) == len(last[2]) + 1:
-            added = set(rows).difference(last[2])
-        if len(added) == 1:
-            ge, by_degree = _added_row_tallies(last[3], last[4], *added, d)
-        else:
-            ge = _exponent_masks(rows, N + 1, d)
-            by_degree = tuple(_degree_tallies(ge, d))
-        _last_scan = N, d, rows, ge, by_degree
-    return _certificate(N, d, len(rows), by_degree)
+        _require_checkable(fam)
+        m = _first_vertex_variable(rows, N)
+        if m <= N:
+            core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
+            core = MonomialFamily._from_valid_rows(m - 1, d, core_rows)
+            pad = (0,) * (N + 1 - m)
+            by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
+            return _certificate(N, d, n, by_degree)
+        ge = _exponent_masks(rows, N + 1, d)
+        by_degree = tuple(_degree_tallies(ge, d))
+    others = (r for r in window if r is not record)
+    _last_scan = ((N, d, rows, ge, by_degree), *others)[:_COLUMN_WINDOW]
+    return _certificate(N, d, n, by_degree)
 
 
 def _clear_checks(clear=check_family.cache_clear) -> None:
-    """check_family.cache_clear: empty the cache and drop the last scan's record."""
+    """check_family.cache_clear: empty the cache and drop the scan records."""
     global _last_scan
-    _last_scan = None
+    _last_scan = ()
     clear()
 
 

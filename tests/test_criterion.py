@@ -8,13 +8,21 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syzstab import criterion
-from syzstab.constructions import NoFamilyExists, Route, admissible_bounds, dispatch
+from syzstab import constructions, criterion
+from syzstab.constructions import (
+    NoFamilyExists,
+    Route,
+    admissible_bounds,
+    classify_route,
+    dispatch,
+    gen_prop_faces,
+)
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
@@ -594,7 +602,11 @@ def test_cache_clear_drops_the_record(walks):
 
 def test_interleaved_threads_get_full_walk_certificates(walks):
     # two chains in one (N, d) with no added row in common, certified in
-    # strict turns: each step finds the other chain's record and walks in full
+    # strict turns: each step finds the other chain's record and walks in
+    # full, but for two.  Chain 1's first two families keep X3 a vertex, so
+    # their cores, in (2, 5), record in a column of their own: its second
+    # core adds a row to its first, and chain 0's third family adds a row to
+    # its second, the last (3, 5) family scanned
     rest = [m for m in enumerate_monomials(3, 5) if 5 not in m]
     chains = (list(grown(3, 5, rest[0:24:2])), list(grown(3, 5, rest[1:24:2])))
     turns = (threading.Semaphore(1), threading.Semaphore(0))
@@ -616,7 +628,7 @@ def test_interleaved_threads_get_full_walk_certificates(walks):
         assert not t.is_alive()
     for chain, got in zip(chains, certs):
         assert got == [_certificate(f.N, f.d, len(f), tallies(f.rows, f.d)) for f in chain]
-    assert walks == {"full": 24, "added": 0}
+    assert walks == {"full": 22, "added": 2}
 
 
 def test_threads_racing_on_the_record_get_full_walk_certificates():
@@ -644,6 +656,77 @@ def test_threads_racing_on_the_record_get_full_walk_certificates():
         check_family.cache_clear()
     for chain, got in zip(chains, certs):
         assert got == [_certificate(f.N, f.d, len(f), tallies(f.rows, f.d)) for f in chain]
+
+
+def test_recursive_column_in_n_order_certifies_as_a_fresh_walk(walks):
+    # column (3, 10) in n order: its FaceVertex cells build from plane
+    # cells (2, 10, n - 1) and its Brenner cells from (3, 6, n - faces), so
+    # certifying it moves among several columns.  Each keeps its own records,
+    # so the face cells and nearly every Brenner cell take the added-row
+    # walk, and each column builds its face order once
+    dispatch.cache_clear()
+    routes = Counter()
+    lo, hi = admissible_bounds(3, 10)
+    for n in range(lo, hi + 1):
+        route, f = dispatch(3, 10, n)
+        routes[route] += 1
+        assert check_family(f) == _certificate(3, 10, n, tallies(f.rows, 10)), n
+    assert routes == {
+        Route.FACE_VERTEX: 64,
+        Route.PROP_FACES: 135,
+        Route.FACES_AND_DOTS: 4,
+        Route.BRENNER_RECURSION: 80,
+    }
+    assert walks == {"full": 20, "added": 349}
+    assert constructions._face_order.cache_info().misses == 3
+
+
+def test_a_face_column_checks_only_its_first_family(monkeypatch):
+    # along the PropFaces cells of (4, 6) each family adds one row to the
+    # one before it, so only the first runs the preconditions and the
+    # vertex test; the others go straight to the added-row walk
+    calls = Counter()
+    for name in ("_require_checkable", "_first_vertex_variable"):
+        def counted(*args, real=getattr(criterion, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(criterion, name, counted)
+    lo, hi = admissible_bounds(4, 6)
+    cells = [n for n in range(lo, hi + 1) if classify_route(4, 6, n) is Route.PROP_FACES]
+    assert len(cells) == 120
+    check_family.cache_clear()
+    try:
+        for n in cells:
+            f = gen_prop_faces(4, 6, n)
+            assert check_family(f) == _certificate(4, 6, n, tallies(f.rows, 6)), n
+    finally:
+        check_family.cache_clear()
+    assert calls == {"_require_checkable": 1, "_first_vertex_variable": 1}
+
+
+def test_the_records_hold_a_window_of_columns():
+    # face families in six columns (3, d), taken in turns: the scan records
+    # and the face orders never hold more than the window's columns, each
+    # column at most once and the newest first
+    window = criterion._COLUMN_WINDOW
+    columns = [(3, d) for d in range(3, 9)]
+    assert len(columns) > window
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    try:
+        for step in range(3):
+            for N, d in columns:
+                f = gen_prop_faces(N, d, binomial(d + 2, 2) + 2 + step)
+                assert check_family(f) == _certificate(N, d, len(f), tallies(f.rows, d))
+                records = criterion._last_scan
+                assert 1 <= len(records) <= window
+                assert records[0][:3] == (N, d, f.rows)
+                assert len({record[:2] for record in records}) == len(records)
+                assert 1 <= constructions._face_order.cache_info().currsize <= window
+    finally:
+        dispatch.cache_clear()
+        check_family.cache_clear()
 
 
 @settings(max_examples=80, deadline=None)
