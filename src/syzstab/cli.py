@@ -46,7 +46,7 @@ EX_DATA = 65
 
 # cells one sweep may run; the default grid has 716 and N <= 5, d <= 8 has 4865
 SWEEP_CELL_LIMIT = 100_000
-# points one audit may evaluate: each is kept as a trace until the audit ends
+# points one audit may evaluate, each kept as a trace, and (N, d) pairs it may walk
 AUDIT_POINT_LIMIT = 500_000
 
 
@@ -264,9 +264,14 @@ def cmd_audit(args) -> int:
         N_range = args.N
     if args.d is not None:
         d_range = args.d
-    # a sampled audit evaluates --samples points; a grid is counted up to the budget
+    # a sampled audit evaluates --samples points; a grid counts pairs, then points to the budget
     if ranges is None:
         points = args.samples
+    elif len(N_range) * len(d_range) > AUDIT_POINT_LIMIT:
+        raise UsageError(
+            f"the {args.function} audit grid has more than {AUDIT_POINT_LIMIT} (N, d) pairs,"
+            " the audit budget"
+        )
     else:
         grid = audit_grid(args.function, N_range, d_range)
         points = sum(1 for _ in islice(grid, AUDIT_POINT_LIMIT + 1))

@@ -244,11 +244,14 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
                         rec[0] = k + 1
                         margin -= d * k
                         # g's old gain sits at margin, an old witness's loss
-                        # at margin + d; a divisor whose mask was empty sits in
-                        # no bucket
+                        # at margin + d, and an empty mask in no bucket.  If g
+                        # is a witness now, c lay in its old masks (min(low, c)
+                        # == g forces c_i == g_i where low_i > g_i), so they
+                        # are indexed: a missing one raises
                         if l0 == g0 and l1 == g1 and l2 == g2:
-                            bucket = buckets.get(margin + d)
-                            if bucket and bucket.pop(key, 0) and not bucket:
+                            bucket = buckets[margin + d]
+                            del bucket[key]
+                            if not bucket:
                                 del buckets[margin + d]
                             witness = True
                         else:
@@ -259,15 +262,13 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
                             if c2 < l2:
                                 rec[3] = l2 = c2
                             witness = l0 == g0 and l1 == g1 and l2 == g2
-                        bucket = buckets.get(margin)
                         if witness and mask:
                             # the witness's loss takes the old gain's place
-                            if bucket is None:
-                                buckets[margin] = {key: ~mask}
-                            else:
-                                bucket[key] = ~mask
-                        elif bucket and bucket.pop(key, 0) and not bucket:
-                            del buckets[margin]
+                            buckets[margin][key] = ~mask
+                        else:
+                            bucket = buckets.get(margin)
+                            if bucket and bucket.pop(key, 0) and not bucket:
+                                del buckets[margin]
                     if not mask:
                         continue
                     if not witness:

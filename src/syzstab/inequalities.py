@@ -16,7 +16,6 @@ Fraction is not free: it made the default P audit about half again as slow.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,13 +149,13 @@ def _gap_in_range(args: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """One auditable function: evaluator, proof range, sign requirement and
-    default audit ranges.
+    """One auditable function: evaluator, proof range, sign requirement,
+    default audit ranges and the grid of argument tuples at each (N, d).
 
     strict means the proof needs value > 0 on the range; otherwise >= 0.
-    ranges holds the (N, d) ranges an audit walks by default, or None for a
-    function whose audit samples its argument tuples instead (P, see
-    sample_P) and so takes no (N, d) ranges at all.
+    ranges holds the (N, d) ranges an audit walks by default.  ranges and
+    grid are None for a function whose audit samples its argument tuples
+    instead (P, see sample_P) and so takes no (N, d) ranges at all.
     """
 
     label: str
@@ -164,16 +163,27 @@ class FunctionSpec:
     in_range: Callable[[Sequence[int]], bool]
     strict: bool
     ranges: tuple[range, range] | None
+    grid: Callable[[int, int], Iterable[tuple[int, ...]]] | None
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
-    "T": FunctionSpec("T", eval_T, _t_in_range, True, (range(3, 6), range(2, 11))),
-    "U": FunctionSpec("U", eval_U, _u_in_range, True, (range(3, 6), range(2, 11))),
-    "V": FunctionSpec("V", eval_V, _v_in_range, True, (range(3, 6), range(5, 13))),
-    "Q": FunctionSpec("Q", eval_Q, _q_in_range, True, (range(3, 6), range(5, 13))),
-    "P": FunctionSpec("P", eval_P, _p_in_range, False, None),
+    "T": FunctionSpec("T", eval_T, _t_in_range, True, (range(3, 6), range(2, 11)), lambda N, d: (
+        (N, d, e, r, l)
+        for r in range(1, min(d - 1, N) + 1) for e in range(1, d - r) for l in range(e, d - r)
+    )),
+    "U": FunctionSpec("U", eval_U, _u_in_range, True, (range(3, 6), range(2, 11)), lambda N, d: (
+        (N, d, r, l) for r in range(1, min(d - 1, N) + 1) for l in range(d - r)
+    )),
+    "V": FunctionSpec("V", eval_V, _v_in_range, True, (range(3, 6), range(5, 13)), lambda N, d: (
+        (d, e, N) for e in range(1, d - N + 1) if d >= N + 2
+    )),
+    "Q": FunctionSpec("Q", eval_Q, _q_in_range, True, (range(3, 6), range(5, 13)), lambda N, d: (
+        (N, d, e, t) for e in range(1, d) if d >= N + 2 for t in range(max(0, N + 1 - e), N + 1)
+    )),
+    "P": FunctionSpec("P", eval_P, _p_in_range, False, None, None),
     "brenner2": FunctionSpec(
-        "Brenner2Gap", brenner2_gap, _gap_in_range, False, (range(1, 7), range(0, 21))
+        "Brenner2Gap", brenner2_gap, _gap_in_range, False, (range(1, 7), range(0, 21)),
+        lambda N, d: ((N, d),),
     ),
 }
 
@@ -291,36 +301,18 @@ def audit_grid(
 ) -> Iterator[tuple[int, ...]]:
     """In-proof-range argument tuples for one function over (N, d) ranges.
 
+    The (N, d) pairs are walked lazily, N outer and d inner.
     For a sampled function (P: its proof range has no finite (N, d)-indexed
     grid) sampled tuples are yielded instead; samples and seed are ignored
     otherwise.
     """
-    if name not in FUNCTIONS:
-        raise KeyError(f"unknown function {name!r}")
-    if FUNCTIONS[name].ranges is None:
+    grid = FUNCTIONS[name].grid
+    if grid is None:
         yield from sample_P(samples, seed)
         return
-    for N, d in itertools.product(N_range, d_range):
-        if name == "T":
-            for r in range(1, min(d - 1, N) + 1):
-                for e in range(1, d - r):
-                    for l in range(e, d - r):
-                        yield (N, d, e, r, l)
-        elif name == "U":
-            for r in range(1, min(d - 1, N) + 1):
-                for l in range(0, d - r):
-                    yield (N, d, r, l)
-        elif name == "V":
-            for e in range(1, d - N + 1):
-                if d >= N + 2:
-                    yield (d, e, N)
-        elif name == "Q":
-            if d >= N + 2:
-                for e in range(1, d):
-                    for t in range(max(0, N + 1 - e), N + 1):
-                        yield (N, d, e, t)
-        else:
-            yield (N, d)
+    for N in N_range:
+        for d in d_range:
+            yield from grid(N, d)
 
 
 def audit(

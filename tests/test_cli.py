@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from syzstab import cli
+from syzstab import cli, constructions
 from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, _sweep_cell, main
 from syzstab.constructions import InternalConsistencyError, admissible_bounds, dispatch
 from syzstab.criterion import (
@@ -19,7 +19,7 @@ from syzstab.criterion import (
     brute_force_check,
     check_family,
 )
-from syzstab.inequalities import audit
+from syzstab.inequalities import FUNCTIONS, audit
 from syzstab.monomials import Monomial, MonomialFamily
 
 
@@ -135,6 +135,29 @@ def test_a_family_that_fails_its_certificate_is_refused(capsys, monkeypatch):
     row = _sweep_cell((2, 3, 4))
     assert row["failure"] == f"InternalConsistencyError: {message}"
     assert (row["route"], row["verdict"], row["worst_margin"]) == (None, None, None)
+
+
+def test_a_builder_with_the_wrong_member_count_fails_its_sweep_cells(capsys, monkeypatch):
+    # the plane search returns the three pure powers for every cell
+    real = constructions.gen_n2_search
+    monkeypatch.setattr("syzstab.constructions.gen_n2_search", lambda d, n: real(d, 3))
+    dispatch.cache_clear()
+    message = "N2Search built 3 members for cell (2, 3, 4)"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        dispatch(2, 3, 4)
+    code, stdout, stderr = run(["sweep", "--Nmax", "2", "--dmax", "3"], capsys)
+    dispatch.cache_clear()
+    assert code == EX_FAIL
+    assert stderr == ""
+    lines = stdout.splitlines()
+    assert lines[0] == "sweep: 17 cells, 6 families certified, 1 nonexistent, 10 failures"
+    # every plane cell above the three pure powers, (2, 2, 5) by its own route
+    cells = [(2, 4), (2, 5), (2, 6), *((3, n) for n in range(4, 11))]
+    assert lines[1:] == [
+        f"  FAIL (2, {d}, {n}): InternalConsistencyError: "
+        f"{'Search225' if (d, n) == (2, 5) else 'N2Search'} built 3 members for cell (2, {d}, {n})"
+        for d, n in cells
+    ]
 
 
 def test_round_trip_certificate_identical(tmp_path, capsys):
@@ -485,6 +508,29 @@ def test_audit_default_ranges(name, N_range, d_range, capsys):
     assert json.loads(stdout) == audit(name, N_range, d_range)[1].to_json()
 
 
+@pytest.mark.parametrize(
+    "name, count, low, argmin",
+    [
+        ("T", 870, "4", [3, 3, 1, 1, 1]),
+        ("U", 384, "1", [3, 2, 1, 0]),
+        ("V", 106, "53", [5, 1, 3]),
+        ("Q", 618, "32", [3, 5, 4, 2]),
+        ("brenner2", 126, "0", [1, 0]),
+    ],
+)
+def test_audit_default_summary_is_pinned(name, count, low, argmin, capsys):
+    code, stdout, _ = run(["audit", name, "--json"], capsys)
+    assert code == EX_OK
+    assert json.loads(stdout) == {
+        "function": FUNCTIONS[name].label,
+        "count": count,
+        "flagged": 0,
+        "violations": 0,
+        "min": low,
+        "argmin": argmin,
+    }
+
+
 def test_audit_p_samples(capsys):
     code, stdout, _ = run(["audit", "P", "--samples", "300", "--seed", "5", "--json"], capsys)
     assert code == EX_OK
@@ -551,10 +597,21 @@ def test_bad_subcommand_is_usage_error(capsys):
 
 
 def test_bad_span_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["audit", "T", "--N", "3-5"])
-    capsys.readouterr()
-    assert exc.value.code == EX_USAGE
+    for span in ("3-5", "3..x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "T", "--N", span])
+        assert f"expected a..b, got {span!r}" in capsys.readouterr().err
+        assert exc.value.code == EX_USAGE
+
+
+def test_main_reraises_what_is_no_refusal(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(cli, "cmd_audit", broken)
+    with pytest.raises(RuntimeError, match="^not a refusal$"):
+        main(["audit", "T"])
+    assert capsys.readouterr() == ("", "")
 
 
 def outcome(argv, capsys):
@@ -737,6 +794,26 @@ REFUSALS = [
         ["audit", "T", "--N", "3..30", "--d", "2..50"], None, EX_USAGE,
         "error: the T audit has more than 500000 points, the audit budget", True,
         id="audit-budget-grid",
+    ),
+    pytest.param(
+        ["audit", "T", "--N", "3..1000000000", "--d", "2..2"], None, EX_USAGE,
+        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        id="audit-budget-pairs-T",
+    ),
+    pytest.param(
+        ["audit", "V", "--N", "3..1000000000", "--d", "5..5"], None, EX_USAGE,
+        "error: the V audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        id="audit-budget-pairs-V",
+    ),
+    pytest.param(
+        ["audit", "T", "--N", "3..600002", "--d", "2..2"], None, EX_USAGE,
+        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        id="audit-budget-pairs-T-empty",
+    ),
+    pytest.param(
+        ["audit", "V", "--N", "3..600002", "--d", "5..5"], None, EX_USAGE,
+        "error: the V audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        id="audit-budget-pairs-V-two-points",
     ),
     pytest.param(
         ["audit", "P", "--samples", "500001"], None, EX_USAGE,

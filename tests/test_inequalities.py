@@ -5,6 +5,7 @@ identities relating neighbouring arguments, and the margin decomposition that
 ties Q and P back to actual witness margins of generated families.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -243,16 +244,38 @@ class TestSweepPlumbing:
         assert blob["function"] == "Brenner2Gap"
         assert blob["violations"] == 0
 
+    def test_P_out_of_range_tuples_are_flagged(self):
+        # N = 2 is below the proof range; n' < k' leaves the subset sizes outside it
+        traces, summary = sweep("P", [(5, 1, 2, 6, 1, 0), (1, 2, 3, 6, 1, 0)])
+        assert (summary.count, summary.flagged, summary.violations) == (2, 2, 0)
+        assert [trace.value for trace in traces] == [None, None]
+
     def test_unknown_function(self):
         with pytest.raises(KeyError):
             list(audit_grid("W", range(3, 4), range(5, 6)))
 
 
 class TestAuditGrids:
-    def test_T_grid_is_exactly_the_proof_range(self):
-        fn = FUNCTIONS["T"]
-        grid = list(audit_grid("T", range(3, 5), range(2, 8)))
-        assert grid and all(fn.in_range(args) for args in grid)
+    # every tuple a grid could hold at (N, d): its arguments other than N
+    # and d range over 0..d, and Q's zero count t over 0..N
+    BOXES = {
+        "T": lambda N, d: itertools.product([N], [d], *[range(d + 1)] * 3),
+        "U": lambda N, d: itertools.product([N], [d], range(d + 1), range(d + 1)),
+        "V": lambda N, d: itertools.product([d], range(d + 1), [N]),
+        "Q": lambda N, d: itertools.product([N], [d], range(d + 1), range(N + 1)),
+        "brenner2": lambda N, d: [(N, d)],
+    }
+
+    def test_each_grid_is_exactly_the_proof_range(self):
+        assert sorted(self.BOXES) == sorted(n for n, fn in FUNCTIONS.items() if fn.grid)
+        for name, box in self.BOXES.items():
+            fn = FUNCTIONS[name]
+            grid = list(audit_grid(name, range(3, 6), range(0, 15)))
+            in_range = [
+                args for N in range(3, 6) for d in range(0, 15) for args in box(N, d)
+                if fn.in_range(args)
+            ]
+            assert in_range and sorted(grid) == sorted(in_range), name
 
     def test_small_audits_have_no_violations(self):
         for name in ("T", "U", "V", "Q"):

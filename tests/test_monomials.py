@@ -115,6 +115,10 @@ class TestMonomialFamily:
         with pytest.raises(ValueError):
             MonomialFamily.from_exponents([(2, 0), (2, 0)])
 
+    def test_empty_rows_rejected(self):
+        with pytest.raises(FamilyFormatError, match="^cannot infer N and d from an empty family$"):
+            MonomialFamily.from_exponents([])
+
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
             MonomialFamily.from_exponents([(2, 0), (1, 0)])
