@@ -150,12 +150,13 @@ def _gap_in_range(args: Sequence[int]) -> bool:
 @dataclass(frozen=True)
 class FunctionSpec:
     """One auditable function: evaluator, proof range, sign requirement,
-    default audit ranges and the grid of argument tuples at each (N, d).
+    default audit ranges and the grid of argument tuples over (N, d) ranges.
 
     strict means the proof needs value > 0 on the range; otherwise >= 0.
-    ranges holds the (N, d) ranges an audit walks by default.  ranges and
-    grid are None for a function whose audit samples its argument tuples
-    instead (P, see sample_P) and so takes no (N, d) ranges at all.
+    ranges holds the (N, d) ranges an audit walks by default; grid walks
+    them lazily, N outer and d inner, at one step per pair with no point.
+    ranges and grid are None for a function whose audit samples its
+    argument tuples instead (P, see sample_P) and so takes no (N, d) ranges.
     """
 
     label: str
@@ -163,27 +164,29 @@ class FunctionSpec:
     in_range: Callable[[Sequence[int]], bool]
     strict: bool
     ranges: tuple[range, range] | None
-    grid: Callable[[int, int], Iterable[tuple[int, ...]]] | None
+    grid: Callable[[Sequence[int], Sequence[int]], Iterator[tuple[int, ...]]] | None
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
-    "T": FunctionSpec("T", eval_T, _t_in_range, True, (range(3, 6), range(2, 11)), lambda N, d: (
-        (N, d, e, r, l)
+    "T": FunctionSpec("T", eval_T, _t_in_range, True, (range(3, 6), range(2, 11)), lambda Ns, ds: (
+        (N, d, e, r, l) for N in Ns for d in ds
         for r in range(1, min(d - 1, N) + 1) for e in range(1, d - r) for l in range(e, d - r)
     )),
-    "U": FunctionSpec("U", eval_U, _u_in_range, True, (range(3, 6), range(2, 11)), lambda N, d: (
-        (N, d, r, l) for r in range(1, min(d - 1, N) + 1) for l in range(d - r)
+    "U": FunctionSpec("U", eval_U, _u_in_range, True, (range(3, 6), range(2, 11)), lambda Ns, ds: (
+        (N, d, r, l) for N in Ns for d in ds
+        for r in range(1, min(d - 1, N) + 1) for l in range(d - r)
     )),
-    "V": FunctionSpec("V", eval_V, _v_in_range, True, (range(3, 6), range(5, 13)), lambda N, d: (
-        (d, e, N) for e in range(1, d - N + 1) if d >= N + 2
+    "V": FunctionSpec("V", eval_V, _v_in_range, True, (range(3, 6), range(5, 13)), lambda Ns, ds: (
+        (d, e, N) for N in Ns for d in ds if d >= N + 2 for e in range(1, d - N + 1)
     )),
-    "Q": FunctionSpec("Q", eval_Q, _q_in_range, True, (range(3, 6), range(5, 13)), lambda N, d: (
-        (N, d, e, t) for e in range(1, d) if d >= N + 2 for t in range(max(0, N + 1 - e), N + 1)
+    "Q": FunctionSpec("Q", eval_Q, _q_in_range, True, (range(3, 6), range(5, 13)), lambda Ns, ds: (
+        (N, d, e, t) for N in Ns for d in ds if d >= N + 2
+        for e in range(1, d) for t in range(max(0, N + 1 - e), N + 1)
     )),
     "P": FunctionSpec("P", eval_P, _p_in_range, False, None, None),
     "brenner2": FunctionSpec(
         "Brenner2Gap", brenner2_gap, _gap_in_range, False, (range(1, 7), range(0, 21)),
-        lambda N, d: ((N, d),),
+        lambda Ns, ds: ((N, d) for N in Ns for d in ds),
     ),
 }
 
@@ -299,9 +302,9 @@ def audit_grid(
     samples: int = 10_000,
     seed: int = 0,
 ) -> Iterator[tuple[int, ...]]:
-    """In-proof-range argument tuples for one function over (N, d) ranges.
+    """In-proof-range argument tuples for one function over (N, d) ranges,
+    yielded lazily from its FUNCTIONS row's grid.
 
-    The (N, d) pairs are walked lazily, N outer and d inner.
     For a sampled function (P: its proof range has no finite (N, d)-indexed
     grid) sampled tuples are yielded instead; samples and seed are ignored
     otherwise.
@@ -310,9 +313,7 @@ def audit_grid(
     if grid is None:
         yield from sample_P(samples, seed)
         return
-    for N in N_range:
-        for d in d_range:
-            yield from grid(N, d)
+    yield from grid(N_range, d_range)
 
 
 def audit(

@@ -816,6 +816,10 @@ REFUSALS = [
         id="audit-budget-pairs-V-two-points",
     ),
     pytest.param(
+        ["audit", "Q", "--N", "1000000..1000000", "--d", "2..500001"], None, EX_USAGE,
+        "error: the Q audit grid has no in-range points", True, id="audit-empty-pairs-at-budget",
+    ),
+    pytest.param(
         ["audit", "P", "--samples", "500001"], None, EX_USAGE,
         "error: the P audit has more than 500000 points, the audit budget", True,
         id="audit-budget-samples",
