@@ -128,6 +128,8 @@ def cmd_check(args) -> int:
     wanted = (Verdict.STABLE,) if args.strict else (Verdict.STABLE, Verdict.SEMISTABLE)
     if fam.N == 1:
         # bundles on the line split; the splitting type decides exactly
+        if args.oracle:
+            raise PreconditionError("--oracle applies to N >= 2 families")
         twists = splitting_type_p1(fam)
         verdict = is_semistable_p1(fam)
         if args.json:
@@ -142,8 +144,6 @@ def cmd_check(args) -> int:
             print(f"verdict: {verdict.value}")
             print(f"family: N=1 d={fam.d} n={len(fam)}")
             print(f"splitting type: {', '.join(f'O({t})' for t in twists)}")
-        if args.oracle:
-            raise PreconditionError("--oracle applies to N >= 2 families")
         return EX_OK if verdict in wanted else EX_FAIL
 
     cert = check_family(fam)
@@ -267,12 +267,17 @@ def cmd_audit(args) -> int:
     # a sampled audit evaluates --samples points; a grid counts pairs, then points to the budget
     if ranges is None:
         points = args.samples
-    elif len(N_range) * len(d_range) > AUDIT_POINT_LIMIT:
-        raise UsageError(
-            f"the {args.function} audit grid has more than {AUDIT_POINT_LIMIT} (N, d) pairs,"
-            " the audit budget"
-        )
     else:
+        # from the bounds, as len() overflows past sys.maxsize
+        pairs = max(0, N_range.stop - N_range.start) * max(0, d_range.stop - d_range.start)
+        if pairs > AUDIT_POINT_LIMIT:
+            raise UsageError(
+                f"the {args.function} audit grid has more than {AUDIT_POINT_LIMIT} (N, d) pairs,"
+                " the audit budget"
+            )
+        if not pairs:
+            # the grid is empty: walk neither range, however long the other is
+            N_range = d_range = range(0)
         grid = audit_grid(args.function, N_range, d_range)
         points = sum(1 for _ in islice(grid, AUDIT_POINT_LIMIT + 1))
     if points > AUDIT_POINT_LIMIT:

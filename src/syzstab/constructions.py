@@ -2,19 +2,18 @@
 
 Each generator returns a family whose stability certificate is checked at
 dispatch time, so a construction bug cannot silently ship an uncertified
-family.  _ROUTES is the one list of routes: each row holds a route's test for
-a cell, its inner cell and its builder.  Only dispatch recurses: it walks a
-cell's chain of inner cells in one loop and hands a recursive route's
-generator the family of the inner cell it builds from.  Each generator
-assumes its row was chosen for the cell, and checks nothing itself.  Nine
-routes run five builders: both plane routes run the plane search, and the
-four face routes, FullSet, PropFaces, FacesAndDots and BrennerRecursion,
-all take a prefix of one order of the face monomials and lift an interior
-family of lower degree past it (gen_prop_faces), so the PropFaces and
-FacesAndDots families nest along n.  That order is built once per column
-(N, d) and kept, for the few columns built in last, by _face_order;
-dispatch.cache_clear() drops it with dispatch's cache, so a cold dispatch
-builds it again.
+family.  _route is the theorem's case split: a cell's route and the cell its
+builder takes.  Only dispatch recurses: it walks a cell's chain of those
+cells in one loop and hands a recursive route's builder the family of the
+next one.  Each generator assumes its route was chosen for the cell, and
+checks nothing itself.  Nine routes run five builders: both plane routes run
+the plane search, and the four face routes, FullSet, PropFaces, FacesAndDots
+and BrennerRecursion, all take a prefix of one order of the face monomials
+and lift an interior family of lower degree past it (gen_prop_faces), so the
+PropFaces and FacesAndDots families nest along n.  That order is built once
+per column (N, d) and kept, for the few columns built in last, by
+_face_order; dispatch.cache_clear() drops it with dispatch's cache, so a
+cold dispatch builds it again.
 """
 
 from __future__ import annotations
@@ -304,9 +303,9 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     every subset margin by at least d - d_J > 0, so the result is stable.
     Covers N+1 <= n <= C(d+N-1, N-1) + 1, except (3, 2, 6) whose inner cell
     (2, 2, 5) admits no stable family, and the cells whose inner cell is
-    refused.  A chain of k such levels is built in one step from its base,
-    the family of its first inner cell (N-k, d, n-k) on another route: the
-    base's rows padded with k zeros, plus the k vertices
+    refused.  A run of k such levels is built in one step from its base,
+    the family of the first cell (N-k, d, n-k) below the run, which _route
+    names: the base's rows padded with k zeros, plus the k vertices
     X_{N-k+1}^d..X_N^d, are the family every level would build.
     """
     d, k = base.d, N - base.N
@@ -368,82 +367,85 @@ def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) 
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-# The routes, tried in order: the first row whose test holds covers an
-# admitted cell (N, d, n).  A row is (route, test, inner, build, chains).
-# test(N, d, n, top, faces) gets top = C(d+N, N) and faces = top - C(d-1, N),
-# computed once a cell (math.comb is 0 at d <= N); inner(N, d, n, faces) is
-# the cell a recursive route builds from, None if it builds directly; build(N,
-# d, n, fam) gets that cell's family; a route that chains builds a run of its
-# cells in one step, from the first cell below the run.  Classifying the whole
-# theorem range makes 18.3 million lookups, 16.8 million of them face-vertex
-# cells, so the N > 2 rows that catch those come first.  Case326 precedes
-# FaceVertex, whose range holds (3, 2, 6), and FullSet the face routes, one
-# of whose ranges holds the top cell when d <= N + 1.  FullSet (the whole face
-# order), PropFaces (part of the faces), FacesAndDots (all faces and up to
-# N + 1 dots) and BrennerRecursion (all faces and a lifted inner family) are
-# four ranges of one builder, gen_prop_faces, kept apart because each names
-# its own route; fam is None on the three that do not recurse, so past the
-# faces they lift the pure powers.
-# Builders call generators by module-level name, so a patched or wrapped
-# generator is the one that runs.
-_ROUTES = (
-    (Route.CASE_3_2_6, lambda N, d, n, top, faces: (N, d, n) == (3, 2, 6),
-     None, lambda N, d, n, fam: gen_case326(), False),
-    (Route.FULL_SET, lambda N, d, n, top, faces: N > 2 and n == top and d <= N + 1,
-     None, lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
-    (Route.FACE_VERTEX, lambda N, d, n, top, faces: N > 2 and n <= comb(d + N - 1, N - 1) + 1,
-     lambda N, d, n, faces: (N - 1, d, n - 1), lambda N, d, n, fam: gen_face_vertex(N, fam), True),
-    (Route.P1_FAMILY, lambda N, d, n, top, faces: N == 1,
-     None, lambda N, d, n, fam: gen_p1(d, n), False),
-    (Route.SEARCH_2_2_5, lambda N, d, n, top, faces: (N, d, n) == (2, 2, 5),
-     None, lambda N, d, n, fam: gen_n2_search(d, n), False),
-    (Route.N2_SEARCH, lambda N, d, n, top, faces: N == 2,
-     None, lambda N, d, n, fam: gen_n2_search(d, n), False),
-    (Route.PROP_FACES, lambda N, d, n, top, faces: n <= faces,
-     None, lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
-    (Route.FACES_AND_DOTS, lambda N, d, n, top, faces: n <= faces + N + 1,
-     None, lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
-    (Route.BRENNER_RECURSION, lambda N, d, n, top, faces: True,
-     lambda N, d, n, faces: (N, d - N - 1, n - faces),
-     lambda N, d, n, fam: gen_prop_faces(N, d, n, fam), False),
-)
+# A route's builder gets the cell and the family of the cell it builds from,
+# None if it builds directly, as on FullSet, PropFaces and FacesAndDots, which
+# lift the pure powers past the faces.  Builders call generators by
+# module-level name, so a patched or wrapped generator is the one that runs.
+_BUILDERS = {
+    Route.P1_FAMILY: lambda N, d, n, fam: gen_p1(d, n),
+    Route.N2_SEARCH: lambda N, d, n, fam: gen_n2_search(d, n),
+    Route.SEARCH_2_2_5: lambda N, d, n, fam: gen_n2_search(d, n),
+    Route.CASE_3_2_6: lambda N, d, n, fam: gen_case326(),
+    Route.FACE_VERTEX: lambda N, d, n, fam: gen_face_vertex(N, fam),
+    **dict.fromkeys(
+        (Route.FULL_SET, Route.PROP_FACES, Route.FACES_AND_DOTS, Route.BRENNER_RECURSION),
+        lambda N, d, n, fam: gen_prop_faces(N, d, n, fam),
+    ),
+}
 
 
-def _route(N: int, d: int, n: int) -> tuple[tuple, tuple[int, int, int] | None]:
-    """The row of _ROUTES covering (N, d, n) and its inner cell, None unless recursive.
+def _route(N: int, d: int, n: int) -> tuple[Route, tuple[int, int, int] | None]:
+    """The route covering (N, d, n) and the cell its builder takes, None if none.
 
-    Raises RoutingError for the cell itself but checks nothing below it.
+    Past N = 2 and (3, 2, 6), Brenner's constructions split a column (N, d)
+    by n: face-vertex cells up to C(d+N-1, N-1) + 1, then faces, all faces
+    and up to N + 1 dots, and the recursion in d.  A FaceVertex cell builds
+    from its base, the first cell (N-k, d, n-k) below its run.  Raises
+    RoutingError for the cell itself but checks nothing below it.
     """
     lo, hi = admissible_bounds(N, d)
     if not lo <= n <= hi:
         why = " (the plane search work bound)" if N == 2 and hi < n <= comb(d + 2, 2) else ""
         raise RoutingError(f"n={n} outside [{lo}, {hi}] for (N, d) = ({N}, {d}){why}")
-    top = comb(d + N, N)
-    faces = top - comb(d - 1, N)
-    for row in _ROUTES:
-        if row[1](N, d, n, top, faces):
-            return row, None if row[2] is None else row[2](N, d, n, faces)
+    if N == 1:
+        return Route.P1_FAMILY, None
+    if N == 2:
+        return (Route.SEARCH_2_2_5 if (d, n) == (2, 5) else Route.N2_SEARCH), None
+    if (N, d, n) == (3, 2, 6):
+        return Route.CASE_3_2_6, None
+    # hi is C(d+N, N) once N > 2
+    if n == hi and d <= N + 1:
+        return Route.FULL_SET, None
+    if n <= comb(d + N - 1, N - 1) + 1:
+        # a top cell lies in this range only at d = 1, so no level is FullSet
+        M, m = N - 1, n - 1
+        while M > 2 and m <= comb(d + M - 1, M - 1) + 1 and (M, d, m) != (3, 2, 6):
+            M, m = M - 1, m - 1
+        return Route.FACE_VERTEX, (M, d, m)
+    faces = hi - comb(d - 1, N)  # math.comb is 0 at d <= N
+    if n <= faces:
+        return Route.PROP_FACES, None
+    if n <= faces + N + 1:
+        return Route.FACES_AND_DOTS, None
+    return Route.BRENNER_RECURSION, (N, d - N - 1, n - faces)
 
 
-def _chain(N: int, d: int, n: int) -> list[tuple[tuple, tuple[int, int, int]]]:
-    """The (row, cell) pairs from (N, d, n) down through its inner cells.
+def _chain(N: int, d: int, n: int) -> list[tuple[Route, tuple[int, int, int]]]:
+    """The (route, cell) links from (N, d, n) down through the cells they build from.
 
-    Raises RoutingError, naming the chain when the refused cell is below
-    (N, d, n); nothing is built to find out.
+    Raises RoutingError when a cell below (N, d, n) is refused, naming every
+    cell down to it, each level of a FaceVertex run included; nothing is
+    built to find out.
     """
     chain = []
     cell = (N, d, n)
     while cell is not None:
         try:
-            row, inner = _route(*cell)
+            route, inner = _route(*cell)
         except RoutingError as exc:
             if not chain:
                 raise
-            path = " -> ".join(str(c) for _, c in chain)
+            cells = [c for _, c in chain] + [cell]
+            # a FaceVertex link stands for each level of its run
+            path = " -> ".join(
+                str((M - j, e, m - j))
+                for (r, (M, e, m)), below in zip(chain, cells[1:])
+                for j in range(M - below[0] if r is Route.FACE_VERTEX else 1)
+            )
             raise RoutingError(
                 f"(N, d, n) = {(N, d, n)} is refused: it recurses along {path} -> {cell}, and {exc}"
             ) from None
-        chain.append((row, cell))
+        chain.append((route, cell))
         cell = inner
     return chain
 
@@ -454,8 +456,7 @@ def classify_route(N: int, d: int, n: int) -> Route:
     A recursive route is refused, naming the chain of cells down to the
     refused one, when a cell below it is refused.
     """
-    row, _ = _chain(N, d, n)[0]
-    return row[0]
+    return _chain(N, d, n)[0][0]
 
 
 def expected_verdict(N: int, d: int, n: int) -> Verdict:
@@ -471,9 +472,8 @@ def expected_verdict(N: int, d: int, n: int) -> Verdict:
 def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     """Generate and certify a family for the cell (N, d, n).
 
-    A recursive route builds from the family dispatched here for its inner
-    cell: the chain's next cell, or for a chaining route (FaceVertex) the
-    first cell below its run, the base.
+    A recursive route builds from the family dispatched here for the next
+    cell of its chain: a Brenner cell's inner cell, a FaceVertex run's base.
 
     Returns the route taken and the family; raises NoFamilyExists for the
     projective-line cells with (n-1) not dividing d, RoutingError off-grid,
@@ -482,10 +482,8 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     happen on the supported grid).
     """
     chain = _chain(N, d, n)
-    first = chain[0][0]
-    route, _, _, build, chains = first
-    inner = next((cell for row, cell in chain[1:] if not chains or row is not first), None)
-    fam = build(N, d, n, None if inner is None else dispatch(*inner)[1])
+    route = chain[0][0]
+    fam = _BUILDERS[route](N, d, n, dispatch(*chain[1][1])[1] if len(chain) > 1 else None)
     if len(fam) != n:
         raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
     cert = check_family(fam)

@@ -743,7 +743,7 @@ REFUSALS = [
     ),
     pytest.param(
         ["check", "{path}", "--oracle"], "1 2 3\n2 0\n1 1\n0 2\n", EX_FAIL,
-        "error: --oracle applies to N >= 2 families", False, id="check-line-oracle",
+        "error: --oracle applies to N >= 2 families", True, id="check-line-oracle",
     ),
     pytest.param(
         ["check", "{path}", "--oracle"], _OVERSIZED_FOR_THE_ORACLE, EX_FAIL,
@@ -818,6 +818,15 @@ REFUSALS = [
     pytest.param(
         ["audit", "Q", "--N", "1000000..1000000", "--d", "2..500001"], None, EX_USAGE,
         "error: the Q audit grid has no in-range points", True, id="audit-empty-pairs-at-budget",
+    ),
+    pytest.param(
+        ["audit", "T", "--N", "0..100000000000000000000", "--d", "3..3"], None, EX_USAGE,
+        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        id="audit-budget-pairs-past-maxsize",
+    ),
+    pytest.param(
+        ["audit", "T", "--N", "3..1000000000", "--d", "5..4"], None, EX_USAGE,
+        "error: the T audit grid has no in-range points", True, id="audit-empty-d-long-N",
     ),
     pytest.param(
         ["audit", "P", "--samples", "500001"], None, EX_USAGE,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from math import inf
 
+from syzstab import constructions
 from syzstab.constructions import (
     MAX_DEGREE_MONOMIALS,
     MAX_PLANE_SEARCH_WORK,
@@ -201,6 +202,25 @@ def test_deepest_admitted_face_vertex_chain_fits_the_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert route is Route.FACE_VERTEX and len(fam) == 140
+
+
+def test_a_face_vertex_run_is_one_link(monkeypatch):
+    # _route names a FaceVertex cell's base, the first cell below its run,
+    # so classifying (139, 2, 140) routes that cell and (2, 2, 3) alone
+    route = constructions._route
+    calls = []
+
+    def counted(*cell):
+        calls.append(cell)
+        return route(*cell)
+
+    monkeypatch.setattr("syzstab.constructions._route", counted)
+    assert classify_route(139, 2, 140) is Route.FACE_VERTEX
+    assert calls == [(139, 2, 140), (2, 2, 3)]
+    assert route(139, 2, 140) == (Route.FACE_VERTEX, (2, 2, 3))
+    # (3, 2, 6) is Case326 within the face-vertex range, so a run stops there
+    assert route(4, 2, 7) == (Route.FACE_VERTEX, (3, 2, 6))
+    assert route(3, 2, 6) == (Route.CASE_3_2_6, None)
 
 
 def test_classify_route_answers_are_pinned():
