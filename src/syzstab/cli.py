@@ -30,6 +30,7 @@ from .criterion import (
     OracleSizeError,
     PreconditionError,
     Verdict,
+    _require_oracle_work,
     brute_force_check,
     check_family,
     is_semistable_p1,
@@ -146,6 +147,9 @@ def cmd_check(args) -> int:
             print(f"splitting type: {', '.join(f'O({t})' for t in twists)}")
         return EX_OK if verdict in wanted else EX_FAIL
 
+    if args.oracle:
+        # refuse the oracle's work bound before the scan prints anything
+        _require_oracle_work(fam)
     cert = check_family(fam)
     _print_certificate(cert, args.json)
     status = EX_OK

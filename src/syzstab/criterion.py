@@ -41,7 +41,8 @@ from typing import Iterator, Sequence
 
 from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, MonomialFamily, binomial
 
-# n * 2^n at n = 20: the most componentwise minima the oracle may take
+# n * 2^n at n = 20: the most componentwise minima, each one AND of two
+# exponent codes, the oracle may take
 MAX_ORACLE_WORK = 20 * 2**20
 
 # The largest (N + 1) * d^2 of any cell generate admits: the line at
@@ -484,6 +485,18 @@ def _clear_checks(clear=check_family.cache_clear) -> None:
 check_family.cache_clear = _clear_checks
 
 
+def _require_oracle_work(fam: MonomialFamily) -> None:
+    """The oracle's refusals: the shared preconditions, then its work bound."""
+    _require_checkable(fam)
+    n, d = len(fam), fam.d
+    if n * min(2**n, binomial(d + fam.N + 1, fam.N + 1)) > MAX_ORACLE_WORK:
+        raise OracleSizeError(
+            f"family has {n} members: the oracle's work bound "
+            f"n * min(2^n, C(d+N+1, N+1)) at N = {fam.N}, d = {d} "
+            f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}"
+        )
+
+
 def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     """Independent oracle: apply the margin inequality to every subset J with |J| >= 2.
 
@@ -499,6 +512,13 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     most n times G componentwise minima, G the number of distinct gcds.  The
     oracle counts no divisibility and calls nothing of the scan.
 
+    The table holds each monomial as its exponent code, an int whose field
+    i, d bits wide from bit i * d, holds x_i ones: ((1 << x_i) - 1) << (i * d).
+    An exponent is at most d, so the fields do not overlap, and the
+    componentwise minimum min(g, x) is the AND of the two codes.  A code's
+    degree is its popcount, and it is decoded to its exponent tuple, one
+    popcount per field, only when it becomes a witness.
+
     Raises PreconditionError as check_family does, and OracleSizeError when
     the work bound n * min(2^n, C(d+N+1, N+1)) exceeds MAX_ORACLE_WORK: each
     gcd is a non-empty subset's and a monomial of degree <= d in N+1
@@ -506,49 +526,52 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     admitted.  The bound is taken after the shared preconditions, whose cap
     on (N + 1) * d^2 keeps the binomial small.
 
-    The verdict comes from the raw quantifiers over those pairs: any
-    negative margin (any subset) refutes the certificate, a zero margin on a
-    proper subset caps it at semistable.  The reported worst witness is a
-    minimal-margin proper subset with nontrivial gcd, the same quantity
-    check_family minimizes; trivial-gcd subsets are provably slack and the
-    full family sits at margin zero.  Ties go to the lower gcd degree and
-    then the larger exponent tuple, the scan's order, so both checkers
-    report the same witness.  witness_count is the number of distinct
-    nontrivial gcds of proper subsets: each such g = gcd(J) is also the gcd
-    of all multiples of g, so these are exactly the witnesses check_family
-    counts, and by_degree summarises them per degree as check_family does.
+    The verdict comes from the raw quantifiers over those pairs.  For each
+    gcd the oracle visits only the sizes that occur, the set bits of its
+    sizes from 2 up, largest first: any negative margin (any subset)
+    refutes the certificate, a zero margin on a proper subset caps it at
+    semistable, and the largest proper size is the gcd's witness.  The
+    reported worst witness is a minimal-margin proper subset with nontrivial
+    gcd, the same quantity check_family minimizes; trivial-gcd subsets are
+    provably slack and the full family sits at margin zero.  Ties go to the
+    lower gcd degree and then the larger exponent tuple, the scan's order,
+    so both checkers report the same witness.  witness_count is the number
+    of distinct nontrivial gcds of proper subsets: each such g = gcd(J) is
+    also the gcd of all multiples of g, so these are exactly the witnesses
+    check_family counts, and by_degree summarises them per degree as
+    check_family does.
     """
-    _require_checkable(fam)
+    _require_oracle_work(fam)
     n, d = len(fam), fam.d
-    if n * min(2**n, binomial(d + fam.N + 1, fam.N + 1)) > MAX_ORACLE_WORK:
-        raise OracleSizeError(
-            f"family has {n} members: the oracle's work bound "
-            f"n * min(2^n, C(d+N+1, N+1)) at N = {fam.N}, d = {d} "
-            f"exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}"
-        )
-    sizes_by_gcd: dict[tuple[int, ...], int] = {}
+    shifts = range(0, (fam.N + 1) * d, d)
+    field = (1 << d) - 1
+    sizes_by_gcd: dict[int, int] = {}
+    get = sizes_by_gcd.get
     for x in fam.rows:
+        c = sum(((1 << v) - 1) << shift for shift, v in zip(shifts, x))
         for g, sizes in list(sizes_by_gcd.items()):
-            h = tuple(map(min, g, x))
-            sizes_by_gcd[h] = sizes_by_gcd.get(h, 0) | sizes << 1
-        sizes_by_gcd[x] = sizes_by_gcd.get(x, 0) | 0b10
+            h = g & c
+            sizes_by_gcd[h] = get(h, 0) | sizes << 1
+        sizes_by_gcd[c] = get(c, 0) | 0b10
     witnesses = []  # (g, e, k, margin): each nontrivial gcd at its largest proper subset
     negative = False
     zero_proper = False
-    for g, sizes in sizes_by_gcd.items():
-        e = sum(g)
+    for c, sizes in sizes_by_gcd.items():
+        e = c.bit_count()
         witness = None
-        for k in range(2, n + 1):
-            if not sizes >> k & 1:
-                continue
+        sizes &= ~0b11  # sizes 2 and up
+        while sizes:
+            k = sizes.bit_length() - 1
+            sizes ^= 1 << k
             margin = (d - e) * n + e - d * k
             if margin < 0:
                 negative = True
             if k < n:
                 if margin == 0:
                     zero_proper = True
-                if e >= 1:
-                    # the margin falls as k grows: the largest k is g's witness
+                if e >= 1 and witness is None:
+                    # the margin falls as k grows: the largest k is the witness
+                    g = tuple((c >> shift & field).bit_count() for shift in shifts)
                     witness = g, e, k, margin
         if witness is not None:
             witnesses.append(witness)

@@ -340,6 +340,28 @@ class TestBruteForce:
         assert 20 * min(2**20, binomial(36, 6)) == MAX_ORACLE_WORK
         assert brute_force_check(f) == check_family(f)
 
+    def test_wide_codes_on_the_plane_at_degree_500(self):
+        # each exponent code has 3 * 500 bits; a pure power fills a whole field
+        d = 500
+        grid = [(a, b, d - a - b) for a in range(0, d + 1, 100) for b in range(0, d - a + 1, 100)]
+        ray = [(d, 0, 0), (0, d, 0), (0, 0, d)] + [(d - 23 * j, 11 * j, 12 * j) for j in range(1, 18)]
+        stable = fam(*(r for r in grid if r != (200, 100, 200)))
+        violated = fam(*ray)
+        for f, verdict in ((stable, Verdict.STABLE), (violated, Verdict.CRITERION_VIOLATED)):
+            assert len(f) == 20 and is_m_primary(f)
+            cert = check_family(f)
+            assert cert.verdict is verdict
+            assert brute_force_check(f) == cert
+
+    def test_wide_codes_on_the_line_at_degree_9998(self):
+        # 2 * 9998 bits a code; the CLI refuses --oracle on the line, the library does not
+        d = 9998
+        f = fam((d, 0), (0, d), *((d - 37 * j, 37 * j) for j in range(1, 19)))
+        assert len(f) == 20 and 2 * d**2 <= MAX_SCAN_WORK
+        cert = check_family(f)
+        assert cert.witness_count > 0
+        assert brute_force_check(f) == cert
+
     def test_work_bound_refuses_21_members_of_degree_30(self):
         # 21 * C(36, 6) = 40,903,632 componentwise minima at most
         f = degree_30_family()
