@@ -49,6 +49,11 @@ EX_DATA = 65
 SWEEP_CELL_LIMIT = 100_000
 # points one audit may evaluate, each kept as a trace, and (N, d) pairs it may walk
 AUDIT_POINT_LIMIT = 500_000
+# bits one audit value may have: far below the interpreter's default limit of
+# 4300 digits on int-to-string conversion, so every value prints
+AUDIT_VALUE_BITS = 10_000
+# the value bits a grid audit may evaluate in all, its points times their bound
+AUDIT_WORK_BITS = 100_000_000
 
 
 class UsageError(Exception):
@@ -257,7 +262,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    ranges = FUNCTIONS[args.function].ranges
+    spec = FUNCTIONS[args.function]
+    ranges = spec.ranges
     if ranges is None and (args.N is not None or args.d is not None):
         # a sampled audit draws its own (N, d) pairs; see sample_P
         raise UsageError(
@@ -288,6 +294,19 @@ def cmd_audit(args) -> int:
         raise UsageError(
             f"the {args.function} audit has more than {AUDIT_POINT_LIMIT} points, the audit budget"
         )
+    if ranges is not None and points:
+        # a point's value, and the time to evaluate it, grow with N and d
+        bits = spec.value_bits(N_range.stop - 1, d_range.stop - 1)
+        if bits > AUDIT_VALUE_BITS:
+            raise UsageError(
+                f"the {args.function} audit's values may have {bits} bits, above the audit's"
+                f" value bound of {AUDIT_VALUE_BITS} bits"
+            )
+        if points * bits > AUDIT_WORK_BITS:
+            raise UsageError(
+                f"the {args.function} audit's {points} points may hold {points * bits} value bits,"
+                f" above the audit's work bound of {AUDIT_WORK_BITS} bits"
+            )
     _, summary = audit(args.function, N_range, d_range, args.samples, args.seed)
     if summary.count == summary.flagged:
         raise UsageError(f"the {args.function} audit grid has no in-range points")

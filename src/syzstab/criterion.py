@@ -513,11 +513,14 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     oracle counts no divisibility and calls nothing of the scan.
 
     The table holds each monomial as its exponent code, an int whose field
-    i, d bits wide from bit i * d, holds x_i ones: ((1 << x_i) - 1) << (i * d).
-    An exponent is at most d, so the fields do not overlap, and the
-    componentwise minimum min(g, x) is the AND of the two codes.  A code's
-    degree is its popcount, and it is decoded to its exponent tuple, one
-    popcount per field, only when it becomes a witness.
+    for X_i, d bits wide from bit (N - i) * d, holds x_i ones:
+    ((1 << x_i) - 1) << ((N - i) * d).  An exponent is at most d, so the
+    fields do not overlap, and the componentwise minimum min(g, x) is the
+    AND of the two codes.  A code's degree is its popcount.  X_0 sits in the
+    highest field, so codes compare as ints the way their exponent tuples
+    compare, and the oracle ranks witnesses by their codes: it decodes a
+    code to its exponent tuple, one popcount per field, only for the entries
+    it reports, the worst witness and each degree's by_degree entry.
 
     Raises PreconditionError as check_family does, and OracleSizeError when
     the work bound n * min(2^n, C(d+N+1, N+1)) exceeds MAX_ORACLE_WORK: each
@@ -543,7 +546,8 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     """
     _require_oracle_work(fam)
     n, d = len(fam), fam.d
-    shifts = range(0, (fam.N + 1) * d, d)
+    # X_0 in the highest field: codes order as exponent tuples do
+    shifts = range(fam.N * d, -1, -d)
     field = (1 << d) - 1
     sizes_by_gcd: dict[int, int] = {}
     get = sizes_by_gcd.get
@@ -553,7 +557,9 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
             h = g & c
             sizes_by_gcd[h] = get(h, 0) | sizes << 1
         sizes_by_gcd[c] = get(c, 0) | 0b10
-    witnesses = []  # (g, e, k, margin): each nontrivial gcd at its largest proper subset
+    witness_count = 0
+    least = None  # the least (margin, e, -code, k): the worst witness in the scan's order
+    tally: dict[int, tuple[int, int, int]] = {}  # e: (count, k, code), the largest (k, code)
     negative = False
     zero_proper = False
     for c, sizes in sizes_by_gcd.items():
@@ -571,18 +577,23 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
                     zero_proper = True
                 if e >= 1 and witness is None:
                     # the margin falls as k grows: the largest k is the witness
-                    g = tuple((c >> shift & field).bit_count() for shift in shifts)
-                    witness = g, e, k, margin
+                    witness = margin, e, -c, k
         if witness is not None:
-            witnesses.append(witness)
-    # the scan's order: degree ascending, then descending exponent tuples
-    worst = min(witnesses, key=lambda w: (w[3], w[1], [-v for v in w[0]]), default=None)
-    # per degree: the count, and the largest (k, g), g largest meaning first in scan order
-    tally: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-    for g, e, k, _ in witnesses:
-        count, top_k, top_g = tally.get(e, (0, k, g))
-        tally[e] = (count + 1, *max((top_k, top_g), (k, g)))
-    by_degree = tuple((e, *tally[e]) for e in sorted(tally))
+            witness_count += 1
+            if least is None or witness < least:
+                least = witness
+            k = witness[3]
+            count, top_k, top_c = tally.get(e, (0, k, c))
+            tally[e] = (count + 1, *max((top_k, top_c), (k, c)))
+
+    def decode(code: int) -> tuple[int, ...]:
+        return tuple((code >> shift & field).bit_count() for shift in shifts)
+
+    by_degree = tuple((e, count, k, decode(c)) for e, (count, k, c) in sorted(tally.items()))
+    worst = None
+    if least is not None:
+        margin, e, code, k = least
+        worst = decode(-code), e, k, margin
     if negative:
         verdict = Verdict.CRITERION_VIOLATED
     elif zero_proper:
@@ -590,7 +601,7 @@ def brute_force_check(fam: MonomialFamily) -> StabilityCertificate:
     else:
         verdict = Verdict.STABLE
     return StabilityCertificate(
-        verdict, fam.N, fam.d, n, len(witnesses), _gcd_witness(worst), by_degree
+        verdict, fam.N, fam.d, n, witness_count, _gcd_witness(worst), by_degree
     )
 
 

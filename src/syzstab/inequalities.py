@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomials import binomial
@@ -139,7 +139,8 @@ def _p_in_range(args: Sequence[int]) -> bool:
     n_prime, k_prime, N, d, e, i = args
     if not (N >= 3 and d >= N + 2 and 1 <= e <= d - 1 and 0 <= i <= N):
         return False
-    return 1 <= k_prime <= binomial(d - e + N - i, N) and n_prime >= k_prime
+    # the guard gives d - e + N - i >= 1, where comb is binomial without its range test
+    return 1 <= k_prime <= comb(d - e + N - i, N) and n_prime >= k_prime
 
 
 def _gap_in_range(args: Sequence[int]) -> bool:
@@ -147,16 +148,45 @@ def _gap_in_range(args: Sequence[int]) -> bool:
     return N >= 1 and d >= 0
 
 
+def _binomial_form_bits(N: int, d: int) -> int:
+    """Bits enough for a value of T, U, V or Q at an in-range point whose N
+    and d are at most the given ones.
+
+    Each binomial there is C(a, b) with a <= n = d + N and b in N-2..N, so
+    j = min(b, a - b) <= k = min(N, d + 2), and C(a, b) <= (e * n / j)^j <=
+    (e * n / k)^k, which has at most k * (bits(n) - bits(k) + 3) bits.  Each
+    value is a sum of at most eight terms, each at most d times such a
+    binomial.
+    """
+    k = min(N, d + 2)
+    return k * ((d + N).bit_length() - k.bit_length() + 3) + d.bit_length() + 5
+
+
+def _gap_bits(N: int, d: int) -> int:
+    """Bits enough for the numerator and for the denominator of brenner2_gap
+    at N >= 1, d >= 0, at most the given ones.
+
+    Over the common denominator N!, the numerator is rising - falling -
+    N(N+1)d^(N-1), of size at most (N + 3)(d + N)^N, and N! <= (d + N)^N.
+    """
+    return N * (d + N).bit_length() + (N + 3).bit_length()
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """One auditable function: evaluator, proof range, sign requirement,
-    default audit ranges and the grid of argument tuples over (N, d) ranges.
+    default audit ranges, the grid of argument tuples over (N, d) ranges and
+    a bound on the size of its values.
 
     strict means the proof needs value > 0 on the range; otherwise >= 0.
     ranges holds the (N, d) ranges an audit walks by default; grid walks
     them lazily, N outer and d inner, at one step per pair with no point.
-    ranges and grid are None for a function whose audit samples its
-    argument tuples instead (P, see sample_P) and so takes no (N, d) ranges.
+    value_bits(N, d) bounds the bit length of every value (of a Fraction's
+    numerator and of its denominator) at in-range points whose N and d are
+    at most N and d, so an audit can refuse a grid before evaluating it.
+    ranges, grid and value_bits are None for a function whose audit samples
+    its argument tuples instead (P, see sample_P) and so takes no (N, d)
+    ranges.
     """
 
     label: str
@@ -165,28 +195,29 @@ class FunctionSpec:
     strict: bool
     ranges: tuple[range, range] | None
     grid: Callable[[Sequence[int], Sequence[int]], Iterator[tuple[int, ...]]] | None
+    value_bits: Callable[[int, int], int] | None
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
     "T": FunctionSpec("T", eval_T, _t_in_range, True, (range(3, 6), range(2, 11)), lambda Ns, ds: (
         (N, d, e, r, l) for N in Ns for d in ds
         for r in range(1, min(d - 1, N) + 1) for e in range(1, d - r) for l in range(e, d - r)
-    )),
+    ), _binomial_form_bits),
     "U": FunctionSpec("U", eval_U, _u_in_range, True, (range(3, 6), range(2, 11)), lambda Ns, ds: (
         (N, d, r, l) for N in Ns for d in ds
         for r in range(1, min(d - 1, N) + 1) for l in range(d - r)
-    )),
+    ), _binomial_form_bits),
     "V": FunctionSpec("V", eval_V, _v_in_range, True, (range(3, 6), range(5, 13)), lambda Ns, ds: (
         (d, e, N) for N in Ns for d in ds if d >= N + 2 for e in range(1, d - N + 1)
-    )),
+    ), _binomial_form_bits),
     "Q": FunctionSpec("Q", eval_Q, _q_in_range, True, (range(3, 6), range(5, 13)), lambda Ns, ds: (
         (N, d, e, t) for N in Ns for d in ds if d >= N + 2
         for e in range(1, d) for t in range(max(0, N + 1 - e), N + 1)
-    )),
-    "P": FunctionSpec("P", eval_P, _p_in_range, False, None, None),
+    ), _binomial_form_bits),
+    "P": FunctionSpec("P", eval_P, _p_in_range, False, None, None, None),
     "brenner2": FunctionSpec(
         "Brenner2Gap", brenner2_gap, _gap_in_range, False, (range(1, 7), range(0, 21)),
-        lambda Ns, ds: ((N, d) for N in Ns for d in ds),
+        lambda Ns, ds: ((N, d) for N in Ns for d in ds), _gap_bits,
     ),
 }
 
@@ -238,26 +269,29 @@ def sweep(
     """Evaluate one function on every in-range argument tuple of the grid.
 
     Returns a trace per tuple plus the violation summary; an empty grid
-    yields an empty summary with no minimum.
+    yields an empty summary with no minimum.  The function's fields and the
+    trace list's append are looked up once, before the loop, not per point.
     """
     fn = FUNCTIONS[name]
-    traces = []
+    label, in_range, evaluate, strict = fn.label, fn.in_range, fn.evaluate, fn.strict
+    traces: list[InequalityTrace] = []
+    append = traces.append
     flagged = violations = 0
     min_value: int | Fraction | None = None
     argmin: tuple[int, ...] | None = None
     for raw in grid:
         args = tuple(raw)
-        if not fn.in_range(args):
-            traces.append(InequalityTrace(fn.label, args, None, False))
+        if not in_range(args):
+            append(InequalityTrace(label, args, None, False))
             flagged += 1
             continue
-        value = fn.evaluate(*args)
-        traces.append(InequalityTrace(fn.label, args, value, True))
-        bad = value <= 0 if fn.strict else value < 0
+        value = evaluate(*args)
+        append(InequalityTrace(label, args, value, True))
+        bad = value <= 0 if strict else value < 0
         violations += bad
         if min_value is None or value < min_value:
             min_value, argmin = value, args
-    summary = SweepSummary(fn.label, len(traces), flagged, violations, min_value, argmin)
+    summary = SweepSummary(label, len(traces), flagged, violations, min_value, argmin)
     return traces, summary
 
 
@@ -267,31 +301,58 @@ def sample_P(count: int, seed: int) -> list[tuple[int, int, int, int, int, int]]
     The grid for P is unbounded in the subset sizes, so the audit samples:
     draw the geometric parameters uniformly, then a subset size k' up to its
     admissible maximum and an ambient size n' >= k'.
+
+    Each draw is Random.randint's own (randrange's _randbelow): for a width
+    w, w.bit_length() random bits, redrawn until below w.  The six draws are
+    written out in the loop rather than called, as a call per draw cost
+    more than the draw, and the stream is the one randint gives every seed.
     """
     getrandbits = random.Random(seed).getrandbits
-
-    def randint(lo: int, hi: int) -> int:
-        # Random.randint's own draw (randrange's _randbelow): k random bits,
-        # redrawn until below the width, so every seed gives the same tuples
-        width = hi - lo + 1
+    out = []
+    append = out.append
+    while len(out) < count:
+        # N = randint(3, 5)
+        r = getrandbits(2)
+        while r >= 3:
+            r = getrandbits(2)
+        N = 3 + r
+        # d = randint(N + 2, 12)
+        width = 11 - N
         k = width.bit_length()
         r = getrandbits(k)
         while r >= width:
             r = getrandbits(k)
-        return lo + r
-
-    out = []
-    while len(out) < count:
-        N = randint(3, 5)
-        d = randint(N + 2, 12)
-        e = randint(1, d - 1)
-        i = randint(max(0, N + 1 - e), N)
-        k_max = binomial(d - e + N - i, N)
+        d = N + 2 + r
+        # e = randint(1, d - 1)
+        width = d - 1
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        e = 1 + r
+        # i = randint(max(0, N + 1 - e), N)
+        lo = N + 1 - e if e <= N else 0
+        width = N - lo + 1
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        i = lo + r
+        # d - e + N - i >= 1 here, where comb is binomial without its range test
+        k_max = comb(d - e + N - i, N)
         if k_max < 1:
             continue
-        k_prime = randint(1, k_max)
-        n_prime = k_prime + randint(0, 60)
-        out.append((n_prime, k_prime, N, d, e, i))
+        # k_prime = randint(1, k_max)
+        k = k_max.bit_length()
+        r = getrandbits(k)
+        while r >= k_max:
+            r = getrandbits(k)
+        k_prime = 1 + r
+        # n_prime = k_prime + randint(0, 60)
+        r = getrandbits(6)
+        while r >= 61:
+            r = getrandbits(6)
+        append((k_prime + r, k_prime, N, d, e, i))
     return out
 
 

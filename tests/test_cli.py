@@ -531,6 +531,28 @@ def test_audit_default_summary_is_pinned(name, count, low, argmin, capsys):
     }
 
 
+# the text each default audit prints; the JSON summaries are pinned above
+DEFAULT_AUDIT_TEXT = {
+    "T": "function: T\npoints: 870 (0 outside the proof range)\nviolations: 0\n"
+         "min: 4 at (3, 3, 1, 1, 1)\n",
+    "U": "function: U\npoints: 384 (0 outside the proof range)\nviolations: 0\n"
+         "min: 1 at (3, 2, 1, 0)\n",
+    "V": "function: V\npoints: 106 (0 outside the proof range)\nviolations: 0\n"
+         "min: 53 at (5, 1, 3)\n",
+    "Q": "function: Q\npoints: 618 (0 outside the proof range)\nviolations: 0\n"
+         "min: 32 at (3, 5, 4, 2)\n",
+    "P": "function: P\npoints: 10000 (0 outside the proof range)\nviolations: 0\n"
+         "min: 1 at (1, 1, 3, 6, 3, 3)\n",
+    "brenner2": "function: Brenner2Gap\npoints: 126 (0 outside the proof range)\nviolations: 0\n"
+                "min: 0 at (1, 0)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_AUDIT_TEXT))
+def test_audit_default_text_is_pinned(name, capsys):
+    assert run(["audit", name], capsys) == (EX_OK, DEFAULT_AUDIT_TEXT[name], "")
+
+
 def test_audit_p_samples(capsys):
     code, stdout, _ = run(["audit", "P", "--samples", "300", "--seed", "5", "--json"], capsys)
     assert code == EX_OK
@@ -685,159 +707,179 @@ _OVERSIZED_FOR_THE_ORACLE = MonomialFamily.from_exponents(
 ).to_text()
 
 # argv and the content of {path} (absent when None; {dir} is an existing
-# directory), then the exit code, the one stderr line and whether stdout is empty
+# directory), then the exit code and the one stderr line; stdout stays empty
 REFUSALS = [
     pytest.param(
         ["generate", "-N", "1", "-d", "3", "-n", "3"], None, EX_NOFAMILY,
         "no family exists: no semistable family of 3 degree-3 monomials exists"
-        " on the projective line: 2 does not divide 3", True, id="generate-nonexistent",
+        " on the projective line: 2 does not divide 3", id="generate-nonexistent",
     ),
     pytest.param(
         ["generate", "-N", "3", "-d", "4", "-n", "36"], None, EX_USAGE,
-        "error: n=36 outside [4, 35] for (N, d) = (3, 4)", True, id="generate-out-of-range",
+        "error: n=36 outside [4, 35] for (N, d) = (3, 4)", id="generate-out-of-range",
     ),
     pytest.param(
         ["generate", "-N", "2", "-d", "100", "-n", "4000"], None, EX_USAGE,
-        "error: n=4000 outside [3, 3] for (N, d) = (2, 100) (the plane search work bound)", True,
+        "error: n=4000 outside [3, 3] for (N, d) = (2, 100) (the plane search work bound)",
         id="generate-plane-work-bound",
     ),
     pytest.param(
         ["generate", "-N", "2", "-d", "2", "-n", "4", "-o", "{dir}/missing/fam.txt"], None, EX_FAIL,
-        "error: [Errno 2] No such file or directory: '{dir}/missing/fam.txt'", True,
+        "error: [Errno 2] No such file or directory: '{dir}/missing/fam.txt'",
         id="generate-unwritable-output",
     ),
     pytest.param(
         ["check", "{path}"], "not a family\n", EX_DATA,
-        "parse error: non-integer header field in 'not a family'", True, id="check-malformed",
+        "parse error: non-integer header field in 'not a family'", id="check-malformed",
     ),
     pytest.param(
         ["check", "{path}"], b"\xff\xfe" + "2 2 4\n".encode("utf-16-le"), EX_DATA,
-        "parse error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", True,
+        "parse error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
         id="check-not-utf8",
     ),
     pytest.param(
         ["check", "{path}"], "1 2 2\n2 0\n3 -1\n", EX_DATA,
-        "parse error: exponents must be non-negative integers, got (3, -1)", True,
+        "parse error: exponents must be non-negative integers, got (3, -1)",
         id="check-negative-exponent",
     ),
     pytest.param(
         ["check", "{path}"], None, EX_FAIL,
-        "error: [Errno 2] No such file or directory: '{path}'", True, id="check-missing-path",
+        "error: [Errno 2] No such file or directory: '{path}'", id="check-missing-path",
     ),
     pytest.param(
         ["check", "{dir}"], None, EX_FAIL,
-        "error: [Errno 21] Is a directory: '{dir}'", True, id="check-directory",
+        "error: [Errno 21] Is a directory: '{dir}'", id="check-directory",
     ),
     pytest.param(
         ["check", "{path}"], "2 2 1\n2 0 0\n", EX_FAIL,
-        "error: need at least two generators, got 1", True, id="check-one-member",
+        "error: need at least two generators, got 1", id="check-one-member",
     ),
     pytest.param(
         ["check", "{path}"], "1 2 2\n2 0\n1 1\n", EX_FAIL,
-        "error: family is not m-primary: needs X0^d and X1^d", True, id="check-line-not-primary",
+        "error: family is not m-primary: needs X0^d and X1^d", id="check-line-not-primary",
     ),
     pytest.param(
         ["check", "{path}"], "2 2 4\n2 0 0\n1 1 0\n0 2 0\n0 1 1\n", EX_FAIL,
-        "error: family is not m-primary: some pure power X_i^d is missing", True,
+        "error: family is not m-primary: some pure power X_i^d is missing",
         id="check-plane-not-primary",
     ),
     pytest.param(
         ["check", "{path}", "--oracle"], "1 2 3\n2 0\n1 1\n0 2\n", EX_FAIL,
-        "error: --oracle applies to N >= 2 families", True, id="check-line-oracle",
+        "error: --oracle applies to N >= 2 families", id="check-line-oracle",
     ),
     pytest.param(
         ["check", "{path}", "--oracle"], _OVERSIZED_FOR_THE_ORACLE, EX_FAIL,
         "error: family has 21 members: the oracle's work bound n * min(2^n, C(d+N+1, N+1))"
-        f" at N = 5, d = 30 exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}", True,
+        f" at N = 5, d = 30 exceeds MAX_ORACLE_WORK = {MAX_ORACLE_WORK}",
         id="check-oracle-work-bound",
     ),
     pytest.param(
         ["check", "{path}"], "2 1000000000 3\n1000000000 0 0\n0 1000000000 0\n0 0 1000000000\n",
         EX_FAIL,
         "error: (N + 1) * d^2 = 3000000000000000000 at N = 2, d = 1000000000 exceeds"
-        f" MAX_SCAN_WORK = {MAX_SCAN_WORK}, the most of any cell generate admits", True,
+        f" MAX_SCAN_WORK = {MAX_SCAN_WORK}, the most of any cell generate admits",
         id="check-scan-work-bound",
     ),
     pytest.param(
         ["sweep", "--Nmax", "0"], None, EX_USAGE,
-        "error: need Nmax >= 1 and dmax >= 2", True, id="sweep-degenerate",
+        "error: need Nmax >= 1 and dmax >= 2", id="sweep-degenerate",
     ),
     pytest.param(
         ["sweep", "--Nmax", "1", "--dmax", "3", "--jobs", "0"], None, EX_USAGE,
-        "error: --jobs must be at least 1, got 0", True, id="sweep-jobs",
+        "error: --jobs must be at least 1, got 0", id="sweep-jobs",
     ),
     pytest.param(
         ["sweep", "--Nmax", "2", "--dmax", "140"], None, EX_USAGE,
         "error: (N, d) = (2, 140) has more than 10000 degree-d monomials, the admission"
-        " ceiling on C(d+N, N)", True, id="sweep-admission-ceiling",
+        " ceiling on C(d+N, N)", id="sweep-admission-ceiling",
     ),
     pytest.param(
         ["sweep", "--Nmax", "1", "--dmax", "9999"], None, EX_USAGE,
-        "error: the grid has 49994999 cells, above the sweep budget of 100000", True,
+        "error: the grid has 49994999 cells, above the sweep budget of 100000",
         id="sweep-cell-budget",
     ),
     pytest.param(
         ["sweep", "--Nmax", "1", "--dmax", "2", "--report", "{dir}/missing/r.json"], None, EX_FAIL,
-        "error: [Errno 2] No such file or directory: '{dir}/missing/r.json'", True,
+        "error: [Errno 2] No such file or directory: '{dir}/missing/r.json'",
         id="sweep-unwritable-report",
     ),
     pytest.param(
         ["audit", "P", "--N", "9..9"], None, EX_USAGE,
-        "error: the P audit takes no --N or --d, only --samples and --seed", True,
+        "error: the P audit takes no --N or --d, only --samples and --seed",
         id="audit-P-ranges",
     ),
     pytest.param(
         ["audit", "Q", "--d", "2..4"], None, EX_USAGE,
-        "error: the Q audit grid has no in-range points", True, id="audit-no-points",
+        "error: the Q audit grid has no in-range points", id="audit-no-points",
     ),
     pytest.param(
         ["audit", "T", "--N", "3..30", "--d", "2..50"], None, EX_USAGE,
-        "error: the T audit has more than 500000 points, the audit budget", True,
+        "error: the T audit has more than 500000 points, the audit budget",
         id="audit-budget-grid",
     ),
     pytest.param(
         ["audit", "T", "--N", "3..1000000000", "--d", "2..2"], None, EX_USAGE,
-        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget",
         id="audit-budget-pairs-T",
     ),
     pytest.param(
         ["audit", "V", "--N", "3..1000000000", "--d", "5..5"], None, EX_USAGE,
-        "error: the V audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        "error: the V audit grid has more than 500000 (N, d) pairs, the audit budget",
         id="audit-budget-pairs-V",
     ),
     pytest.param(
         ["audit", "T", "--N", "3..600002", "--d", "2..2"], None, EX_USAGE,
-        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget",
         id="audit-budget-pairs-T-empty",
     ),
     pytest.param(
         ["audit", "V", "--N", "3..600002", "--d", "5..5"], None, EX_USAGE,
-        "error: the V audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        "error: the V audit grid has more than 500000 (N, d) pairs, the audit budget",
         id="audit-budget-pairs-V-two-points",
     ),
     pytest.param(
         ["audit", "Q", "--N", "1000000..1000000", "--d", "2..500001"], None, EX_USAGE,
-        "error: the Q audit grid has no in-range points", True, id="audit-empty-pairs-at-budget",
+        "error: the Q audit grid has no in-range points", id="audit-empty-pairs-at-budget",
     ),
     pytest.param(
         ["audit", "T", "--N", "0..100000000000000000000", "--d", "3..3"], None, EX_USAGE,
-        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget", True,
+        "error: the T audit grid has more than 500000 (N, d) pairs, the audit budget",
         id="audit-budget-pairs-past-maxsize",
     ),
     pytest.param(
         ["audit", "T", "--N", "3..1000000000", "--d", "5..4"], None, EX_USAGE,
-        "error: the T audit grid has no in-range points", True, id="audit-empty-d-long-N",
+        "error: the T audit grid has no in-range points", id="audit-empty-d-long-N",
+    ),
+    pytest.param(
+        ["audit", "V", "--N", "20000..20000", "--d", "20002..20003"], None, EX_USAGE,
+        "error: the V audit's values may have 80020 bits, above the audit's value bound of"
+        " 10000 bits", id="audit-value-bound-V",
+    ),
+    pytest.param(
+        ["audit", "brenner2", "--N", "3000..3000", "--d", "5000..5000"], None, EX_USAGE,
+        "error: the brenner2 audit's values may have 39012 bits, above the audit's value bound"
+        " of 10000 bits", id="audit-value-bound-brenner2",
+    ),
+    pytest.param(
+        ["audit", "brenner2", "--N", "1000000..1000000", "--d", "0..0"], None, EX_USAGE,
+        "error: the brenner2 audit's values may have 20000020 bits, above the audit's value"
+        " bound of 10000 bits", id="audit-value-bound-one-point",
+    ),
+    pytest.param(
+        ["audit", "brenner2", "--N", "1..50", "--d", "0..9999"], None, EX_USAGE,
+        "error: the brenner2 audit's 500000 points may hold 353000000 value bits, above the"
+        " audit's work bound of 100000000 bits", id="audit-work-bound",
     ),
     pytest.param(
         ["audit", "P", "--samples", "500001"], None, EX_USAGE,
-        "error: the P audit has more than 500000 points, the audit budget", True,
+        "error: the P audit has more than 500000 points, the audit budget",
         id="audit-budget-samples",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, content, code, line, quiet", REFUSALS)
-def test_refusal_table(argv, content, code, line, quiet, tmp_path, capsys):
+@pytest.mark.parametrize("argv, content, code, line", REFUSALS)
+def test_refusal_table(argv, content, code, line, tmp_path, capsys):
     path = tmp_path / "family.txt"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -851,5 +893,4 @@ def test_refusal_table(argv, content, code, line, quiet, tmp_path, capsys):
     start = time.perf_counter()
     got, stdout, stderr = run([fill(arg) for arg in argv], capsys)
     assert time.perf_counter() - start < 2
-    assert (got, stderr) == (code, fill(line) + "\n")
-    assert stdout == "" if quiet else stdout.startswith("verdict: ")
+    assert (got, stdout, stderr) == (code, "", fill(line) + "\n")

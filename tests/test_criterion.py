@@ -390,6 +390,32 @@ class TestBruteForce:
         # X0, X1 and X2 tie at degree 1: the larger exponent tuple comes first
         assert brute_force_check(full_family(2, 2)).worst.gcd.exponents == (1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "rows, worst, by_degree",
+        [
+            # X1 and X2 each divide two members: degree 1, k 2, margin 1 both
+            (
+                [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1)],
+                ((0, 1, 0), 1, 2, 1),
+                ((1, 2, 2, (0, 1, 0)),),
+            ),
+            # X0X1, X0X2, X1^2 and X2^2 each divide two members at degree 2
+            (
+                [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 0, 2), (1, 1, 1), (1, 2, 0)],
+                ((1, 0, 0), 1, 4, 1),
+                ((1, 3, 4, (1, 0, 0)), (2, 4, 2, (1, 1, 0))),
+            ),
+        ],
+    )
+    def test_ties_after_x0_break_in_scan_order(self, rows, worst, by_degree):
+        # the tied gcds agree in X0, so only the fields after X0 order them:
+        # the larger exponent tuple is reported, as the scan does
+        f = fam(*rows)
+        cert = check_family(f)
+        assert cert.worst == _gcd_witness(worst)
+        assert cert.by_degree == by_degree
+        assert brute_force_check(f) == cert
+
     def test_memory_stays_linear(self):
         # a 2^n gcd table would take megabytes at n = 16
         pool = enumerate_monomials(3, 4)

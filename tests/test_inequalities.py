@@ -5,6 +5,7 @@ identities relating neighbouring arguments, and the margin decomposition that
 ties Q and P back to actual witness margins of generated families.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -125,10 +126,11 @@ class TestP:
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 11])
     def test_sample_stream_is_randints(self, seed):
-        # the stream sample_P drew through random.Random.randint
+        # the stream sample_P drew through random.Random.randint, as long as
+        # the default audit's (10,000 draws at seed 0)
         rng = random.Random(seed)
         reference = []
-        while len(reference) < 3000:
+        while len(reference) < 10_000:
             N = rng.randint(3, 5)
             d = rng.randint(N + 2, 12)
             e = rng.randint(1, d - 1)
@@ -138,7 +140,7 @@ class TestP:
                 continue
             k_prime = rng.randint(1, k_max)
             reference.append((k_prime + rng.randint(0, 60), k_prime, N, d, e, i))
-        assert sample_P(3000, seed) == reference
+        assert sample_P(10_000, seed) == reference
 
     def test_traces_are_immutable_named_fields(self):
         trace = audit("V", range(3, 4), range(5, 6))[0][0]
@@ -253,6 +255,61 @@ class TestSweepPlumbing:
     def test_unknown_function(self):
         with pytest.raises(KeyError):
             list(audit_grid("W", range(3, 4), range(5, 6)))
+
+
+# sha256 of every trace of each default audit, one line per point
+DEFAULT_AUDIT_TRACES = {
+    "T": (870, "34cec6d66aade1dea439115f6ac0e3a93e1fb436c33b6f3671d65e8d238db399"),
+    "U": (384, "9a80a44da6754881a8d0c35dcc2fd024c763b7f052bc379cb21b4511aa02f522"),
+    "V": (106, "8e1801352a6e53fc0790927130a3b06fb5960f418a7b6cb443309cb5b98f2f65"),
+    "Q": (618, "0e72ed3309ceb0c13a8c488ce631d880c371659ca32d33da09b68b745c77f9cd"),
+    "P": (10000, "5f43d8a83c52b1e2f41a142921ef59b8c33f82f72cc12652a5736586d825012c"),
+    "brenner2": (126, "e7ccc669654947d793ad73c46e5f966befd20fe852e14a429b09e6215ace30aa"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_AUDIT_TRACES))
+def test_default_audit_traces_are_pinned(name):
+    # every point's arguments and value, not only the summary
+    traces, _ = audit(name, *(FUNCTIONS[name].ranges or ((), ())))
+    digest = hashlib.sha256()
+    for t in traces:
+        digest.update(f"{t.function} {t.arguments} {t.value} {t.in_range}\n".encode())
+    assert (len(traces), digest.hexdigest()) == DEFAULT_AUDIT_TRACES[name]
+
+
+def _bits(value):
+    # a Fraction's numerator and denominator, each on its own
+    if isinstance(value, Fraction):
+        return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+    return abs(value).bit_length()
+
+
+@pytest.mark.parametrize(
+    "name, N_range, d_range",
+    [
+        ("T", range(3, 8), range(2, 31)),
+        ("T", range(40, 41), range(3, 9)),
+        ("U", range(3, 8), range(2, 31)),
+        ("U", range(60, 61), range(2, 8)),
+        ("V", range(3, 30), range(5, 60)),
+        ("Q", range(3, 12), range(5, 40)),
+        ("Q", range(50, 53), range(52, 56)),
+        ("brenner2", range(1, 40), range(0, 60)),
+        ("brenner2", range(200, 202), range(0, 3)),
+    ],
+)
+def test_value_bits_bound_every_value(name, N_range, d_range):
+    fn = FUNCTIONS[name]
+    traces, summary = audit(name, N_range, d_range)
+    assert summary.count > summary.flagged
+    bound = fn.value_bits(N_range[-1], d_range[-1])
+    assert max(_bits(t.value) for t in traces if t.in_range) <= bound
+    # every point meets the bound at its own N and d, not only the corner
+    for t in traces:
+        if t.in_range:
+            N, d = (t.arguments[2], t.arguments[0]) if name == "V" else t.arguments[:2]
+            assert _bits(t.value) <= fn.value_bits(N, d), t
 
 
 class TestAuditGrids:
