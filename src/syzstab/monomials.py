@@ -2,10 +2,11 @@
 
 Monomials live in K[X0, ..., XN] and are plain exponent tuples.  A
 MonomialFamily holds its members as rows, the canonical (descending) tuple
-of those tuples, and everything downstream reads the rows.  Rows that come
-from outside the package (files, library callers) are validated as a whole
-by the constructor; rows the package builds itself (every route's, a
-certified family's core) are valid by construction and only sorted.
+of those tuples, and everything downstream reads the rows.  Rows a library
+caller passes are validated as a whole by the constructor, and rows read
+from a family file by from_text, which checks only what its parse has not
+already settled; rows the package builds itself (every route's, a certified
+family's core) are valid by construction and only sorted.
 monomial_text writes one row as X0^2*X1.  Everything in this module is pure
 integer combinatorics; no floating point is used anywhere in the package.
 """
@@ -148,12 +149,13 @@ class MonomialFamily:
 
     @classmethod
     def _from_valid_rows(cls, N: int, d: int, rows: Iterable[tuple[int, ...]]) -> "MonomialFamily":
-        """A family of rows the package built, sorted but not checked.
+        """A family of rows known to be valid, sorted but not checked.
 
         rows must be distinct exponent tuples of degree d in N+1 variables;
         they are sorted into canonical order and nothing else is checked.
-        Every route builds its family here, with its cell's N and d, and
-        check_family its core (the rows cut to the leading variables).
+        Every route builds its family here, with its cell's N and d,
+        check_family its core (the rows cut to the leading variables), and
+        from_text a file's rows once it has checked them.
         """
         fam = object.__new__(cls)
         object.__setattr__(fam, "N", N)
@@ -202,43 +204,82 @@ class MonomialFamily:
         """Serialize in the family file format.
 
         First line is "N d n"; then n lines of N+1 space-separated exponents,
-        one member per line, in canonical order.
+        one member per line, in canonical order.  Each distinct exponent is
+        turned into a string once.
         """
+        field = {e: str(e) for e in set(chain.from_iterable(self.rows))}
         lines = [f"{self.N} {self.d} {len(self.rows)}"]
-        lines += [" ".join(map(str, row)) for row in self.rows]
+        lines += [" ".join(map(field.__getitem__, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "MonomialFamily":
         """Parse the family file format; raises FamilyFormatError on any defect.
 
-        Checks the syntax; the constructor checks the rows against N and d.
+        Each distinct field string is converted with int() once, and every
+        row is built from those values.  The rest is checked on the whole
+        file at once: the header's N, d and member count, the sign of each
+        distinct value, and N + 1 fields, degree d and no repeat for the
+        rows.  A file that fails any check is read again one row at a time
+        by _parse_rows, and its syntax checks or the constructor raise for
+        the first bad row in file order.
         """
-        lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
-        if not lines:
-            raise FamilyFormatError("empty family file")
-        header = lines[0].split()
-        if len(header) != 3:
-            raise FamilyFormatError(f"header must be 'N d n', got {lines[0]!r}")
+        value = _FieldValues()
         try:
-            N, d, n = (int(x) for x in header)
+            rows = [tuple(map(value.__getitem__, r)) for r in map(str.split, text.splitlines()) if r]
+        except ValueError:
+            rows = None
+        if rows and len(rows[0]) == 3:
+            N, d, n = rows.pop(0)
+            if (
+                N >= 1
+                and d >= 1
+                and len(rows) == n
+                and min(value.values()) >= 0
+                and set(map(len, rows)) == {N + 1}
+                and set(map(sum, rows)) == {d}
+                and len(set(rows)) == n
+            ):
+                return cls._from_valid_rows(N, d, rows)
+        return cls(*_parse_rows(text))
+
+
+class _FieldValues(dict):
+    """int() of each distinct field string, converted on its first lookup."""
+
+    def __missing__(self, field: str) -> int:
+        value = self[field] = int(field)
+        return value
+
+
+def _parse_rows(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
+    # the file's N, d and rows, read one row at a time; raise for the first
+    # syntax defect in file order and leave the rows to the constructor
+    lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
+    if not lines:
+        raise FamilyFormatError("empty family file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise FamilyFormatError(f"header must be 'N d n', got {lines[0]!r}")
+    try:
+        N, d, n = (int(x) for x in header)
+    except ValueError as exc:
+        raise FamilyFormatError(f"non-integer header field in {lines[0]!r}") from exc
+    if n < 1:
+        raise FamilyFormatError(f"header promises {n} members, need at least 1")
+    body = lines[1:]
+    if len(body) != n:
+        raise FamilyFormatError(f"header promises {n} members, file has {len(body)}")
+    rows = []
+    for ln in body:
+        fields = ln.split()
+        if len(fields) != N + 1:
+            raise FamilyFormatError(f"row {ln!r} must have {N + 1} exponents")
+        try:
+            rows.append(tuple(map(int, fields)))
         except ValueError as exc:
-            raise FamilyFormatError(f"non-integer header field in {lines[0]!r}") from exc
-        if n < 1:
-            raise FamilyFormatError(f"header promises {n} members, need at least 1")
-        body = lines[1:]
-        if len(body) != n:
-            raise FamilyFormatError(f"header promises {n} members, file has {len(body)}")
-        rows = []
-        for ln in body:
-            fields = ln.split()
-            if len(fields) != N + 1:
-                raise FamilyFormatError(f"row {ln!r} must have {N + 1} exponents")
-            try:
-                rows.append(tuple(map(int, fields)))
-            except ValueError as exc:
-                raise FamilyFormatError(f"non-integer exponent in row {ln!r}") from exc
-        return cls(N, d, rows)
+            raise FamilyFormatError(f"non-integer exponent in row {ln!r}") from exc
+    return N, d, rows
 
 
 def _reject_row(N: int, d: int, rows: list[tuple]) -> None:

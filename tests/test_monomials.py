@@ -1,9 +1,10 @@
 """Unit tests for the monomial enumeration and the family container."""
 
 import itertools
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzstab.monomials import (
@@ -263,3 +264,143 @@ def test_constructor_raises_as_the_member_loop_did(case):
         assert str(raised.value) == str(exc)
     else:
         assert MonomialFamily(N, d, rows).rows == expected
+
+
+def reference_parse(text):
+    """The family file parser from_text was, one row at a time, then reference_validate."""
+    lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
+    if not lines:
+        raise FamilyFormatError("empty family file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise FamilyFormatError(f"header must be 'N d n', got {lines[0]!r}")
+    try:
+        N, d, n = (int(x) for x in header)
+    except ValueError as exc:
+        raise FamilyFormatError(f"non-integer header field in {lines[0]!r}") from exc
+    if n < 1:
+        raise FamilyFormatError(f"header promises {n} members, need at least 1")
+    body = lines[1:]
+    if len(body) != n:
+        raise FamilyFormatError(f"header promises {n} members, file has {len(body)}")
+    rows = []
+    for ln in body:
+        fields = ln.split()
+        if len(fields) != N + 1:
+            raise FamilyFormatError(f"row {ln!r} must have {N + 1} exponents")
+        try:
+            rows.append(tuple(map(int, fields)))
+        except ValueError as exc:
+            raise FamilyFormatError(f"non-integer exponent in row {ln!r}") from exc
+    return N, d, reference_validate(N, d, rows)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def spelled(draw, value):
+    # one of the spellings int() reads as value
+    text = str(value)
+    how = draw(st.sampled_from(["plain", "plus", "zeros", "arabic-indic"]))
+    if how == "plus" and value >= 0:
+        return "+" + text
+    if how == "zeros" and value >= 0:
+        return "0" * draw(st.integers(1, 2)) + text
+    if how == "arabic-indic":
+        return text.translate(ARABIC_INDIC)
+    return text
+
+
+@st.composite
+def family_texts(draw, spoils=()):
+    """A family file with any row order, spacing and digit spelling, spoiled as asked."""
+    N = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.sampled_from([1, 2, 3, 4, 10, 12]))
+    pool = enumerate_monomials(N, d)
+    size = draw(st.integers(min_value=1, max_value=min(len(pool), 8)))
+    rows = [list(r) for r in draw(st.permutations(pool))[:size]]
+    header = [N, d, None]
+    for how in draw(st.lists(st.sampled_from(spoils), max_size=3)) if spoils else ():
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if not row:
+            continue
+        j = draw(st.integers(0, len(row) - 1))
+        if how == "short":
+            row.pop()
+        elif how == "long":
+            row.append(0)
+        elif how == "word":
+            row[j] = draw(st.sampled_from(["x", "1.5", "--1", "2e1", "½"]))
+        elif how == "negative" and len(row) > 1 and all(isinstance(e, int) for e in row):
+            # X_j drops to -1 and the next variable makes up the degree
+            row[(j + 1) % len(row)] += row[j] + 1
+            row[j] = -1
+        elif how == "degree" and isinstance(row[j], int):
+            row[j] += 1
+        elif how == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif how == "count":
+            header[2] = len(rows) + draw(st.sampled_from([-1, 1]))
+        elif how == "header":
+            header[draw(st.integers(0, 2))] = draw(st.sampled_from([0, -1, "x", "1 1"]))
+    if header[2] is None:
+        header[2] = len(rows)
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    text = ""
+    for fields in [header] + rows:
+        words = [draw(spelled(f)) if isinstance(f, int) else f for f in fields]
+        text += draw(st.sampled_from(["", " ", "\t"]))
+        text += "".join(draw(space) + w if i else w for i, w in enumerate(words))
+        text += draw(st.sampled_from(["", " "])) + "\n" * draw(st.integers(1, 2))
+    return draw(st.sampled_from(["", "\n", "  \n"])) + text
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_texts())
+@example("1 2 3\n0 +2\n٢ 0\n001 1\n")
+@example("2 12 2\n 10  1 1\n\n0\t0\t12 \n")
+@example("1 2 2\r\n2 0\r\n\r\n0 2\r\n")
+def test_from_text_reads_valid_files_as_the_per_row_parser_did(text):
+    N, d, rows = reference_parse(text)
+    fam = MonomialFamily.from_text(text)
+    assert (fam.N, fam.d, fam.rows) == (N, d, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_texts(("short", "long", "word", "negative", "degree", "repeat", "count", "header")))
+@example("1 2 3\n2 0\nx 1\n1\n")  # the non-integer row comes first, so it is the one named
+@example("1 2 3\n2 0\n1\nx 1\n")  # and here the short row does
+@example("")
+@example("1 2 0\n")
+@example("0 2 1\n2\n")
+@example("1 2 2\n2 0\n1 1\n2 0\n")  # one row too many, and it repeats
+@example("2 3 2\n3 0 0\n-1 4 0\n")
+def test_from_text_raises_as_the_per_row_parser_did(text):
+    try:
+        expected = reference_parse(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            MonomialFamily.from_text(text)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+    else:
+        fam = MonomialFamily.from_text(text)
+        assert (fam.N, fam.d, fam.rows) == expected
+
+
+def test_text_work_is_not_sized_by_the_degree():
+    # one string per distinct exponent and one int() per distinct field:
+    # a table over range(d + 1) would exhaust memory here
+    d = 10**9
+    fam = MonomialFamily(2, d, [(d, 0, 0), (0, d, 0), (0, 0, d)])
+    start = time.perf_counter()
+    text = fam.to_text()
+    wrote = time.perf_counter() - start
+    assert text == f"2 {d} 3\n{d} 0 0\n0 {d} 0\n0 0 {d}\n"
+    start = time.perf_counter()
+    again = MonomialFamily.from_text(text)
+    read = time.perf_counter() - start
+    assert again == fam
+    assert wrote < 0.5 and read < 0.5
