@@ -22,9 +22,9 @@ from .constructions import (
     InternalConsistencyError,
     NoFamilyExists,
     RoutingError,
+    _certified_family,
     admissible_bounds,
     classify_route,
-    dispatch,
 )
 from .criterion import (
     OracleSizeError,
@@ -115,8 +115,7 @@ def _print_certificate(cert, as_json: bool, route: str | None = None) -> None:
 
 
 def cmd_generate(args) -> int:
-    route, fam = dispatch(args.N, args.d, args.n)
-    cert = check_family(fam)
+    route, fam, cert = _certified_family(args.N, args.d, args.n)
     text = fam.to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -189,7 +188,8 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict | None:
     }
     start = time.perf_counter()
     try:
-        route, fam = dispatch(N, d, n)
+        # certified at its expected verdict; the certificate comes along
+        route, _, cert = _certified_family(N, d, n)
     except RoutingError:
         return None
     except NoFamilyExists:
@@ -197,8 +197,6 @@ def _sweep_cell(cell: tuple[int, int, int]) -> dict | None:
     except Exception as exc:
         row["failure"] = f"{type(exc).__name__}: {exc}"
     else:
-        # dispatch has already certified the family at its expected verdict
-        cert = check_family(fam)
         row["route"], row["verdict"] = route.value, cert.verdict.value
         row["worst_margin"] = None if cert.worst is None else cert.worst.margin
     row["wall_time"] = round(time.perf_counter() - start, 6)

@@ -3,27 +3,39 @@
 Each generator returns a family whose stability certificate is checked at
 dispatch time, so a construction bug cannot silently ship an uncertified
 family.  _route is the theorem's case split: a cell's route and the cell its
-builder takes.  Only dispatch recurses: it walks a cell's chain of those
-cells in one loop and hands a recursive route's builder the family of the
-next one.  Each generator assumes its route was chosen for the cell, and
-checks nothing itself.  Nine routes run five builders: both plane routes run
-the plane search, and the four face routes, FullSet, PropFaces, FacesAndDots
-and BrennerRecursion, all take a prefix of one order of the face monomials
-and lift an interior family of lower degree past it (gen_prop_faces), so the
+builder takes.  Only dispatch's worker, _certified_family, recurses: it
+routes a cell once, takes the family of the cell that route names from its
+own cache, hands it to a recursive route's builder, and certifies the
+result once; sweep and generate take that certificate from it.  Each
+generator assumes its route was chosen for the cell, and checks nothing
+itself.  Nine routes run five builders: both plane routes run the plane
+search, and the four face routes, FullSet, PropFaces, FacesAndDots and
+BrennerRecursion, all take a prefix of one order of the face monomials and
+lift an interior family of lower degree past it (gen_prop_faces), so the
 PropFaces and FacesAndDots families nest along n.  That order is built once
 per column (N, d) and kept, for the few columns built in last, by
-_face_order; dispatch.cache_clear() drops it with dispatch's cache, so a
-cold dispatch builds it again.
+_face_order, together with the column's last family built without an
+interior family, from which the next face cell grows by one row.
+dispatch.cache_clear() drops both with dispatch's cache, so a cold dispatch
+builds them again.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import lru_cache
 from math import comb
 
-from .criterion import _COLUMN_WINDOW, Verdict, _exponent_masks, check_family, is_semistable_p1
+from .criterion import (
+    _COLUMN_WINDOW,
+    StabilityCertificate,
+    Verdict,
+    _exponent_masks,
+    check_family,
+    is_semistable_p1,
+)
 from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, enumerate_monomials
 
 
@@ -196,8 +208,11 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     only the divisors the search touches, a small share of the (d + 1)^3
     keys when n is small and d large, so memory follows the picks and not
     d.  With n <= 3 there is no pick, and the pure powers are returned
-    before any candidate is built.  The search scans no witnesses; dispatch
-    certifies the family it returns.  Output is a pure function of (d, n).
+    before any candidate is built.  At n = C(d + 2, 2), the full plane cell,
+    every candidate is picked whatever the order of the picks, so every
+    degree-d monomial is returned, again with no candidate built.  The
+    search scans no witnesses; dispatch certifies the family it returns.
+    Output is a pure function of (d, n).
 
     The family is stable on every admitted cell but (2, 2, 5), where no
     5-subset of the six quadrics is stable.  There both picks are ties,
@@ -209,6 +224,10 @@ def gen_n2_search(d: int, n: int) -> MonomialFamily:
     chosen = [(d, 0, 0), (0, d, 0), (0, 0, d)]
     if n <= 3:
         return MonomialFamily._from_valid_rows(2, d, chosen)
+    if n == comb(d + 2, 2):
+        # the search would take every candidate; canonical order throughout
+        rows = tuple((a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
+        return MonomialFamily._from_canonical_rows(2, d, rows)
     pool = [c for c in enumerate_monomials(2, d) if d not in c]
     ge0, ge1, ge2 = _exponent_masks(pool, 3, d)
     live = (1 << len(pool)) - 1
@@ -315,30 +334,33 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
 
 
 @lru_cache(maxsize=_COLUMN_WINDOW)
-def _face_order(N: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The column's face monomials in canonical order, and their indices in face order.
+def _face_order(N: int, d: int) -> list:
+    """[faces, order, last]: the column's face monomials in canonical order,
+    their indices in face order, and its last family built without inner.
 
     The face monomials are those with a zero exponent.  Every face cell of
     the column takes a prefix of the same order, so a sweep that walks a
     column enumerates and sorts its C(d+N, N) monomials once, and the
-    column's families share their face rows.  The orders of the last
-    _COLUMN_WINDOW columns are kept, so a column whose recursive cells build
-    from other columns keeps its own; dispatch.cache_clear() drops them.
+    column's families share their face rows.  last starts as None, and
+    gen_prop_faces replaces it with each family it builds without inner.
+    The entries of the last _COLUMN_WINDOW columns are kept, so a column
+    whose recursive cells build from other columns keeps its own;
+    dispatch.cache_clear() drops them.
     """
     faces = tuple(m for m in enumerate_monomials(N, d) if 0 in m)
     # X_N's exponent is at most d, so p * (d + 1) - exponent orders as
     # (p, -exponent); it is 0 when X_N is absent, found without the slice
     key = [m[N] and m[::-1].index(0) * (d + 1) - m[N] for m in faces]
-    return faces, tuple(sorted(range(len(faces)), key=key.__getitem__))
+    return [faces, tuple(sorted(range(len(faces)), key=key.__getitem__)), None]
 
 
 def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) -> MonomialFamily:
     """The first n face monomials in face order, then a lifted interior family.
 
-    The cell takes the first n indices of its column's face order,
-    _face_order(N, d), and sorts only those.  Face order sorts the face
-    monomials stably from canonical order by the position p of the last
-    zero exponent counted from X_N (p = 0 when X_N is absent), then by
+    A cell built afresh takes the first n indices of its column's face
+    order, _face_order(N, d), and sorts only those.  Face order sorts the
+    face monomials stably from canonical order by the position p of the
+    last zero exponent counted from X_N (p = 0 when X_N is absent), then by
     X_N-exponent descending.  Its prefixes are Brenner's face-and-layer
     families: the rows with p < r are the whole last r faces, those with a
     zero among X_{N-r+1}..X_N; the rows with p = r (X_{N-r} absent,
@@ -355,16 +377,42 @@ def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) 
     d > N + 1.  So each family contains the one at n - 1 throughout a column
     (N, d) of PropFaces and FacesAndDots cells, and the whole face order,
     with X0...XN when d = N + 1, is the full set of degree-d monomials.
+
+    A family built without inner is kept as the column's last one, with its
+    face order.  A cell without inner that comes right after it, so that
+    the kept family has n - 1 rows, adds one row to it: the face at index
+    n - 1 of face order, or once the faces are used up the dot with
+    j = n - 1 - (number of faces).  That row is inserted at its canonical
+    position, found by bisection, so the cell sorts nothing and shares the
+    other rows with the family before it.  The kept family is read once and
+    replaced whole, so a thread that reads another thread's family grows
+    from it only if it has n - 1 rows, and then it is this cell's
+    predecessor: a family built without inner is a function of its cell.
     """
-    faces, order = _face_order(N, d)
-    # the first n in face order, left in canonical order for the family's sort
-    rows = [faces[j] for j in sorted(order[:n])]
-    if inner is None:
-        inner_rows = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
+    column = _face_order(N, d)
+    faces, order, last = column
+    if inner is None and last is not None and len(last) == n - 1:
+        if n <= len(faces):
+            row = faces[order[n - 1]]
+        else:
+            j = n - 1 - len(faces)
+            row = (1,) * j + (d - N,) + (1,) * (N - j)
+        rows = last.rows
+        # rows descend: the first position whose row is below the new one
+        i = bisect_left(range(n - 1), True, key=lambda k: rows[k] < row)
+        fam = MonomialFamily._from_canonical_rows(N, d, (*rows[:i], row, *rows[i:]))
     else:
-        inner_rows = inner.rows
-    rows += [tuple(e + 1 for e in m) for m in inner_rows[:n - len(rows)]]
-    return MonomialFamily._from_valid_rows(N, d, rows)
+        # the first n in face order, left in canonical order for the family's sort
+        rows = [faces[j] for j in sorted(order[:n])]
+        if inner is None:
+            inner_rows = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
+        else:
+            inner_rows = inner.rows
+        rows += [tuple(e + 1 for e in m) for m in inner_rows[:n - len(rows)]]
+        fam = MonomialFamily._from_valid_rows(N, d, rows)
+    if inner is None:
+        column[2] = fam
+    return fam
 
 
 # A route's builder gets the cell and the family of the cell it builds from,
@@ -469,21 +517,25 @@ def expected_verdict(N: int, d: int, n: int) -> Verdict:
 
 
 @lru_cache(maxsize=None)
-def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
-    """Generate and certify a family for the cell (N, d, n).
+def _certified_family(N: int, d: int, n: int) -> tuple[Route, MonomialFamily, StabilityCertificate]:
+    """dispatch's work and cache: the route, the family and its certificate.
 
-    A recursive route builds from the family dispatched here for the next
-    cell of its chain: a Brenner cell's inner cell, a FaceVertex run's base.
-
-    Returns the route taken and the family; raises NoFamilyExists for the
-    projective-line cells with (n-1) not dividing d, RoutingError off-grid,
-    and InternalConsistencyError if the constructed family fails to certify
-    at its expected verdict (which would be a bug, and is tested not to
-    happen on the supported grid).
+    One _route call names the route and the cell its builder takes, whose
+    family comes from this function, so a cached inner cell is neither
+    routed nor built again.  When a cell below is refused, _chain runs to
+    word the refusal, naming every cell down to the refused one; the
+    recursion reaches that cell before any builder runs.  The family is
+    certified once, here; sweep and generate print this certificate.
     """
-    chain = _chain(N, d, n)
-    route = chain[0][0]
-    fam = _BUILDERS[route](N, d, n, dispatch(*chain[1][1])[1] if len(chain) > 1 else None)
+    route, below = _route(N, d, n)
+    inner = None
+    if below is not None:
+        try:
+            inner = _certified_family(*below)[1]
+        except RoutingError:
+            _chain(N, d, n)  # raises the refusal for the whole chain
+            raise
+    fam = _BUILDERS[route](N, d, n, inner)
     if len(fam) != n:
         raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
     cert = check_family(fam)
@@ -497,11 +549,29 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
         raise InternalConsistencyError(
             f"projective-line family for ({N}, {d}, {n}) has unequal twists"
         )
+    return route, fam, cert
+
+
+def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
+    """Generate and certify a family for the cell (N, d, n).
+
+    A recursive route builds from the family dispatched for the cell its
+    route names: a Brenner cell's inner cell, a FaceVertex run's base.  The
+    work and its cache are _certified_family's, which also keeps each
+    family's certificate.
+
+    Returns the route taken and the family; raises NoFamilyExists for the
+    projective-line cells with (n-1) not dividing d, RoutingError off-grid,
+    and InternalConsistencyError if the constructed family fails to certify
+    at its expected verdict (which would be a bug, and is tested not to
+    happen on the supported grid).
+    """
+    route, fam, _ = _certified_family(N, d, n)
     return route, fam
 
 
-def _clear_dispatch(clear=dispatch.cache_clear) -> None:
-    """dispatch.cache_clear: empty the cache and drop the face order's record."""
+def _clear_dispatch(clear=_certified_family.cache_clear) -> None:
+    """dispatch.cache_clear: empty the cache and drop the face orders' records."""
     _face_order.cache_clear()
     clear()
 

@@ -443,7 +443,10 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     So all such trailing variables are stripped in one step (the core keeps
     at least X_0 and X_1), the core is certified through this function,
     which is a cache hit when dispatch built the core's cell, and the
-    family's certificate is read off the core's summary at its own n.
+    family's certificate is read off the core's summary at its own n.  The
+    trailing pure powers are the last rows, and the others have zeros in
+    the stripped coordinates, so the cut rows keep their canonical order
+    and the core is built from them unsorted.
     """
     global _last_scan
     N, d, rows = fam.N, fam.d, fam.rows
@@ -464,7 +467,7 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
         m = _first_vertex_variable(rows, N)
         if m <= N:
             core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
-            core = MonomialFamily._from_valid_rows(m - 1, d, core_rows)
+            core = MonomialFamily._from_canonical_rows(m - 1, d, core_rows)
             pad = (0,) * (N + 1 - m)
             by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
             return _certificate(N, d, n, by_degree)

@@ -6,7 +6,8 @@ of those tuples, and everything downstream reads the rows.  Rows a library
 caller passes are validated as a whole by the constructor, and rows read
 from a family file by from_text, which checks only what its parse has not
 already settled; rows the package builds itself (every route's, a certified
-family's core) are valid by construction and only sorted.
+family's core) are valid by construction and only sorted, or kept as they
+are when they come in canonical order (a grown face family, a core).
 monomial_text writes one row as X0^2*X1.  Everything in this module is pure
 integer combinatorics; no floating point is used anywhere in the package.
 """
@@ -134,7 +135,8 @@ class MonomialFamily:
         # that fails runs the per-row loop, which names the first bad row
         if rows and not (
             set(map(len, rows)) == {N + 1}
-            and all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows))))
+            # bool is an int subclass, but True would be written as "True"
+            and all(issubclass(t, int) and t is not bool for t in set(map(type, chain.from_iterable(rows))))
             and min(map(min, rows)) >= 0
             and set(map(sum, rows)) == {d}
         ):
@@ -153,14 +155,26 @@ class MonomialFamily:
 
         rows must be distinct exponent tuples of degree d in N+1 variables;
         they are sorted into canonical order and nothing else is checked.
-        Every route builds its family here, with its cell's N and d,
-        check_family its core (the rows cut to the leading variables), and
-        from_text a file's rows once it has checked them.
+        Every route that builds its rows afresh builds its family here, with
+        its cell's N and d, and from_text a file's rows once it has checked
+        them.
+        """
+        return cls._from_canonical_rows(N, d, tuple(sorted(rows, reverse=True)))
+
+    @classmethod
+    def _from_canonical_rows(cls, N: int, d: int, rows: tuple[tuple[int, ...], ...]) -> "MonomialFamily":
+        """A family of valid rows already in canonical order, kept as they are.
+
+        rows must be a tuple that _from_valid_rows would accept and already
+        in descending order; it becomes the family's rows unsorted and
+        uncopied.  A face cell grown from the cell before it builds here, and
+        check_family a core, whose rows cut to the leading variables keep
+        their order.
         """
         fam = object.__new__(cls)
         object.__setattr__(fam, "N", N)
         object.__setattr__(fam, "d", d)
-        object.__setattr__(fam, "rows", tuple(sorted(rows, reverse=True)))
+        object.__setattr__(fam, "rows", rows)
         return fam
 
     @property
@@ -289,7 +303,7 @@ def _reject_row(N: int, d: int, rows: list[tuple]) -> None:
             raise DimensionMismatch(
                 f"member {exps!r} has {len(exps)} variables, family expects {N + 1}"
             )
-        if not all(isinstance(e, int) and e >= 0 for e in exps):
+        if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
             raise FamilyFormatError(f"exponents must be non-negative integers, got {exps!r}")
         if sum(exps) != d:
             raise FamilyFormatError(

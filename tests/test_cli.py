@@ -244,6 +244,35 @@ def test_sweep_builds_at_most_one_monomial_per_certificate(monkeypatch):
     assert 0 < len(built) <= certificates
 
 
+def test_sweep_and_generate_print_the_certificate_dispatch_made(capsys, monkeypatch):
+    # dispatch certifies each family once and hands that certificate on:
+    # with the cli's check_family refusing, every default-grid row and the
+    # README's 20-member family print as before
+    def sweep_rows():
+        rows = []
+        for N in range(1, 5):
+            for d in range(2, 7):
+                lo, hi = admissible_bounds(N, d)
+                for n in range(lo, hi + 1):
+                    row = _sweep_cell((N, d, n))
+                    rows.append({k: v for k, v in row.items() if k != "wall_time"})
+        return rows
+
+    generate = ["generate", "-N", "3", "-d", "4", "-n", "20", "--json"]
+    dispatch.cache_clear()
+    rows, generated = sweep_rows(), run(generate, capsys)
+    assert len(rows) == 716 and all(row["failure"] is None for row in rows)
+    assert generated[0] == EX_OK
+
+    def refuse(fam):
+        raise AssertionError("the cli certified a family again")
+
+    monkeypatch.setattr("syzstab.cli.check_family", refuse)
+    dispatch.cache_clear()
+    assert sweep_rows() == rows
+    assert run(generate, capsys) == generated
+
+
 def test_check_oracle_agreement(tmp_path, capsys):
     out = tmp_path / "fam.txt"
     run(["generate", "-N", "2", "-d", "3", "-n", "8", "-o", str(out)], capsys)

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -254,6 +255,22 @@ def test_recursive_generators_build_from_the_family_they_are_handed(monkeypatch)
     assert gen_prop_faces(3, 7, 105, inner) == brenner
 
 
+def test_a_cached_inner_cell_is_not_routed_again(monkeypatch):
+    # (3, 7, 105) builds from (3, 3, 5); once that is dispatched, the
+    # Brenner cell routes itself alone
+    calls = []
+
+    def counted(*cell, real=constructions._route):
+        calls.append(cell)
+        return real(*cell)
+
+    dispatch.cache_clear()
+    dispatch(3, 3, 5)
+    monkeypatch.setattr("syzstab.constructions._route", counted)
+    assert dispatch(3, 7, 105)[0] is Route.BRENNER_RECURSION
+    assert calls == [(3, 7, 105)]
+
+
 @pytest.mark.parametrize(
     "cell, route, generator",
     [
@@ -415,11 +432,19 @@ class TestN2Search:
         def refuse(*args):
             raise AssertionError("the search built its pool")
 
+        full = {d: MonomialFamily.from_exponents(enumerate_monomials(2, d)) for d in range(2, 15)}
         monkeypatch.setattr("syzstab.constructions.enumerate_monomials", refuse)
         monkeypatch.setattr("syzstab.constructions._exponent_masks", refuse)
         dispatch.cache_clear()
         powers = MonomialFamily.from_exponents([(139, 0, 0), (0, 139, 0), (0, 0, 139)])
         assert dispatch(2, 139, 3) == (Route.N2_SEARCH, powers)
+        # the full plane cell takes every candidate whatever the order of
+        # its picks, so it is every degree-d monomial, found without a search
+        for d, fam in full.items():
+            n = binomial(d + 2, 2)
+            assert admissible_bounds(2, d)[1] == n
+            assert gen_n2_search(d, n) == fam
+            assert dispatch(2, d, n) == (Route.N2_SEARCH, fam)
 
     def test_search_memory_follows_the_divisors_it_touches(self):
         # the admitted plane cell with the largest d that makes a pick: the
@@ -486,7 +511,7 @@ class TestFaceVertex:
         dispatch.cache_clear()
         check_family.cache_clear()
         dispatch(139, 2, 5000)
-        assert dispatch.cache_info().currsize == 2
+        assert constructions._certified_family.cache_info().currsize == 2
 
 
 def face_vertex_base(N, d, n):
@@ -646,6 +671,52 @@ def test_face_order_is_built_once_per_column(monkeypatch):
     dispatch.cache_clear()
     dispatch(*cell)
     assert enumerated[2:] == [cell[:2]]
+
+
+def test_a_face_column_sorts_only_its_first_family(monkeypatch):
+    # the face cells of (4, 6) dispatched in n order: each grows from the
+    # one before it by inserting its new row, so only the first sorts
+    sorted_builds = []
+
+    def counted(cls, N, d, rows, real=MonomialFamily._from_valid_rows.__func__):
+        sorted_builds.append((N, d))
+        return real(cls, N, d, rows)
+
+    cells = [(cell, reference(*cell)) for cell, reference in face_cells(4, 6)]
+    assert len(cells) == 125
+    monkeypatch.setattr(MonomialFamily, "_from_valid_rows", classmethod(counted))
+    dispatch.cache_clear()
+    for cell, reference in cells:
+        assert dispatch(*cell)[1] == reference, cell
+    assert sorted_builds == [(4, 6)]
+
+
+def test_threads_racing_on_the_last_face_family_build_the_layered_families():
+    # more threads than cores, switching often, each walking the face cells
+    # of (4, 6) in n order from its own start: whichever last family a cell
+    # reads, it must build Brenner's family
+    cells = [(cell, reference(*cell)) for cell, reference in face_cells(4, 6)]
+    walks = [cells[t * 31:] + cells[:t * 31] for t in range(4)]
+    built = [[] for _ in walks]
+
+    def walk(me):
+        built[me].extend(gen_prop_faces(*cell) for cell, _ in walks[me])
+
+    dispatch.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(me,)) for me in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        dispatch.cache_clear()
+    for walk, families in zip(walks, built):
+        assert families == [reference for _, reference in walk]
 
 
 def test_face_families_of_a_column_share_their_rows():

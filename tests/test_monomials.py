@@ -1,6 +1,7 @@
 """Unit tests for the monomial enumeration and the family container."""
 
 import itertools
+import re
 import time
 
 import pytest
@@ -128,6 +129,20 @@ class TestMonomialFamily:
         with pytest.raises(ValueError):
             MonomialFamily.from_exponents([(2, 0), (0, 2, 0)])
 
+    def test_bool_exponents_rejected(self):
+        # bool is an int subclass, but a family holding True would write the
+        # row "True True", which from_text refuses
+        for rows, bad in (
+            ([(True, True), (2, 0)], "(True, True)"),
+            ([(2, 0), (True, 1), (0, 2)], "(True, 1)"),
+            ([(2, 0), (1, 1), (0, 2), (False, 2)], "(False, 2)"),
+        ):
+            message = rf"^exponents must be non-negative integers, got {re.escape(bad)}$"
+            with pytest.raises(FamilyFormatError, match=message):
+                MonomialFamily(1, 2, rows)
+            with pytest.raises(FamilyFormatError, match=message):
+                MonomialFamily.from_exponents(rows)
+
     def test_contains_and_exponent_set(self):
         fam = MonomialFamily(2, 2, enumerate_monomials(2, 2))
         assert (1, 1, 0) in fam.rows
@@ -189,7 +204,11 @@ def test_family_members_strictly_descending(fam):
 
 
 def reference_validate(N, d, rows):
-    """The per-member checks the family constructor made before it held rows."""
+    """The per-member checks the family constructor made before it held rows.
+
+    One check is stricter than it was: a bool exponent, which the old checks
+    admitted as an int, is refused.
+    """
     if N < 1:
         raise FamilyFormatError(f"N must be at least 1, got {N}")
     if d < 1:
@@ -201,7 +220,7 @@ def reference_validate(N, d, rows):
             raise DimensionMismatch(
                 f"member {exps!r} has {len(exps)} variables, family expects {N + 1}"
             )
-        if not all(isinstance(e, int) and e >= 0 for e in exps):
+        if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
             raise FamilyFormatError(f"exponents must be non-negative integers, got {exps!r}")
         if sum(exps) != d:
             raise FamilyFormatError(f"member {m} has degree {sum(exps)}, family expects {d}")
