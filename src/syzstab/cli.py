@@ -274,6 +274,8 @@ def cmd_audit(args) -> int:
         d_range = args.d
     # a sampled audit evaluates --samples points; a grid counts pairs, then points to the budget
     if ranges is None:
+        if args.samples < 1:
+            raise UsageError(f"--samples must be at least 1, got {args.samples}")
         points = args.samples
     else:
         # from the bounds, as len() overflows past sys.maxsize

@@ -605,7 +605,6 @@ def test_audit_p_default_summary_is_pinned(capsys):
     "argv",
     [
         ["audit", "Q", "--d", "2..4"],
-        ["audit", "P", "--samples", "0"],
         ["audit", "T", "--N", "5..3"],
         ["audit", "brenner2", "--N", "0..0"],
     ],
@@ -903,6 +902,14 @@ REFUSALS = [
         ["audit", "P", "--samples", "500001"], None, EX_USAGE,
         "error: the P audit has more than 500000 points, the audit budget",
         id="audit-budget-samples",
+    ),
+    pytest.param(
+        ["audit", "P", "--samples", "0"], None, EX_USAGE,
+        "error: --samples must be at least 1, got 0", id="audit-samples-zero",
+    ),
+    pytest.param(
+        ["audit", "P", "--samples", "-5"], None, EX_USAGE,
+        "error: --samples must be at least 1, got -5", id="audit-samples-negative",
     ),
 ]
 
