@@ -14,10 +14,9 @@ BrennerRecursion, all take a prefix of one order of the face monomials and
 lift an interior family of lower degree past it (gen_prop_faces), so the
 PropFaces and FacesAndDots families nest along n.  That order is built once
 per column (N, d) and kept, for the few columns built in last, by
-_face_order, together with the column's last family built without an
-interior family, from which the next face cell grows by one row.
-dispatch.cache_clear() drops both with dispatch's cache, so a cold dispatch
-builds them again.
+_face_order.  A face cell grows by one row from the family at n - 1 in
+dispatch's cache, the only place that keeps a family.  dispatch.cache_clear()
+drops the cells and the face orders, so a cold dispatch builds them again.
 """
 
 from __future__ import annotations
@@ -334,27 +333,28 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
 
 
 @lru_cache(maxsize=_COLUMN_WINDOW)
-def _face_order(N: int, d: int) -> list:
-    """[faces, order, last]: the column's face monomials in canonical order,
-    their indices in face order, and its last family built without inner.
+def _face_order(N: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(faces, order): the column's face monomials in canonical order and
+    their indices in face order.
 
     The face monomials are those with a zero exponent.  Every face cell of
     the column takes a prefix of the same order, so a sweep that walks a
     column enumerates and sorts its C(d+N, N) monomials once, and the
-    column's families share their face rows.  last starts as None, and
-    gen_prop_faces replaces it with each family it builds without inner.
-    The entries of the last _COLUMN_WINDOW columns are kept, so a column
-    whose recursive cells build from other columns keeps its own;
-    dispatch.cache_clear() drops them.
+    column's families share their face rows.  The orders of the last
+    _COLUMN_WINDOW columns are kept, so a column whose recursive cells
+    build from other columns keeps its own; dispatch.cache_clear() drops
+    them.
     """
     faces = tuple(m for m in enumerate_monomials(N, d) if 0 in m)
     # X_N's exponent is at most d, so p * (d + 1) - exponent orders as
     # (p, -exponent); it is 0 when X_N is absent, found without the slice
     key = [m[N] and m[::-1].index(0) * (d + 1) - m[N] for m in faces]
-    return [faces, tuple(sorted(range(len(faces)), key=key.__getitem__)), None]
+    return faces, tuple(sorted(range(len(faces)), key=key.__getitem__))
 
 
-def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) -> MonomialFamily:
+def gen_prop_faces(
+    N: int, d: int, n: int, inner: MonomialFamily | None = None, last: MonomialFamily | None = None
+) -> MonomialFamily:
     """The first n face monomials in face order, then a lifted interior family.
 
     A cell built afresh takes the first n indices of its column's face
@@ -378,20 +378,16 @@ def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) 
     (N, d) of PropFaces and FacesAndDots cells, and the whole face order,
     with X0...XN when d = N + 1, is the full set of degree-d monomials.
 
-    A family built without inner is kept as the column's last one, with its
-    face order.  A cell without inner that comes right after it, so that
-    the kept family has n - 1 rows, adds one row to it: the face at index
+    last, if given, is the family this function builds without inner at
+    (N, d, n - 1), and the cell grows from it by one row: the face at index
     n - 1 of face order, or once the faces are used up the dot with
     j = n - 1 - (number of faces).  That row is inserted at its canonical
     position, found by bisection, so the cell sorts nothing and shares the
-    other rows with the family before it.  The kept family is read once and
-    replaced whole, so a thread that reads another thread's family grows
-    from it only if it has n - 1 rows, and then it is this cell's
-    predecessor: a family built without inner is a function of its cell.
+    other rows with the family before it.  Either way the family is a
+    function of (N, d, n, inner).
     """
-    column = _face_order(N, d)
-    faces, order, last = column
-    if inner is None and last is not None and len(last) == n - 1:
+    faces, order = _face_order(N, d)
+    if last is not None:
         if n <= len(faces):
             row = faces[order[n - 1]]
         else:
@@ -400,35 +396,28 @@ def gen_prop_faces(N: int, d: int, n: int, inner: MonomialFamily | None = None) 
         rows = last.rows
         # rows descend: the first position whose row is below the new one
         i = bisect_left(range(n - 1), True, key=lambda k: rows[k] < row)
-        fam = MonomialFamily._from_canonical_rows(N, d, (*rows[:i], row, *rows[i:]))
-    else:
-        # the first n in face order, left in canonical order for the family's sort
-        rows = [faces[j] for j in sorted(order[:n])]
-        if inner is None:
-            inner_rows = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
-        else:
-            inner_rows = inner.rows
-        rows += [tuple(e + 1 for e in m) for m in inner_rows[:n - len(rows)]]
-        fam = MonomialFamily._from_valid_rows(N, d, rows)
-    if inner is None:
-        column[2] = fam
-    return fam
+        return MonomialFamily._from_canonical_rows(N, d, (*rows[:i], row, *rows[i:]))
+    # the first n in face order, left in canonical order for the family's sort
+    rows = [faces[j] for j in sorted(order[:n])]
+    pure = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
+    rows += [tuple(e + 1 for e in m) for m in (pure if inner is None else inner.rows)[:n - len(rows)]]
+    return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-# A route's builder gets the cell and the family of the cell it builds from,
-# None if it builds directly, as on FullSet, PropFaces and FacesAndDots, which
-# lift the pure powers past the faces.  Builders call generators by
-# module-level name, so a patched or wrapped generator is the one that runs.
+# A route's builder gets the cell and the family of the cell it builds from:
+# the one _route names, or on a growing route, which lifts the pure powers
+# past the faces, the cell at n - 1 if dispatch built it on a growing route
+# too; else None.  Builders call generators by module-level name, so a
+# patched or wrapped generator is the one that runs.
+_GROWING = (Route.FULL_SET, Route.PROP_FACES, Route.FACES_AND_DOTS)
 _BUILDERS = {
     Route.P1_FAMILY: lambda N, d, n, fam: gen_p1(d, n),
     Route.N2_SEARCH: lambda N, d, n, fam: gen_n2_search(d, n),
     Route.SEARCH_2_2_5: lambda N, d, n, fam: gen_n2_search(d, n),
     Route.CASE_3_2_6: lambda N, d, n, fam: gen_case326(),
     Route.FACE_VERTEX: lambda N, d, n, fam: gen_face_vertex(N, fam),
-    **dict.fromkeys(
-        (Route.FULL_SET, Route.PROP_FACES, Route.FACES_AND_DOTS, Route.BRENNER_RECURSION),
-        lambda N, d, n, fam: gen_prop_faces(N, d, n, fam),
-    ),
+    Route.BRENNER_RECURSION: lambda N, d, n, fam: gen_prop_faces(N, d, n, fam),
+    **dict.fromkeys(_GROWING, lambda N, d, n, fam: gen_prop_faces(N, d, n, last=fam)),
 }
 
 
@@ -516,26 +505,36 @@ def expected_verdict(N: int, d: int, n: int) -> Verdict:
     return Verdict.STABLE
 
 
-@lru_cache(maxsize=None)
+# dispatch's cache: the route, family and certificate of each cell it built
+_dispatched: dict[tuple[int, int, int], tuple[Route, MonomialFamily, StabilityCertificate]] = {}
+
+
 def _certified_family(N: int, d: int, n: int) -> tuple[Route, MonomialFamily, StabilityCertificate]:
     """dispatch's work and cache: the route, the family and its certificate.
 
     One _route call names the route and the cell its builder takes, whose
     family comes from this function, so a cached inner cell is neither
-    routed nor built again.  When a cell below is refused, _chain runs to
-    word the refusal, naming every cell down to the refused one; the
-    recursion reaches that cell before any builder runs.  The family is
-    certified once, here; sweep and generate print this certificate.
+    routed nor built again.  A growing route's cell at n - 1 is only looked
+    up.  When a cell below is refused, _chain runs to word the refusal,
+    naming every cell down to the refused one; the recursion reaches that
+    cell before any builder runs.  The family is certified once, here;
+    sweep and generate print this certificate.
     """
+    if (done := _dispatched.get((N, d, n))) is not None:
+        return done
     route, below = _route(N, d, n)
-    inner = None
+    source = None
     if below is not None:
         try:
-            inner = _certified_family(*below)[1]
+            source = _certified_family(*below)[1]
         except RoutingError:
             _chain(N, d, n)  # raises the refusal for the whole chain
             raise
-    fam = _BUILDERS[route](N, d, n, inner)
+    elif route in _GROWING:
+        before = _dispatched.get((N, d, n - 1))
+        if before is not None and before[0] in _GROWING:
+            source = before[1]
+    fam = _BUILDERS[route](N, d, n, source)
     if len(fam) != n:
         raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
     cert = check_family(fam)
@@ -549,7 +548,7 @@ def _certified_family(N: int, d: int, n: int) -> tuple[Route, MonomialFamily, St
         raise InternalConsistencyError(
             f"projective-line family for ({N}, {d}, {n}) has unequal twists"
         )
-    return route, fam, cert
+    return _dispatched.setdefault((N, d, n), (route, fam, cert))
 
 
 def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
@@ -570,10 +569,10 @@ def dispatch(N: int, d: int, n: int) -> tuple[Route, MonomialFamily]:
     return route, fam
 
 
-def _clear_dispatch(clear=_certified_family.cache_clear) -> None:
-    """dispatch.cache_clear: empty the cache and drop the face orders' records."""
+def _clear_dispatch() -> None:
+    """dispatch.cache_clear: empty the cache and drop the face orders."""
     _face_order.cache_clear()
-    clear()
+    _dispatched.clear()
 
 
 dispatch.cache_clear = _clear_dispatch

@@ -52,10 +52,17 @@ MAX_ORACLE_WORK = 20 * 2**20
 # 100 s to check on a 2-core host.
 MAX_SCAN_WORK = 2 * (MAX_DEGREE_MONOMIALS - 1) ** 2
 
+# The most variables the full walk takes, after check_family strips the
+# vertex variables: the walk recurses once per variable, so a wider family
+# would overflow the interpreter's stack.  Every core that generate builds
+# at d >= 2 has at most 140 variables, at N = 139; at d = 1 the core has 2.
+MAX_WALK_VARIABLES = 512
+
 
 class PreconditionError(ValueError):
     """The family fails a checker precondition: fewer than two members, not
-    m-primary, or a degree whose scan would exceed MAX_SCAN_WORK."""
+    m-primary, a degree whose scan would exceed MAX_SCAN_WORK, or a core
+    with more than MAX_WALK_VARIABLES variables."""
 
 
 class OracleSizeError(ValueError):
@@ -401,10 +408,12 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     """Certify the family via the gcd-candidate scan.
 
     Raises PreconditionError unless the family has n >= 2 members, is
-    m-primary and has (N + 1) * d^2 at most MAX_SCAN_WORK.  A two-member
-    family presents a line bundle (rank 1), stable by convention; the scan
-    gives that with no special case, since two members are m-primary only
-    on the line, {X0^d, X1^d}, where no subset has a nontrivial gcd.
+    m-primary and has (N + 1) * d^2 at most MAX_SCAN_WORK, and, before the
+    full walk, when its core (below) has more than MAX_WALK_VARIABLES
+    variables.  A two-member family presents a line bundle (rank 1), stable
+    by convention; the scan gives that with no special case, since two
+    members are m-primary only on the line, {X0^d, X1^d}, where no subset
+    has a nontrivial gcd.
 
     Verdict logic over the evaluated witnesses, all of which are proper
     subsets: any negative margin gives CriterionViolated; otherwise a zero
@@ -471,6 +480,11 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
             pad = (0,) * (N + 1 - m)
             by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
             return _certificate(N, d, n, by_degree)
+        if N >= MAX_WALK_VARIABLES:
+            raise PreconditionError(
+                f"the scan would walk {N + 1} variables, more than "
+                f"MAX_WALK_VARIABLES = {MAX_WALK_VARIABLES}"
+            )
         ge = _exponent_masks(rows, N + 1, d)
         by_degree = tuple(_degree_tallies(ge, d))
     others = (r for r in window if r is not record)

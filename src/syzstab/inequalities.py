@@ -363,8 +363,9 @@ def audit_grid(
     samples: int = 10_000,
     seed: int = 0,
 ) -> Iterator[tuple[int, ...]]:
-    """In-proof-range argument tuples for one function over (N, d) ranges,
-    yielded lazily from its FUNCTIONS row's grid.
+    """Argument tuples for one function over (N, d) ranges, yielded lazily
+    from its FUNCTIONS row's grid.  The grid may yield tuples outside the
+    function's proof range; sweep flags them and evaluates none.
 
     For a sampled function (P: its proof range has no finite (N, d)-indexed
     grid) sampled tuples are yielded instead; samples and seed are ignored

@@ -15,6 +15,7 @@ from syzstab.constructions import InternalConsistencyError, admissible_bounds, d
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
+    MAX_WALK_VARIABLES,
     GcdWitness,
     brute_force_check,
     check_family,
@@ -734,6 +735,12 @@ _OVERSIZED_FOR_THE_ORACLE = MonomialFamily.from_exponents(
        for i, j in list(itertools.permutations(range(6), 2))[:15]]
 ).to_text()
 
+# the pure powers plus X_i * X_1500 at d = 2, 3001 rows far under
+# MAX_SCAN_WORK: a walk over its 1501 variables would overflow the stack
+_WIDER_THAN_THE_WALK = "1500 2 3001\n" + "".join(
+    " ".join(str(2 * (k == i)) for k in range(1501)) + "\n" for i in range(1501)
+) + "".join(" ".join(str((k == i) + (k == 1500)) for k in range(1501)) + "\n" for i in range(1500))
+
 # argv and the content of {path} (absent when None; {dir} is an existing
 # directory), then the exit code and the one stderr line; stdout stays empty
 REFUSALS = [
@@ -807,6 +814,11 @@ REFUSALS = [
         "error: (N + 1) * d^2 = 3000000000000000000 at N = 2, d = 1000000000 exceeds"
         f" MAX_SCAN_WORK = {MAX_SCAN_WORK}, the most of any cell generate admits",
         id="check-scan-work-bound",
+    ),
+    pytest.param(
+        ["check", "{path}"], _WIDER_THAN_THE_WALK, EX_FAIL,
+        f"error: the scan would walk 1501 variables, more than MAX_WALK_VARIABLES = {MAX_WALK_VARIABLES}",
+        id="check-walk-variables",
     ),
     pytest.param(
         ["sweep", "--Nmax", "0"], None, EX_USAGE,

@@ -292,7 +292,7 @@ def test_every_route_reaches_its_generator_by_name(monkeypatch, cell, route, gen
     class Reached(Exception):
         pass
 
-    def sentinel(*args):
+    def sentinel(*args, **kwargs):
         raise Reached(generator)
 
     assert classify_route(*cell) is route
@@ -511,7 +511,7 @@ class TestFaceVertex:
         dispatch.cache_clear()
         check_family.cache_clear()
         dispatch(139, 2, 5000)
-        assert constructions._certified_family.cache_info().currsize == 2
+        assert len(constructions._dispatched) == 2
 
 
 def face_vertex_base(N, d, n):
@@ -691,16 +691,46 @@ def test_a_face_column_sorts_only_its_first_family(monkeypatch):
     assert sorted_builds == [(4, 6)]
 
 
-def test_threads_racing_on_the_last_face_family_build_the_layered_families():
-    # more threads than cores, switching often, each walking the face cells
-    # of (4, 6) in n order from its own start: whichever last family a cell
-    # reads, it must build Brenner's family
+def test_a_direct_build_sorts_once_whatever_was_built_before(monkeypatch):
+    # every face cell of (4, 6) built directly, after the column was
+    # dispatched in n order and after nothing: each is one sorted build of
+    # Brenner's family.  Given the family at n - 1 it sorts nothing and
+    # gives the same family
+    cells = [(cell, reference(*cell)) for cell, reference in face_cells(4, 6)]
+    sorted_builds = []
+
+    def counted(cls, N, d, rows, real=MonomialFamily._from_valid_rows.__func__):
+        sorted_builds.append((N, d))
+        return real(cls, N, d, rows)
+
+    dispatch.cache_clear()
+    for cell, _ in cells:
+        dispatch(*cell)
+    monkeypatch.setattr(MonomialFamily, "_from_valid_rows", classmethod(counted))
+    for warm in (True, False):
+        if not warm:
+            dispatch.cache_clear()
+        for cell, reference in cells:
+            sorted_builds.clear()
+            assert gen_prop_faces(*cell) == reference, cell
+            assert sorted_builds == [(4, 6)], cell
+    sorted_builds.clear()
+    for (_, before), (cell, reference) in zip(cells, cells[1:]):
+        assert gen_prop_faces(*cell, last=before) == reference, cell
+    assert sorted_builds == []
+    dispatch.cache_clear()
+
+
+def test_threads_racing_on_dispatch_build_the_layered_families():
+    # more threads than cores, switching often, each dispatching the face
+    # cells of (4, 6) in n order from its own start: whichever cells the
+    # others have cached, each cell must get Brenner's family
     cells = [(cell, reference(*cell)) for cell, reference in face_cells(4, 6)]
     walks = [cells[t * 31:] + cells[:t * 31] for t in range(4)]
     built = [[] for _ in walks]
 
     def walk(me):
-        built[me].extend(gen_prop_faces(*cell) for cell, _ in walks[me])
+        built[me].extend(dispatch(*cell)[1] for cell, _ in walks[me])
 
     dispatch.cache_clear()
     interval = sys.getswitchinterval()

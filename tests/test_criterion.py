@@ -26,6 +26,7 @@ from syzstab.constructions import (
 from syzstab.criterion import (
     MAX_ORACLE_WORK,
     MAX_SCAN_WORK,
+    MAX_WALK_VARIABLES,
     OracleSizeError,
     PreconditionError,
     StabilityCertificate,
@@ -94,6 +95,20 @@ def test_scan_work_bound_refuses_before_allocating():
     assert check_family(fam((9999, 0), (0, 9999))).verdict is Verdict.STABLE
     # the oracle work-bound family, far below the scan's bound, still scans
     assert check_family(degree_30_family()).n == 21
+
+
+def test_walk_variable_bound_refuses_a_wide_core():
+    # the pure powers plus X_i * X_N for i < N at d = 2: X_N divides N + 1
+    # rows, so no variable is stripped and the walk recurses once per
+    # variable.  512 variables certify, 513 are refused before the walk
+    def wide(N):
+        rows = [(0,) * i + (2,) + (0,) * (N - i) for i in range(N + 1)]
+        return MonomialFamily(N, 2, rows + [(0,) * i + (1,) + (0,) * (N - i - 1) + (1,) for i in range(N)])
+
+    cert = check_family(wide(MAX_WALK_VARIABLES - 1))
+    assert (cert.verdict, cert.witness_count, cert.worst.margin) == (Verdict.SEMISTABLE, MAX_WALK_VARIABLES, 0)
+    with pytest.raises(PreconditionError, match="walk 513 variables, more than MAX_WALK_VARIABLES = 512"):
+        check_family(wide(MAX_WALK_VARIABLES))
 
 
 def test_rank_one_bundle_is_stable_by_convention():
