@@ -6,7 +6,11 @@ family.  _route is the theorem's case split: a cell's route and the cell its
 builder takes.  Only dispatch's worker, _certified_family, recurses: it
 routes a cell once, takes the family of the cell that route names from its
 own cache, hands it to a recursive route's builder, and certifies the
-result once; sweep and generate take that certificate from it.  Each
+result once; sweep and generate take that certificate from it.  A family
+built from a cached cell is certified from that cell: a FaceVertex family
+from its base's certificate, a face or Brenner family one row larger than
+the family at n - 1 from that family's scan record (check_vertex_family,
+check_grown_family); every other family by check_family.  Each
 generator assumes its route was chosen for the cell, and checks nothing
 itself.  Nine routes run five builders: both plane routes run the plane
 search, and the four face routes, FullSet, PropFaces, FacesAndDots and
@@ -15,7 +19,8 @@ lift an interior family of lower degree past it (gen_prop_faces), so the
 PropFaces and FacesAndDots families nest along n.  That order is built once
 per column (N, d) and kept, for the few columns built in last, by
 _face_order.  A face cell grows by one row from the family at n - 1 in
-dispatch's cache, the only place that keeps a family.  dispatch.cache_clear()
+dispatch's cache, the only place that keeps a family, and so does a Brenner
+cell whose inner family grew by one row.  dispatch.cache_clear()
 drops the cells and the face orders, so a cold dispatch builds them again.
 """
 
@@ -25,14 +30,19 @@ import enum
 from bisect import bisect_left
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import repeat
 from math import comb
+from operator import add
 
 from .criterion import (
     _COLUMN_WINDOW,
     StabilityCertificate,
     Verdict,
+    _added_row_at,
     _exponent_masks,
     check_family,
+    check_grown_family,
+    check_vertex_family,
     is_semistable_p1,
 )
 from .monomials import MAX_DEGREE_MONOMIALS, MonomialFamily, enumerate_monomials
@@ -324,12 +334,13 @@ def gen_face_vertex(N: int, base: MonomialFamily) -> MonomialFamily:
     refused.  A run of k such levels is built in one step from its base,
     the family of the first cell (N-k, d, n-k) below the run, which _route
     names: the base's rows padded with k zeros, plus the k vertices
-    X_{N-k+1}^d..X_N^d, are the family every level would build.
+    X_{N-k+1}^d..X_N^d, are the family every level would build.  That is
+    their canonical order too: a padded row has a positive exponent before
+    any vertex's, and the vertices descend, so nothing is sorted.
     """
     d, k = base.d, N - base.N
-    rows = [m + (0,) * k for m in base.rows]
-    rows += [(0,) * i + (d,) + (0,) * (N - i) for i in range(N - k + 1, N + 1)]
-    return MonomialFamily._from_valid_rows(N, d, rows)
+    vertices = ((0,) * i + (d,) + (0,) * (N - i) for i in range(N - k + 1, N + 1))
+    return MonomialFamily._from_canonical_rows(N, d, (*map(add, base.rows, repeat((0,) * k)), *vertices))
 
 
 @lru_cache(maxsize=_COLUMN_WINDOW)
@@ -353,7 +364,12 @@ def _face_order(N: int, d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int,
 
 
 def gen_prop_faces(
-    N: int, d: int, n: int, inner: MonomialFamily | None = None, last: MonomialFamily | None = None
+    N: int,
+    d: int,
+    n: int,
+    inner: MonomialFamily | None = None,
+    last: MonomialFamily | None = None,
+    added: int | None = None,
 ) -> MonomialFamily:
     """The first n face monomials in face order, then a lifted interior family.
 
@@ -378,25 +394,31 @@ def gen_prop_faces(
     (N, d) of PropFaces and FacesAndDots cells, and the whole face order,
     with X0...XN when d = N + 1, is the full set of degree-d monomials.
 
-    last, if given, is the family this function builds without inner at
-    (N, d, n - 1), and the cell grows from it by one row: the face at index
-    n - 1 of face order, or once the faces are used up the dot with
-    j = n - 1 - (number of faces).  That row is inserted at its canonical
-    position, found by bisection, so the cell sorts nothing and shares the
-    other rows with the family before it.  Either way the family is a
-    function of (N, d, n, inner).
+    last, if given, is the family this function builds at (N, d, n - 1),
+    and the cell grows from it by one row.  Without inner that row is the
+    face at index n - 1 of face order, or once the faces are used up the
+    dot with j = n - 1 - (number of faces).  On a Brenner cell, last is
+    built on inner less its row at index added, and that row, lifted, is
+    the one the cell adds.  The row is inserted at its canonical position,
+    found by bisection, so the cell sorts nothing, lifts one row at most and
+    shares the other rows with the family before it.  Either way the
+    family is a function of (N, d, n, inner).
     """
-    faces, order = _face_order(N, d)
     if last is not None:
-        if n <= len(faces):
-            row = faces[order[n - 1]]
+        if added is not None:
+            row = tuple(e + 1 for e in inner.rows[added])
         else:
-            j = n - 1 - len(faces)
-            row = (1,) * j + (d - N,) + (1,) * (N - j)
+            faces, order = _face_order(N, d)
+            if n <= len(faces):
+                row = faces[order[n - 1]]
+            else:
+                j = n - 1 - len(faces)
+                row = (1,) * j + (d - N,) + (1,) * (N - j)
         rows = last.rows
         # rows descend: the first position whose row is below the new one
-        i = bisect_left(range(n - 1), True, key=lambda k: rows[k] < row)
+        i = bisect_left(rows, True, key=row.__gt__)
         return MonomialFamily._from_canonical_rows(N, d, (*rows[:i], row, *rows[i:]))
+    faces, order = _face_order(N, d)
     # the first n in face order, left in canonical order for the family's sort
     rows = [faces[j] for j in sorted(order[:n])]
     pure = [(0,) * j + (d - N - 1,) + (0,) * (N - j) for j in range(N + 1)]
@@ -404,11 +426,10 @@ def gen_prop_faces(
     return MonomialFamily._from_valid_rows(N, d, rows)
 
 
-# A route's builder gets the cell and the family of the cell it builds from:
-# the one _route names, or on a growing route, which lifts the pure powers
-# past the faces, the cell at n - 1 if dispatch built it on a growing route
-# too; else None.  Builders call generators by module-level name, so a
-# patched or wrapped generator is the one that runs.
+# A route's builder gets the cell and the family of the cell _route names,
+# None if none.  A cell that grows from its cell at n - 1 (_growth) is built
+# by gen_prop_faces from that family instead.  Builders call generators by
+# module-level name, so a patched or wrapped generator is the one that runs.
 _GROWING = (Route.FULL_SET, Route.PROP_FACES, Route.FACES_AND_DOTS)
 _BUILDERS = {
     Route.P1_FAMILY: lambda N, d, n, fam: gen_p1(d, n),
@@ -417,7 +438,7 @@ _BUILDERS = {
     Route.CASE_3_2_6: lambda N, d, n, fam: gen_case326(),
     Route.FACE_VERTEX: lambda N, d, n, fam: gen_face_vertex(N, fam),
     Route.BRENNER_RECURSION: lambda N, d, n, fam: gen_prop_faces(N, d, n, fam),
-    **dict.fromkeys(_GROWING, lambda N, d, n, fam: gen_prop_faces(N, d, n, last=fam)),
+    **dict.fromkeys(_GROWING, lambda N, d, n, fam: gen_prop_faces(N, d, n)),
 }
 
 
@@ -506,38 +527,76 @@ def expected_verdict(N: int, d: int, n: int) -> Verdict:
 
 
 # dispatch's cache: the route, family and certificate of each cell it built
-_dispatched: dict[tuple[int, int, int], tuple[Route, MonomialFamily, StabilityCertificate]] = {}
+_Cell = tuple[Route, MonomialFamily, StabilityCertificate]
+_dispatched: dict[tuple[int, int, int], _Cell] = {}
 
 
-def _certified_family(N: int, d: int, n: int) -> tuple[Route, MonomialFamily, StabilityCertificate]:
+def _growth(
+    route: Route, below: tuple[int, int, int] | None, inner: _Cell | None, before: _Cell | None
+) -> tuple[MonomialFamily, int | None] | None:
+    """gen_prop_faces's (last, added) for a cell that grows from before, its cell at n - 1; else None.
+
+    A FullSet, PropFaces or FacesAndDots cell grows from a before on one of
+    those routes, which lifts the pure powers past the faces as it does.  A
+    Brenner cell grows from a Brenner before when its inner family is
+    before's inner family, the cell below its own, plus one row.
+    """
+    if before is None:
+        return None
+    if route in _GROWING:
+        return (before[1], None) if before[0] in _GROWING else None
+    if before[0] is not Route.BRENNER_RECURSION:
+        return None
+    inner_before = _dispatched.get((below[0], below[1], below[2] - 1))
+    added = None if inner_before is None else _added_row_at(inner[1].rows, inner_before[1].rows)
+    return None if added is None else (before[1], added)
+
+
+def _certified_family(N: int, d: int, n: int) -> _Cell:
     """dispatch's work and cache: the route, the family and its certificate.
 
     One _route call names the route and the cell its builder takes, whose
     family comes from this function, so a cached inner cell is neither
-    routed nor built again.  A growing route's cell at n - 1 is only looked
-    up.  When a cell below is refused, _chain runs to word the refusal,
-    naming every cell down to the refused one; the recursion reaches that
-    cell before any builder runs.  The family is certified once, here;
-    sweep and generate print this certificate.
+    routed nor built again.  A face or Brenner cell's cell at n - 1 is only
+    looked up.  When a cell below is refused, _chain runs to word the
+    refusal, naming every cell down to the refused one; the recursion
+    reaches that cell before any builder runs.
+
+    The family is certified once, here, and sweep and generate print this
+    certificate.  A cell built from a cached cell is certified from it: a
+    FaceVertex family from its base's certificate by check_vertex_family,
+    and a face or Brenner family whose cell at n - 1 is cached from that
+    family's scan record by check_grown_family.  Each checks the family
+    against its source and hands any other family to check_family, so a
+    patched builder's family gets its own certificate.
     """
     if (done := _dispatched.get((N, d, n))) is not None:
         return done
     route, below = _route(N, d, n)
-    source = None
+    inner = before = None
     if below is not None:
         try:
-            source = _certified_family(*below)[1]
+            inner = _certified_family(*below)
         except RoutingError:
             _chain(N, d, n)  # raises the refusal for the whole chain
             raise
-    elif route in _GROWING:
+    if route in _GROWING or route is Route.BRENNER_RECURSION:
         before = _dispatched.get((N, d, n - 1))
-        if before is not None and before[0] in _GROWING:
-            source = before[1]
-    fam = _BUILDERS[route](N, d, n, source)
+    source = None if inner is None else inner[1]
+    grown = _growth(route, below, inner, before)
+    if grown is None:
+        fam = _BUILDERS[route](N, d, n, source)
+    else:
+        fam = gen_prop_faces(N, d, n, source, *grown)
     if len(fam) != n:
         raise InternalConsistencyError(f"{route.value} built {len(fam)} members for cell ({N}, {d}, {n})")
-    cert = check_family(fam)
+    if route is Route.FACE_VERTEX:
+        cert = check_vertex_family(fam, source, inner[2])
+    elif before is not None and before[0] is not Route.FACE_VERTEX:
+        # a FaceVertex family is certified from its base and has no record
+        cert = check_grown_family(fam, before[1])
+    else:
+        cert = check_family(fam)
     expected = expected_verdict(N, d, n)
     if cert.verdict is not expected:
         raise InternalConsistencyError(

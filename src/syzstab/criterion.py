@@ -15,14 +15,23 @@ checker scans gcd candidates of degree 1..d-1 and evaluates each candidate's
 full multiple-set, which is the worst subset sharing that gcd.  The one scan
 kernel, _degree_tallies, keeps a per-degree tally (count, largest k, first g
 with it) inside its walk and yields only that tally, and check_family reads
-the certificate off it.  check_family keeps a record of the last family it
-scanned (its rows, masks and tally) in each of the few columns (N, d) it
-scanned in last, and looks there first: a family one row larger that holds
-every recorded row, such as the next face cell of a sweep column, skips the
+the certificate off it.  check_family keeps a record of the last family
+scanned (its rows, masks and tally) in each of the few columns (N, d)
+scanned in last, and looks there first: a family with the recorded rows
+gets the record's tally, and a family one row larger that holds every
+recorded row, such as the next face cell of a sweep column, skips the
 preconditions and gets its tally by the added-row walk over the new row's
 divisors alone.  check_family.cache_clear() drops the records with the
-cache.  The kernel and the oracle both read the family's exponent rows; the
-only Monomial built here is a certificate's worst gcd.
+cache.
+
+Two more entry points certify a family from the family it was built from,
+as dispatch builds most cells, without deriving it again:
+check_vertex_family a face-vertex family from its base's certificate, and
+check_grown_family a family one row larger from the scan record of the
+family it grew from.  Each compares the rows against that source at C speed
+and hands any other family to check_family.  The kernel and the oracle both
+read the family's exponent rows; the only Monomial built here is a
+certificate's worst gcd.
 
 The test is sufficient, not necessary, for N >= 2: CriterionViolated makes no
 claim of non-semistability there.  On the projective line the splitting type
@@ -32,11 +41,10 @@ decides exactly, and both the criterion and the splitting decider agree.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import add, eq, itemgetter, ne
 from typing import Iterator, Sequence
 
 from .monomials import MAX_DEGREE_MONOMIALS, DimensionMismatch, Monomial, MonomialFamily, binomial
@@ -385,6 +393,16 @@ def _certificate(
     return StabilityCertificate(verdict, N, d, n, count, _gcd_witness(worst), by_degree)
 
 
+def _vertex_certificate(
+    N: int, d: int, n: int, core_tallies: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+) -> StabilityCertificate:
+    # the certificate at n members of a family in N + 1 variables whose
+    # witnesses are its core's (the vertex lemma, check_family): the core's
+    # tally with each gcd padded with zeros
+    by_degree = tuple((e, c, k, g + (0,) * (N + 1 - len(g))) for e, c, k, g in core_tallies)
+    return _certificate(N, d, n, by_degree)
+
+
 # How many columns (N, d) keep a record, of their last scan here and of
 # their face order in constructions.  A recursive cell certifies its inner
 # cell in another column, so a column certified in n order moves among a
@@ -396,11 +414,44 @@ def _certificate(
 _COLUMN_WINDOW = 4
 
 # The records, newest first, at most one per column: (N, d, rows, masks,
-# by_degree) of the last family check_family scanned in that column, its
-# masks holding one bit per row in the order the rows were recorded.  One
-# tuple, replaced in one assignment, so a thread reads either the old window
-# or the new one, never a mix, and each record is whole.
+# by_degree) of the last family scanned in that column, its masks holding
+# one bit per row in the order the rows were recorded.  One tuple, replaced
+# in one assignment, so a thread reads either the old window or the new
+# one, never a mix, and each record is whole.
 _last_scan: tuple = ()
+
+
+def _remember(window: tuple, old: tuple | None, record: tuple) -> None:
+    # the window read as window, with record first in place of old
+    global _last_scan
+    _last_scan = (record, *(r for r in window if r is not old))[:_COLUMN_WINDOW]
+
+
+def _added_row_at(rows: tuple[tuple[int, ...], ...], old: tuple[tuple[int, ...], ...]) -> int | None:
+    """The index in rows of the one row rows adds to old; None unless rows is old plus one row.
+
+    Both are in canonical order.  The first position where they differ is
+    found at C speed, by compress over count() and map(ne, rows, old), or is
+    len(old) when old is a prefix of rows; one slice comparison confirms
+    that the rows after it are the rest of old.
+    """
+    if len(rows) != len(old) + 1:
+        return None
+    i = next(compress(count(), map(ne, rows, old)), len(old))
+    return i if rows[i + 1:] == old[i:] else None
+
+
+def _record_added_row(
+    window: tuple, record: tuple, rows: tuple[tuple[int, ...], ...], i: int
+) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """The tally of rows, record's family plus its row i, by the added-row walk.
+
+    The window, as read, then keeps the record of rows in place of record.
+    """
+    N, d, _, ge, by_degree = record
+    ge, by_degree = _added_row_tallies(ge, by_degree, rows[i], d)
+    _remember(window, record, (N, d, rows, ge, by_degree))
+    return by_degree
 
 
 @lru_cache(maxsize=None)
@@ -427,23 +478,22 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     A margin (d - e) * n + e - d * k depends on the witness only through
     (e, k), so the summary gives the worst witness at any n.
 
-    Added row, looked for first: the function keeps a record of the last
-    family it scanned in each of the _COLUMN_WINDOW columns (N, d) it scanned
-    in most recently, with its masks and summary.  A family with one row
-    more than its column's record and every recorded row (the next cell of
-    a face column, whose families are prefixes of one face order) gets its
-    summary from the record by a walk over the new row's divisors alone,
-    _added_row_tallies.  The new row is found by bisection, the first
-    position where the rows differ, and two slice comparisons confirm that
-    it is the only difference.  Such a family skips the preconditions and
-    the vertex test, and rightly: the record holds only families that
-    passed every precondition and had no vertex variable.  One row more
-    keeps the pure powers, so the family stays m-primary, with n >= 3 and
-    the same (N + 1) * d^2; X_N still divides a row other than its own
-    pure power, so the family still has no vertex variable.  Any other
-    family is checked and gets the full walk.  check_family.cache_clear()
-    drops the records along with the cache, so a certification after it
-    never reads an earlier one.
+    Records, looked at first: the function keeps a record of the last
+    family scanned in each of the _COLUMN_WINDOW columns (N, d) scanned in
+    most recently, with its masks and summary.  A family with the rows of
+    its column's record gets the record's summary.  A family with one row
+    more than the record and every recorded row (the next cell of a face
+    column, whose families are prefixes of one face order) gets its summary
+    by a walk over the new row's divisors alone, _added_row_tallies; the
+    new row is found by _added_row_at.  Such families skip the
+    preconditions and the vertex test, and rightly: the record holds only
+    families that passed every precondition and had no vertex variable.
+    One row more keeps the pure powers, so the family stays m-primary,
+    with n >= 3 and the same (N + 1) * d^2; X_N still divides a row other
+    than its own pure power, so the family still has no vertex variable.
+    Any other family is checked and gets the full walk.
+    check_family.cache_clear() drops the records along with the cache, so
+    a certification after it never reads an earlier one.
 
     Vertex lemma: if each of X_m..X_N divides only its own pure power, then
     any subset holding one of those powers and another member has gcd 1.
@@ -451,44 +501,40 @@ def check_family(fam: MonomialFamily) -> StabilityCertificate:
     X_0..X_{m-1}, with the same k and g padded with zeros; only n differs.
     So all such trailing variables are stripped in one step (the core keeps
     at least X_0 and X_1), the core is certified through this function,
-    which is a cache hit when dispatch built the core's cell, and the
-    family's certificate is read off the core's summary at its own n.  The
-    trailing pure powers are the last rows, and the others have zeros in
-    the stripped coordinates, so the cut rows keep their canonical order
-    and the core is built from them unsorted.
+    which is a cache hit or its column's record when dispatch built the
+    core's cell, and the family's certificate is read off the core's
+    summary at its own n.  The trailing pure powers are the last rows, and
+    the others have zeros in the stripped coordinates, so the cut rows keep
+    their canonical order and the core is built from them unsorted.
+
+    check_vertex_family and check_grown_family certify a family from the
+    family it was built from; they fall back on this function, and what
+    they certify is not in its cache.
     """
-    global _last_scan
     N, d, rows = fam.N, fam.d, fam.rows
     n = len(rows)
     window = _last_scan
     record = next((r for r in window if r[0] == N and r[1] == d), None)
-    added = None
-    if record is not None and len(record[2]) == n - 1:
-        old = record[2]
-        # the first position where rows and old differ
-        i = bisect_left(range(n - 1), True, key=lambda j: rows[j] != old[j])
-        if rows[:i] == old[:i] and rows[i + 1:] == old[i:]:
-            added = rows[i]
-    if added is not None:
-        ge, by_degree = _added_row_tallies(record[3], record[4], added, d)
-    else:
-        _require_checkable(fam)
-        m = _first_vertex_variable(rows, N)
-        if m <= N:
-            core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
-            core = MonomialFamily._from_canonical_rows(m - 1, d, core_rows)
-            pad = (0,) * (N + 1 - m)
-            by_degree = tuple((e, c, k, g + pad) for e, c, k, g in check_family(core).by_degree)
-            return _certificate(N, d, n, by_degree)
-        if N >= MAX_WALK_VARIABLES:
-            raise PreconditionError(
-                f"the scan would walk {N + 1} variables, more than "
-                f"MAX_WALK_VARIABLES = {MAX_WALK_VARIABLES}"
-            )
-        ge = _exponent_masks(rows, N + 1, d)
-        by_degree = tuple(_degree_tallies(ge, d))
-    others = (r for r in window if r is not record)
-    _last_scan = ((N, d, rows, ge, by_degree), *others)[:_COLUMN_WINDOW]
+    if record is not None:
+        if record[2] == rows:
+            return _certificate(N, d, n, record[4])
+        i = _added_row_at(rows, record[2])
+        if i is not None:
+            return _certificate(N, d, n, _record_added_row(window, record, rows, i))
+    _require_checkable(fam)
+    m = _first_vertex_variable(rows, N)
+    if m <= N:
+        core_rows = tuple(map(itemgetter(slice(m)), rows[:m - N - 1]))
+        core = MonomialFamily._from_canonical_rows(m - 1, d, core_rows)
+        return _vertex_certificate(N, d, n, check_family(core).by_degree)
+    if N >= MAX_WALK_VARIABLES:
+        raise PreconditionError(
+            f"the scan would walk {N + 1} variables, more than "
+            f"MAX_WALK_VARIABLES = {MAX_WALK_VARIABLES}"
+        )
+    ge = _exponent_masks(rows, N + 1, d)
+    by_degree = tuple(_degree_tallies(ge, d))
+    _remember(window, record, (N, d, rows, ge, by_degree))
     return _certificate(N, d, n, by_degree)
 
 
@@ -500,6 +546,59 @@ def _clear_checks(clear=check_family.cache_clear) -> None:
 
 
 check_family.cache_clear = _clear_checks
+
+
+def check_vertex_family(
+    fam: MonomialFamily, base: MonomialFamily, base_cert: StabilityCertificate
+) -> StabilityCertificate:
+    """Certify fam as base with vertices added, from base_cert, base's certificate.
+
+    fam must be the face-vertex family on base (Brenner's face-vertex
+    lemma): base's rows padded with N - M zeros, then the N - M vertex
+    powers X_{M+1}^d..X_N^d, where N and M are the two families' N.  That
+    is checked with tuple comparisons, and base_cert must carry base's N, d
+    and member count.  Each new vertex then divides only its own power, so
+    by the vertex lemma (check_family) fam's witnesses are base's with
+    their gcds padded, and the certificate is read off base_cert's summary
+    at fam's n, as check_family reads a core's.  fam passes check_family's
+    preconditions: it keeps base's pure powers and adds the others, and
+    (N + 1) * d^2 is tested.  Any other family, or a base_cert that does
+    not fit, goes to check_family.
+    """
+    N, d, rows = fam.N, fam.d, fam.rows
+    M, m = base.N, len(base.rows)
+    if (
+        M < N
+        and len(rows) == m + N - M
+        and (base.d, base_cert.N, base_cert.d, base_cert.n) == (d, M, d, m)
+        and (N + 1) * d**2 <= MAX_SCAN_WORK
+        and rows[m:] == tuple((0,) * i + (d,) + (0,) * (N - i) for i in range(M + 1, N + 1))
+        and all(map(eq, rows, map(add, base.rows, repeat((0,) * (N - M)))))
+    ):
+        return _vertex_certificate(N, d, len(rows), base_cert.by_degree)
+    return check_family(fam)
+
+
+def check_grown_family(fam: MonomialFamily, before: MonomialFamily) -> StabilityCertificate:
+    """Certify fam as before plus one row, from before's scan record.
+
+    The record is the window's whose rows are before's rows tuple itself,
+    so before must be the family that was scanned: the last one certified
+    in its column by check_family or by this function.  _added_row_at then
+    confirms that fam is before plus one row, and fam's summary comes from
+    the added-row walk over that row, with the window written in one
+    assignment, as check_family's own record test does.  With no such
+    record, or any other family, fam goes to check_family.
+    """
+    N, d, rows = fam.N, fam.d, fam.rows
+    window = _last_scan
+    old = before.rows
+    record = next((r for r in window if r[2] is old), None)
+    if record is not None and record[0] == N and record[1] == d:
+        i = _added_row_at(rows, old)
+        if i is not None:
+            return _certificate(N, d, len(rows), _record_added_row(window, record, rows, i))
+    return check_family(fam)
 
 
 def _require_oracle_work(fam: MonomialFamily) -> None:

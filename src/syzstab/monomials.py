@@ -91,13 +91,17 @@ def enumerate_monomials(N: int, e: int) -> list[tuple[int, ...]]:
     sum to r, in the same order.  Each head followed by each tail it leaves
     room for is then in descending order.  Splitting keeps the copying near
     the output size: extending whole rows would copy each prefix once per
-    variable, most of a cell's time at N = 139.  A negative degree yields no
-    tuple; degree 0 yields the unit's.
+    variable, most of a cell's time at N = 139.  Degree 1 is listed
+    directly, the N + 1 unit vectors: there the heads' copies and sums grow
+    as N^3 (1.2 s at N = 1000), while the output is (N + 1)^2 exponents.  A
+    negative degree yields no tuple; degree 0 yields the unit's.
     """
     if N < 1:
         raise ValueError("need at least two variables (N >= 1)")
     if e < 0:
         return []
+    if e == 1:
+        return [(0,) * i + (1,) + (0,) * (N - i) for i in range(N + 1)]
     half = (N + 1) // 2
     heads: list[tuple[int, ...]] = [()]
     for _ in range(half):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from syzstab import cli, constructions
+from syzstab import cli, constructions, criterion
 from syzstab.cli import EX_DATA, EX_FAIL, EX_NOFAMILY, EX_OK, EX_USAGE, _sweep_cell, main
 from syzstab.constructions import InternalConsistencyError, admissible_bounds, dispatch
 from syzstab.criterion import (
@@ -225,15 +225,22 @@ def test_generate_certifies_the_line_at_the_top_degree_quickly(capsys):
 
 
 def test_sweep_builds_at_most_one_monomial_per_certificate(monkeypatch):
-    # families hold exponent rows: only a certificate's worst gcd is a Monomial
-    built = []
+    # families hold exponent rows: only a certificate's worst gcd is a
+    # Monomial.  Every scan certificate is made by criterion._certificate,
+    # whether check_family or a certification from the source cell made it
+    built, certificates = [], []
     post_init = Monomial.__post_init__
 
     def counted(m):
         built.append(m.exponents)
         post_init(m)
 
+    def made(*args, real=criterion._certificate):
+        certificates.append(args[:3])
+        return real(*args)
+
     monkeypatch.setattr(Monomial, "__post_init__", counted)
+    monkeypatch.setattr(criterion, "_certificate", made)
     dispatch.cache_clear()
     check_family.cache_clear()
     for N in range(1, 4):
@@ -241,8 +248,9 @@ def test_sweep_builds_at_most_one_monomial_per_certificate(monkeypatch):
             lo, hi = admissible_bounds(N, d)
             for n in range(lo, hi + 1):
                 assert _sweep_cell((N, d, n))["failure"] is None
-    certificates = check_family.cache_info().misses
-    assert 0 < len(built) <= certificates
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    assert 0 < len(built) <= len(certificates)
 
 
 def test_sweep_and_generate_print_the_certificate_dispatch_made(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+from collections import Counter
 import threading
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from math import inf
 
-from syzstab import constructions
+from syzstab import constructions, criterion
 from syzstab.constructions import (
     MAX_DEGREE_MONOMIALS,
     MAX_PLANE_SEARCH_WORK,
@@ -815,6 +816,128 @@ def test_brenner_cells_are_the_faces_and_their_lifted_inner_family():
                 lifted = [tuple(e + 1 for e in m) for m in inner.rows]
                 assert dispatch(N, d, n)[1] == MonomialFamily.from_exponents(faces + tuple(lifted)), (N, d, n)
     assert cells == 6
+
+
+def dispatched_columns(columns):
+    """(cell, route, family, certificate) of each cell of the columns, dispatched in n order."""
+    made = []
+    for N, d in columns:
+        lo, hi = admissible_bounds(N, d)
+        for n in range(lo, hi + 1):
+            try:
+                route, fam, cert = constructions._certified_family(N, d, n)
+            except NoFamilyExists:
+                continue
+            made.append(((N, d, n), route, fam, cert))
+    return made
+
+
+def test_dispatch_certificates_equal_a_fresh_scan(monkeypatch):
+    # the default grid, then column (3, 8) with its 31 Brenner cells, each
+    # from cold caches.  A FaceVertex cell certifies from its base's
+    # certificate and a face or Brenner cell from the scan record of its
+    # cell at n - 1; only (3, 6, 81), the first Brenner cell of (3, 6), is
+    # not one row more than that cell and falls back on check_family.  Each
+    # certificate must be the one check_family derives from a copy of the
+    # rows once its cache and records are cleared
+    calls = Counter()
+
+    def shortcut(name, real):
+        def certify(*args):
+            calls[name] += 1
+            checks = calls["check_family"]
+            cert = real(*args)
+            calls["fallback"] += calls["check_family"] > checks
+            return cert
+
+        return certify
+
+    def check(fam, real=check_family):
+        calls["check_family"] += 1
+        return real(fam)
+
+    grid = [(N, d) for N in range(1, 5) for d in range(2, 7)]
+    made = []
+    for columns, want in (
+        (grid, {"check_vertex_family": 259, "check_grown_family": 356, "fallback": 1}),
+        ([(3, 8)], {"check_vertex_family": 55, "check_grown_family": 136, "fallback": 0}),
+    ):
+        dispatch.cache_clear()
+        check_family.cache_clear()
+        calls.clear()
+        for name in ("check_vertex_family", "check_grown_family"):
+            monkeypatch.setattr(constructions, name, shortcut(name, getattr(constructions, name)))
+        monkeypatch.setattr(criterion, "check_family", check)
+        made += dispatched_columns(columns)
+        monkeypatch.undo()
+        assert {name: calls[name] for name in want} == want, columns
+    routes = Counter(route for _, route, _, _ in made)
+    assert len(made) == 709 + 162
+    assert (routes[Route.FACE_VERTEX], routes[Route.BRENNER_RECURSION]) == (259 + 43, 6 + 31)
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    for cell, _, fam, cert in made:
+        assert check_family(MonomialFamily.from_exponents(fam.rows)) == cert, cell
+    check_family.cache_clear()
+
+
+def swapped(fam):
+    """The family with X0 and X1 exchanged: as stable as fam, with other rows."""
+    return MonomialFamily.from_exponents((r[1], r[0], *r[2:]) for r in fam.rows)
+
+
+@pytest.mark.parametrize(
+    "generator, cell",
+    [("gen_face_vertex", (4, 4, 11)), ("gen_prop_faces", (3, 4, 20)), ("gen_prop_faces", (3, 8, 140))],
+)
+def test_a_patched_builder_gets_its_own_certificate(monkeypatch, generator, cell):
+    # a FaceVertex, a PropFaces and a Brenner cell whose builder returns
+    # another valid family of the cell: neither certification from the
+    # source cell vouches for it, so it gets the full scan's certificate
+    N, d, n = cell
+    dispatch.cache_clear()
+    check_family.cache_clear()
+    _, genuine, genuine_cert = constructions._certified_family(*cell)
+    dispatch.cache_clear()
+    constructions._certified_family(N, d, n - 1)
+    real = getattr(constructions, generator)
+    monkeypatch.setattr(constructions, generator, lambda *args: swapped(real(*args)))
+    try:
+        _, fam, cert = constructions._certified_family(*cell)
+    finally:
+        dispatch.cache_clear()
+        check_family.cache_clear()
+    assert fam == swapped(genuine) != genuine
+    assert cert == check_family(MonomialFamily.from_exponents(fam.rows)) != genuine_cert
+    check_family.cache_clear()
+
+
+def test_brenner_cells_grow_by_one_lifted_row(monkeypatch):
+    # the 31 Brenner cells of (3, 8) in n order, after their inner column
+    # (3, 4) and the cells before them: each but the first inserts its one
+    # lifted row into the family at n - 1 and sorts nothing, and each is the
+    # family a fresh build on its inner family gives
+    sorted_builds = []
+
+    def counted(cls, N, d, rows, real=MonomialFamily._from_valid_rows.__func__):
+        sorted_builds.append((N, d))
+        return real(cls, N, d, rows)
+
+    lo, hi = admissible_bounds(3, 8)
+    cells = [n for n in range(lo, hi + 1) if classify_route(3, 8, n) is Route.BRENNER_RECURSION]
+    assert len(cells) == 31
+    faces = cells[0] - 5  # the faces and all four dots come first
+    dispatch.cache_clear()
+    dispatched_columns([(3, 4)])
+    for n in range(lo, cells[0]):
+        dispatch(3, 8, n)
+    monkeypatch.setattr(MonomialFamily, "_from_valid_rows", classmethod(counted))
+    built = [dispatch(3, 8, n)[1] for n in cells]
+    assert sorted_builds == [(3, 8)]
+    monkeypatch.undo()
+    for n, fam in zip(cells, built):
+        assert fam == gen_prop_faces(3, 8, n, dispatch(3, 4, n - faces)[1]), n
+    dispatch.cache_clear()
 
 
 def test_faces_and_dots_members():

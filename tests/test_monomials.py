@@ -71,6 +71,34 @@ def test_enumerate_monomials_count_and_order():
             assert len(reference) == binomial(e + N, N)
 
 
+def split_enumeration(N, e):
+    """enumerate_monomials as it was before degree 1 got its own listing: heads and tails at every degree."""
+    if e < 0:
+        return []
+    half = (N + 1) // 2
+    heads = [()]
+    for _ in range(half):
+        heads = [(*h, v) for h in heads for v in range(e - sum(h), -1, -1)]
+    tails = [[(r,)] for r in range(e + 1)]
+    for _ in range(N - half):
+        tails = [[(v, *t) for v in range(r, -1, -1) for t in tails[r - v]] for r in range(e + 1)]
+    return [h + t for h in heads for t in tails[e - sum(h)]]
+
+
+def test_degree_one_is_the_unit_vectors_in_linear_time():
+    # the split enumeration copied and summed each head once per variable,
+    # N^3 steps at degree 1 (about 10 s at N = 2000); the listing of the
+    # unit vectors gives the same tuples in the same order
+    for N in range(1, 7):
+        for e in range(-1, 7):
+            assert enumerate_monomials(N, e) == split_enumeration(N, e), (N, e)
+    start = time.perf_counter()
+    units = enumerate_monomials(2000, 1)
+    assert time.perf_counter() - start < 1
+    assert len(units) == 2001 and units[0] == (1,) + (0,) * 2000 and units[-1] == (0,) * 2000 + (1,)
+    assert all(sum(u) == 1 and u[i] == 1 for i, u in enumerate(units))
+
+
 def test_enumerate_monomials_edge_cases():
     assert enumerate_monomials(2, -1) == []
     assert enumerate_monomials(2, 0) == [(0, 0, 0)]
